@@ -3,9 +3,10 @@
 Every closed-form energy in this package is judged against a numerical
 eigenvalue, so the numerical route itself needs a second opinion. The
 shooting solver integrates the Schroedinger equation outward with an
-adaptive Runge-Kutta-Fehlberg pair and bisects the energy on the node
-count at the far boundary; the diagonalization solver truncates the
-Hamiltonian in a harmonic basis and calls a banded symmetric eigensolver.
+adaptive Runge-Kutta-Fehlberg pair, brackets the level by node count and
+refines on the sign change of psi at the far boundary; the
+diagonalization solver truncates the Hamiltonian in a harmonic basis and
+calls a banded symmetric eigensolver.
 They share no code path beyond the potential itself.
 
 Run with: python3 demos/exact_oracles.py

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .model import AnharmonicSpec, hbar_omega
 from .oscillator import OscBasis, build_hamiltonian
@@ -35,8 +34,8 @@ class ShootingConfig:
     E by 25 harmonic quanta and accumulates 25 WKB decay constants beyond
     the turning point, keeping boundary contamination of the eigenvalue
     below 1e-10. ``abs_tol`` is the local ODE error tolerance (at most
-    1e-6), ``energy_tol`` the bisection width on E, and ``max_iter`` the
-    combined bracket-growth and bisection budget.
+    1e-6), ``energy_tol`` the final width of the energy bracket, and
+    ``max_iter`` the combined budget of bracket-growth and search steps.
     """
 
     x_max: float = 0.0
@@ -53,54 +52,71 @@ class ShootingConfig:
             raise ValueError("max_iter must be >= 8")
 
 
-# Fehlberg 4(5) coefficients: stage nodes, stage weights, 5th-order
-# combination, and the embedded error row.
-_RKF_STAGES = (
-    (),
-    (1.0 / 4.0,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_RKF_NODES = (0.0, 0.25, 0.375, 12.0 / 13.0, 1.0, 0.5)
-_RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
-           -9.0 / 50.0, 2.0 / 55.0)
-_RKF_ERR = (1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0,
-            1.0 / 50.0, 2.0 / 55.0)
-
-
 def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
                x_max: float, abs_tol: float) -> tuple[float, int]:
-    """March psi from 0 to x_max; return (psi(x_max), node count)."""
-    k = spec.stiffness_k
-    b = spec.quartic_b
-    inv_kappa = 1.0 / spec.constants.kappa
+    """March psi from 0 to x_max; return (psi(x_max), node count).
 
-    def rhs(x: float, y0: float, y1: float) -> tuple[float, float]:
-        x2 = x * x
-        return y1, (k * x2 + b * x2 * x2 - energy) * inv_kappa * y0
+    Adaptive Runge-Kutta-Fehlberg 4(5) on psi' = p, p' = q(x) psi with
+    q(x) = (k x^2 + b x^4 - E) / kappa, advancing with the 5th-order
+    combination. Each stage is written out: u, v are the stage values of
+    psi and p, and w = q u is the stage slope of p.
+    """
+    inv_kappa = 1.0 / spec.constants.kappa
+    c2 = spec.stiffness_k * inv_kappa
+    c4 = spec.quartic_b * inv_kappa
+    ce = energy * inv_kappa
 
     y0, y1 = (1.0, 0.0) if parity == 0 else (0.0, 1.0)
     x = 0.0
     h = min(1e-3, 0.01 * x_max)
     nodes = 0
-    last_sign = 1.0 if parity == 0 else 1.0  # first motion is positive
+    last_sign = 1.0  # psi first moves positive for either parity
     while x < x_max:
         if x + h > x_max:
             h = x_max - x
-        ka = [0.0] * 6
-        kb = [0.0] * 6
-        for i in range(6):
-            ya, yb = y0, y1
-            for j, a in enumerate(_RKF_STAGES[i]):
-                ya += h * a * ka[j]
-                yb += h * a * kb[j]
-            ka[i], kb[i] = rhs(x + _RKF_NODES[i] * h, ya, yb)
-        n0 = y0 + h * sum(w * v for w, v in zip(_RKF_B5, ka))
-        n1 = y1 + h * sum(w * v for w, v in zip(_RKF_B5, kb))
-        e0 = h * sum(w * v for w, v in zip(_RKF_ERR, ka))
-        e1 = h * sum(w * v for w, v in zip(_RKF_ERR, kb))
+        s = x * x
+        w1 = ((c2 + c4 * s) * s - ce) * y0
+        u2 = y0 + h * (1.0 / 4.0) * y1
+        v2 = y1 + h * (1.0 / 4.0) * w1
+        t = x + (1.0 / 4.0) * h
+        s = t * t
+        w2 = ((c2 + c4 * s) * s - ce) * u2
+        u3 = y0 + h * (3.0 / 32.0 * y1 + 9.0 / 32.0 * v2)
+        v3 = y1 + h * (3.0 / 32.0 * w1 + 9.0 / 32.0 * w2)
+        t = x + (3.0 / 8.0) * h
+        s = t * t
+        w3 = ((c2 + c4 * s) * s - ce) * u3
+        u4 = y0 + h * (1932.0 / 2197.0 * y1 - 7200.0 / 2197.0 * v2
+                       + 7296.0 / 2197.0 * v3)
+        v4 = y1 + h * (1932.0 / 2197.0 * w1 - 7200.0 / 2197.0 * w2
+                       + 7296.0 / 2197.0 * w3)
+        t = x + (12.0 / 13.0) * h
+        s = t * t
+        w4 = ((c2 + c4 * s) * s - ce) * u4
+        u5 = y0 + h * (439.0 / 216.0 * y1 - 8.0 * v2 + 3680.0 / 513.0 * v3
+                       - 845.0 / 4104.0 * v4)
+        v5 = y1 + h * (439.0 / 216.0 * w1 - 8.0 * w2 + 3680.0 / 513.0 * w3
+                       - 845.0 / 4104.0 * w4)
+        t = x + h
+        s = t * t
+        w5 = ((c2 + c4 * s) * s - ce) * u5
+        u6 = y0 + h * (-8.0 / 27.0 * y1 + 2.0 * v2 - 3544.0 / 2565.0 * v3
+                       + 1859.0 / 4104.0 * v4 - 11.0 / 40.0 * v5)
+        v6 = y1 + h * (-8.0 / 27.0 * w1 + 2.0 * w2 - 3544.0 / 2565.0 * w3
+                       + 1859.0 / 4104.0 * w4 - 11.0 / 40.0 * w5)
+        t = x + (1.0 / 2.0) * h
+        s = t * t
+        w6 = ((c2 + c4 * s) * s - ce) * u6
+        n0 = y0 + h * (16.0 / 135.0 * y1 + 6656.0 / 12825.0 * v3
+                       + 28561.0 / 56430.0 * v4 - 9.0 / 50.0 * v5
+                       + 2.0 / 55.0 * v6)
+        n1 = y1 + h * (16.0 / 135.0 * w1 + 6656.0 / 12825.0 * w3
+                       + 28561.0 / 56430.0 * w4 - 9.0 / 50.0 * w5
+                       + 2.0 / 55.0 * w6)
+        e0 = h * (1.0 / 360.0 * y1 - 128.0 / 4275.0 * v3
+                  - 2197.0 / 75240.0 * v4 + 1.0 / 50.0 * v5 + 2.0 / 55.0 * v6)
+        e1 = h * (1.0 / 360.0 * w1 - 128.0 / 4275.0 * w3
+                  - 2197.0 / 75240.0 * w4 + 1.0 / 50.0 * w5 + 2.0 / 55.0 * w6)
         err = max(abs(e0), abs(e1))
         tol = abs_tol * max(1.0, abs(n0), abs(n1))
         if err <= tol or h <= 1e-12:
@@ -148,14 +164,19 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
 
 def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
                      cfg: ShootingConfig = ShootingConfig()) -> float:
-    """n-th eigenvalue by parity shooting and node-count bisection.
+    """n-th eigenvalue by parity shooting: node-count bracket, then refine.
 
     Even n integrates with psi(0)=1, psi'(0)=0, odd n with psi(0)=0,
     psi'(0)=1, so only [0, x_max] is traversed and the target node count on
     the open half line is floor(n/2). The eigenvalue is where a node enters
-    through the far boundary, so bisecting the energy on that count change
-    is equivalent to a sign change of psi(x_max) and converges to within
-    ``energy_tol``.
+    through the far boundary. Node counting keeps the search on level n:
+    the energy is bisected on the count until the bracket [lo, hi] holds a
+    single count change, nodes(lo) = n//2 and nodes(hi) = n//2 + 1. Inside
+    that bracket psi(x_max), whose sign is (-1)^nodes, crosses zero once,
+    and Illinois regula falsi on it (x_max held fixed) picks the next
+    trial. Every trial still moves lo or hi by its node count, a trial that
+    lands outside the two counts sends the next step back to bisection,
+    and the midpoint is returned once hi - lo <= ``energy_tol``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -168,33 +189,54 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     e_hi = hw * (n + 1.5)
     x_max = cfg.x_max if cfg.x_max > 0.0 else _default_x_max(spec, e_hi)
 
-    def nodes_at(e: float) -> int:
-        return _integrate(spec, e, parity, x_max, cfg.abs_tol)[1]
+    def shoot(e: float) -> tuple[float, int]:
+        return _integrate(spec, e, parity, x_max, cfg.abs_tol)
 
-    while nodes_at(e_hi) <= target:
+    psi_hi, nodes_hi = shoot(e_hi)
+    psi_lo, nodes_lo = 0.0, -1  # E = 0 is not integrated: bisect first
+    while nodes_hi <= target:
         budget -= 1
         if budget <= 0:
             raise ConvergenceError(
                 f"no bracket for level n={n} within iteration budget",
-                n=n, e_hi=e_hi, nodes=nodes_at(e_hi), target=target)
+                n=n, e_hi=e_hi, nodes=nodes_hi, target=target)
         e_lo = e_hi
         e_hi *= 1.4
         if cfg.x_max <= 0.0:
             x_max = _default_x_max(spec, e_hi)
+        psi_hi, nodes_hi = shoot(e_hi)
+    if e_lo > 0.0:
+        # the grown bracket's lower end, integrated on the final x_max
+        psi_lo, nodes_lo = shoot(e_lo)
 
     lo, hi = e_lo, e_hi
+    # regula falsi trials stay pad clear of both ends, so the far end also
+    # moves once the near one has converged
+    pad = 0.5 * cfg.energy_tol
+    kept = 0  # +1 / -1 while trials keep replacing hi / lo
     while hi - lo > cfg.energy_tol:
         budget -= 1
         if budget <= 0:
             raise ConvergenceError(
-                f"bisection budget exhausted for level n={n}",
+                f"search budget exhausted for level n={n}",
                 n=n, e_lo=lo, e_hi=hi, width=hi - lo,
                 energy_tol=cfg.energy_tol)
-        mid = 0.5 * (lo + hi)
-        if nodes_at(mid) > target:
-            hi = mid
+        trial = 0.5 * (lo + hi)
+        if nodes_lo == target and nodes_hi == target + 1:
+            # the counts differ by one, so psi_lo and psi_hi differ in sign
+            trial = min(max(lo - psi_lo * (hi - lo) / (psi_hi - psi_lo),
+                            lo + pad), hi - pad)
+        psi, nodes = shoot(trial)
+        if nodes > target:
+            hi, psi_hi, nodes_hi = trial, psi, nodes
+            if kept > 0:
+                psi_lo *= 0.5  # Illinois: halve the end kept twice
+            kept = 1
         else:
-            lo = mid
+            lo, psi_lo, nodes_lo = trial, psi, nodes
+            if kept < 0:
+                psi_hi *= 0.5
+            kept = -1
     return 0.5 * (lo + hi)
 
 
@@ -208,6 +250,8 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
     dim >= n_levels + 20 so the top of the truncated spectrum cannot
     contaminate the requested levels.
     """
+    from scipy.linalg import eig_banded  # costs ~0.3 s; only this oracle needs it
+
     if dim < n_levels + 20:
         raise ValueError(f"dim must be >= n_levels + 20, got {dim}")
     u = hbar_omega(spec) if basis_u is None else basis_u

@@ -109,18 +109,19 @@ def make_anharmonic_spec(k: float, b: float,
     Parameters
     ----------
     k : float
-        Harmonic coefficient m omega^2/2 in eV A^-2, strictly positive.
+        Harmonic coefficient m omega^2/2 in eV A^-2, finite and strictly
+        positive.
     b : float
-        Quartic coefficient in eV A^-4, non-negative.
+        Quartic coefficient in eV A^-4, finite and non-negative.
     constants : Constants, optional
         Unit constants; electron defaults when omitted.
     """
     if constants is None:
         constants = Constants()
-    if not k > 0.0:
-        raise ValueError(f"stiffness_k must be > 0, got {k}")
-    if b < 0.0:
-        raise ValueError(f"quartic_b must be >= 0, got {b}")
+    if not (k > 0.0 and math.isfinite(k)):
+        raise ValueError(f"stiffness_k must be finite and > 0, got {k}")
+    if not (b >= 0.0 and math.isfinite(b)):
+        raise ValueError(f"quartic_b must be finite and >= 0, got {b}")
     return AnharmonicSpec(stiffness_k=float(k), quartic_b=float(b),
                           constants=constants)
 

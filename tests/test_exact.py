@@ -1,11 +1,21 @@
 """Shooting and diagonalization oracles: agreement, limits, failure modes."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import varpert.exact as exact
+import varpert.reference as ref
+from varpert.anharmonic import solve_omega
 from varpert.exact import (ConvergenceError, ShootingConfig, diag_eigenvalues,
                            shoot_eigenvalue)
 from varpert.model import hbar_omega, make_anharmonic_spec
+
+# the (level, b) points of the published Tables 1 and 3
+TABLE_POINTS = [(0, b) for b in ref.TABLE1] + [(1, 0.05)]
 
 
 def spec_at(b):
@@ -110,3 +120,50 @@ def test_deep_quartic_levels():
     diag = diag_eigenvalues(spec, dim=140, n_levels=3)
     for n in range(3):
         assert shoot_eigenvalue(spec, n) == pytest.approx(diag[n], abs=1e-6)
+
+
+def test_shooting_cost_per_level(monkeypatch):
+    calls = []
+    integrate = exact._integrate
+
+    def counting(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(exact, "_integrate", counting)
+    for n, b in TABLE_POINTS:
+        shoot_eigenvalue(spec_at(b), n)
+    # node-count bisection to 1e-9 eV alone takes about 33 per level
+    assert len(calls) / len(TABLE_POINTS) <= 16
+
+
+@pytest.mark.parametrize("n, b", TABLE_POINTS)
+def test_shooting_matches_omega_basis_diagonalization(n, b):
+    spec = spec_at(b)
+    u = solve_omega(spec, n).hbar_Omega_n
+    diag = diag_eigenvalues(spec, dim=160, basis_u=u, n_levels=n + 1)[n]
+    assert abs(shoot_eigenvalue(spec, n) - diag) <= 1e-9
+
+
+@pytest.mark.parametrize("b", [0.05, 1e4])
+def test_shooting_levels_ascend_strictly(b):
+    spec = spec_at(b)
+    levels = [shoot_eigenvalue(spec, n) for n in range(8)]
+    assert all(lo < hi for lo, hi in zip(levels, levels[1:]))
+
+
+def test_import_and_table_leave_scipy_linalg_unloaded():
+    code = (
+        "import contextlib, io, sys\n"
+        "import varpert\n"
+        "assert 'scipy.linalg' not in sys.modules, 'loaded by import'\n"
+        "from varpert.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['table1']) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules, 'loaded by table1'\n"
+    )
+    src = str(Path(exact.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

@@ -49,6 +49,14 @@ def test_make_spec_validates_signs():
     assert make_anharmonic_spec(0.5, 0.0).quartic_b == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_spec_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="stiffness_k must be finite"):
+        make_anharmonic_spec(bad, 0.1)
+    with pytest.raises(ValueError, match="quartic_b must be finite"):
+        make_anharmonic_spec(0.5, bad)
+
+
 def test_hbar_omega_closed_form():
     spec = make_anharmonic_spec(0.5, 0.05)
     expected = 2.0 * math.sqrt(spec.constants.kappa * 0.5)

@@ -165,6 +165,25 @@ def test_cli_rejects_negative_b(capsys):
     assert "varpert" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_b(bad, capsys):
+    with pytest.raises(ValueError, match="b values must be finite"):
+        RunConfig("table1", b_values=(0.05, float(bad)))
+    assert main(["table1", f"--b={bad}"]) == 2
+    err = capsys.readouterr().err
+    assert f"b values must be finite and >= 0, got {bad}" in err
+    assert "e_total" not in err
+
+
+def test_cli_check_cross_checks_unreferenced_columns(capsys):
+    # no published cell at b = 1e4, but the two oracles are still compared;
+    # the hbar-omega-basis diagonalization is 23 % off there
+    assert main(["table1", "--b", "10000", "--check"]) == 2
+    err = capsys.readouterr().err
+    assert "vs diagonalization" in err
+    assert "b=10000.0" in err
+
+
 def test_cli_cache_round_trip(tmp_path, capsys):
     path = str(tmp_path / "cache.json")
     assert main(["helium", "--n-max", "3", "--cache", path]) == 0
