@@ -9,10 +9,9 @@ coefficients, so the numbers below carry no quadrature error.
 
 Run with: python3 demos/helium_story.py
 """
-from varpert import (IntegralCache, excited_triplet_energy, ground_state,
+from varpert import (excited_triplet_energy, ground_state,
                      optimal_zstar_excited, optimal_zstar_ground,
                      variational_ground_energy)
-from varpert.helium import second_order_by_n_prime
 
 EXPERIMENT_GROUND = -5.8070   # ryd
 EXPERIMENT_EXCITED = -4.3504  # ryd
@@ -27,17 +26,14 @@ def ground():
     print(f"variational energy: {e_var:.7f} ryd "
           f"({100 * e_var / EXPERIMENT_GROUND:.2f}% of experiment)")
 
-    cache = IntegralCache()
-    buckets = second_order_by_n_prime(zs, z, 7, cache=cache)
+    result = ground_state(z=z, n_max=7)
     print("second-order shift, accumulated over intermediate states:")
     running = 0.0
-    for n_prime in range(2, 8):
-        running += buckets[n_prime]
+    for n_prime, contribution in enumerate(result.e_second_by_n_prime, start=2):
+        running += contribution
         print(f"  through n' = {n_prime}: {running:+.7f} ryd")
-    result = ground_state(z=z, n_max=7, cache=cache)
     print(f"total: {result.e_total:.7f} ryd "
           f"({100 * result.e_total / EXPERIMENT_GROUND:.2f}% of experiment)")
-    print(f"radial integrals computed: {cache.misses}, reused: {cache.hits}")
     print()
     print("The discrete sum is truncated (no continuum states), so the")
     print("second-order shift here is a partial, slowly-converging piece.")

@@ -13,7 +13,6 @@ from .anharmonic import (OmegaSolution, energy_conventional_pt,
                          energy_variational, pt_divergent,
                          second_order_closed_form, second_order_sum,
                          solve_omega)
-from .cache import IntegralCache, cache_integrals
 from .exact import (ConvergenceError, ShootingConfig, diag_eigenvalues,
                     shoot_eigenvalue)
 from .helium import (HeliumChannel, HeliumResult, enumerate_channels,
@@ -36,7 +35,6 @@ __all__ = [
     "ConvergenceError",
     "HeliumChannel",
     "HeliumResult",
-    "IntegralCache",
     "LevelResult",
     "OmegaSolution",
     "OscBasis",
@@ -45,7 +43,6 @@ __all__ = [
     "RunConfig",
     "ShootingConfig",
     "build_hamiltonian",
-    "cache_integrals",
     "diag_eigenvalues",
     "energy_conventional_pt",
     "energy_first_order",

@@ -59,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="output_format", help="output format")
         p.add_argument("--constants", default=None, metavar="PATH",
                        help="JSON file overriding physical constants")
-        p.add_argument("--cache", default=None, metavar="PATH",
-                       help="JSON cache for radial integrals")
         p.add_argument("--check", action="store_true",
                        help="compare results against embedded reference "
                             "values and exit 2 on disagreement")
@@ -70,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     common = dict(command=args.command, exact_dim=args.exact_dim,
                   output_format=args.output_format,
-                  constants_path=args.constants, cache_path=args.cache,
-                  check=args.check)
+                  constants_path=args.constants, check=args.check)
     if args.command == "helium":
         return RunConfig(n_max_helium=args.n_max, m_range=args.m_range,
                          **common)

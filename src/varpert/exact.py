@@ -46,8 +46,10 @@ class ShootingConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.abs_tol <= 1e-6:
             raise ValueError("abs_tol must lie in (0, 1e-6]")
-        if not self.energy_tol > 0.0:
-            raise ValueError("energy_tol must be > 0")
+        if not (self.energy_tol > 0.0 and math.isfinite(self.energy_tol)):
+            raise ValueError("energy_tol must be finite and > 0")
+        if not math.isfinite(self.x_max):
+            raise ValueError("x_max must be finite")
         if self.max_iter < 8:
             raise ValueError("max_iter must be >= 8")
 

@@ -14,15 +14,12 @@ hydrogenic levels are -Z*^2/n^2 ryd.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .polyexp import PolyExp, polyexp_moment, slater_radial
-
-if TYPE_CHECKING:
-    from .cache import IntegralCache
 
 E2_RYD_A0 = 2.0        # e^2 in ryd a0
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -68,13 +65,18 @@ class HeliumChannel:
 
 @dataclass(frozen=True)
 class HeliumResult:
-    """Ground-state summary: variational energy plus second-order shift."""
+    """Ground-state summary: variational energy plus second-order shift.
+
+    ``e_second_by_n_prime`` holds the second-order contributions of
+    n' = 2, 3, ..., n_max in that order; ``e_second`` is their sum.
+    """
 
     z_star: float
     e_variational: float
     e_second: float
     e_total: float
     n_max: int
+    e_second_by_n_prime: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.e_second > 0.0:
@@ -151,24 +153,22 @@ def optimal_zstar_ground(z: float) -> float:
 
 
 def channel_amplitude_sq(ch: HeliumChannel, z_star: float, z: float,
-                         cache: "IntegralCache | None" = None) -> float:
+                         y: float) -> float:
     """Squared matrix element |<channel| H' |1s^2>|^2 in ryd^2.
 
+    ``y`` is the channel's Slater integral Y_nn'l at ``z_star``
+    (``y_integral(ch.n, ch.n_prime, ch.l, z_star)``), which the caller
+    passes so that channels differing only in m share one evaluation.
     The two-electron Coulomb part contributes
     2 A e^2 (-1)^m Y_nn'l / (2l+1) for every channel; the one-body
-    screening part -2 A (Z - Z*) e^2 X contributes only in s channels
-    (l = m = 0) where one orbital stays 1s, and interferes with the
-    Coulomb part there.
+    screening part -2 A (Z - Z*) e^2 X_n' contributes only in the 1s n's
+    channels (n = 1, so l = m = 0), where one orbital stays 1s, and
+    interferes with the Coulomb part there.
     """
-    y = _cached_y(ch.n, ch.n_prime, ch.l, z_star, cache)
     amp = 2.0 * ch.A * E2_RYD_A0 * ((-1.0) ** ch.m) * y / (2 * ch.l + 1)
-    if ch.l == 0 and ch.m == 0:
-        x = 0.0
-        if ch.n_prime == 1:
-            x += _cached_x(ch.n, z_star, cache)
-        if ch.n == 1:
-            x += _cached_x(ch.n_prime, z_star, cache)
-        amp += -2.0 * ch.A * (z - z_star) * E2_RYD_A0 * x
+    if ch.n == 1:
+        amp += (-2.0 * ch.A * (z - z_star) * E2_RYD_A0
+                * x_integral(ch.n_prime, z_star))
     return amp * amp
 
 
@@ -203,23 +203,26 @@ def _m_weight(ch: HeliumChannel, m_range: str) -> float:
 
 
 def second_order_by_n_prime(z_star: float, z: float, n_max: int,
-                            m_range: str = "paper",
-                            cache: "IntegralCache | None" = None) -> dict[int, float]:
-    """Second-order contribution grouped by the outer quantum number n'."""
+                            m_range: str = "paper") -> dict[int, float]:
+    """Second-order contribution grouped by the outer quantum number n'.
+
+    Each distinct Slater integral Y_nn'l is taken once per call and shared
+    by the channels that differ only in m; nothing is kept between calls.
+    """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    y = functools.cache(y_integral)
     buckets = {np: 0.0 for np in range(2, n_max + 1)}
     for ch in enumerate_channels(n_max):
         denom = -z_star * z_star * (2.0 - 1.0 / ch.n ** 2 - 1.0 / ch.n_prime ** 2)
-        term = (_m_weight(ch, m_range)
-                * channel_amplitude_sq(ch, z_star, z, cache) / denom)
-        buckets[ch.n_prime] += term
+        amp_sq = channel_amplitude_sq(ch, z_star, z,
+                                      y(ch.n, ch.n_prime, ch.l, z_star))
+        buckets[ch.n_prime] += _m_weight(ch, m_range) * amp_sq / denom
     return buckets
 
 
 def second_order_correction(z_star: float, z: float, n_max: int,
-                            m_range: str = "paper",
-                            cache: "IntegralCache | None" = None) -> float:
+                            m_range: str = "paper") -> float:
     """Second-order energy shift in ryd, discrete states through n' = n_max.
 
     Every term has a negative denominator -Z*^2 (2 - 1/n^2 - 1/n'^2), so
@@ -227,8 +230,8 @@ def second_order_correction(z_star: float, z: float, n_max: int,
     Continuum intermediate states are outside scope, so this is the shift
     of the truncated discrete sum, not of the complete spectrum.
     """
-    buckets = second_order_by_n_prime(z_star, z, n_max, m_range, cache)
-    return math.fsum(buckets[np] for np in range(2, n_max + 1))
+    return math.fsum(second_order_by_n_prime(z_star, z, n_max,
+                                             m_range).values())
 
 
 def excited_triplet_energy(z_star: float, z: float) -> float:
@@ -266,28 +269,13 @@ def _direct_exchange_1s2s(z_star: float) -> tuple[float, float]:
     return j, k
 
 
-def ground_state(z: float = 2.0, n_max: int = 7, m_range: str = "paper",
-                 cache: "IntegralCache | None" = None) -> HeliumResult:
+def ground_state(z: float = 2.0, n_max: int = 7,
+                 m_range: str = "paper") -> HeliumResult:
     """Full ground-state pipeline at the optimal effective charge."""
     zs = optimal_zstar_ground(z)
     e_var = variational_ground_energy(zs, z)
-    e2 = second_order_correction(zs, z, n_max, m_range, cache)
+    by_n_prime = tuple(second_order_by_n_prime(zs, z, n_max, m_range).values())
+    e2 = math.fsum(by_n_prime)
     return HeliumResult(z_star=zs, e_variational=e_var, e_second=e2,
-                        e_total=e_var + e2, n_max=n_max)
-
-
-def _cached_y(n: int, n_prime: int, l: int, z_star: float,
-              cache: "IntegralCache | None") -> float:
-    if cache is None:
-        return y_integral(n, n_prime, l, z_star)
-    return cache.get_or_compute(
-        "Y", n, n_prime, l, z_star,
-        lambda: y_integral(n, n_prime, l, z_star))
-
-
-def _cached_x(n: int, z_star: float,
-              cache: "IntegralCache | None") -> float:
-    if cache is None:
-        return x_integral(n, z_star)
-    return cache.get_or_compute(
-        "X", n, 1, 0, z_star, lambda: x_integral(n, z_star))
+                        e_total=e_var + e2, n_max=n_max,
+                        e_second_by_n_prime=by_n_prime)

@@ -8,6 +8,7 @@ identical output.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -15,10 +16,8 @@ from dataclasses import dataclass, field, replace
 from . import reference as ref
 from .anharmonic import (energy_conventional_pt, energy_present,
                          energy_variational, pt_divergent, solve_omega)
-from .cache import IntegralCache
 from .exact import ConvergenceError, ShootingConfig, diag_eigenvalues, shoot_eigenvalue
-from .helium import (excited_triplet_energy, ground_state,
-                     optimal_zstar_excited, second_order_by_n_prime)
+from .helium import excited_triplet_energy, ground_state, optimal_zstar_excited
 from .model import Constants, hbar_omega, make_anharmonic_spec
 
 COMMANDS = ("table1", "table2", "table3", "helium", "sweep")
@@ -41,7 +40,6 @@ class RunConfig:
     exact_tol: float = 1e-9
     output_format: str = "markdown"
     constants_path: str | None = None
-    cache_path: str | None = None
     check: bool = False
 
     def __post_init__(self) -> None:
@@ -57,8 +55,8 @@ class RunConfig:
             raise ValueError("n_max_helium must be >= 2")
         if self.exact_dim < 24:
             raise ValueError("exact_dim must be >= 24")
-        if not self.exact_tol > 0.0:
-            raise ValueError("exact_tol must be > 0")
+        if not (self.exact_tol > 0.0 and math.isfinite(self.exact_tol)):
+            raise ValueError(f"exact_tol must be finite and > 0, got {self.exact_tol}")
         bad = [b for b in self.b_values if not (b >= 0.0 and math.isfinite(b))]
         if bad:
             raise ValueError(f"b values must be finite and >= 0, got {bad[0]}")
@@ -84,6 +82,16 @@ def _fmt(v: float) -> str:
 
 def _percent(v: float, exact: float) -> str:
     return f"{100.0 * v / exact:.3f}"
+
+
+def _cell_txt(cell: dict[str, object]) -> str:
+    """Markdown table cell: value, then (percent of exact) and [note] if set."""
+    txt = _fmt(float(cell["value"]))
+    if cell["percent"]:
+        txt += f" ({cell['percent']}%)"
+    if cell["note"]:
+        txt += f" [{cell['note']}]"
+    return txt
 
 
 def _constants(cfg: RunConfig) -> Constants:
@@ -245,15 +253,7 @@ def _render_table(cfg: RunConfig, doc: dict) -> str:
         out.append(header)
         out.append("|" + " --- |" * (len(block["columns"]) + 1))
         for method in rows:
-            cells = []
-            for col in block["columns"]:
-                cell = col["cells"][method]
-                txt = _fmt(float(cell["value"]))
-                if cell["percent"]:
-                    txt += f" ({cell['percent']}%)"
-                if cell["note"]:
-                    txt += f" [{cell['note']}]"
-                cells.append(txt)
+            cells = [_cell_txt(col["cells"][method]) for col in block["columns"]]
             out.append(f"| {method} | " + " | ".join(cells) + " |")
         out.append("")
     return "\n".join(out)
@@ -288,19 +288,10 @@ def _render_table2(cfg: RunConfig, doc: dict) -> str:
             out.append("")
             out.append("| scheme | first order | second order |")
             out.append("| --- | --- | --- |")
-
-            def cell_txt(cell: dict[str, object]) -> str:
-                txt = _fmt(float(cell["value"]))
-                if cell["percent"]:
-                    txt += f" ({cell['percent']}%)"
-                if cell["note"]:
-                    txt += f" [{cell['note']}]"
-                return txt
-
-            out.append("| conventional | " + cell_txt(c["conventional_pt1"])
-                       + " | " + cell_txt(c["conventional_pt2"]) + " |")
-            out.append("| present | " + cell_txt(c["variational"])
-                       + " | " + cell_txt(c["present"]) + " |")
+            out.append("| conventional | " + _cell_txt(c["conventional_pt1"])
+                       + " | " + _cell_txt(c["conventional_pt2"]) + " |")
+            out.append("| present | " + _cell_txt(c["variational"])
+                       + " | " + _cell_txt(c["present"]) + " |")
             out.append(f"| exact | {_fmt(float(c['exact']['value']))} | |")
             out.append("")
     return "\n".join(out)
@@ -309,21 +300,13 @@ def _render_table2(cfg: RunConfig, doc: dict) -> str:
 def run_helium(cfg: RunConfig) -> ReportDocument:
     """Build the helium ground and excited state report."""
     violations: list[str] = []
-    cache = IntegralCache(cfg.cache_path) if cfg.cache_path else None
     z = 2.0
-    result = ground_state(z=z, n_max=cfg.n_max_helium, m_range=cfg.m_range,
-                          cache=cache)
-    buckets = second_order_by_n_prime(result.z_star, z, cfg.n_max_helium,
-                                      cfg.m_range, cache)
-    partials = []
-    running = 0.0
-    for np in range(2, cfg.n_max_helium + 1):
-        running += buckets[np]
-        partials.append({"n_prime_max": np, "correction": running})
+    result = ground_state(z=z, n_max=cfg.n_max_helium, m_range=cfg.m_range)
+    partials = [{"n_prime_max": np, "correction": running}
+                for np, running in enumerate(
+                    itertools.accumulate(result.e_second_by_n_prime), start=2)]
     zs_exc = optimal_zstar_excited(z)
     e_exc = excited_triplet_energy(zs_exc, z)
-    if cache is not None:
-        cache.save()
     doc = {
         "command": "helium",
         "z": z,

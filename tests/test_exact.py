@@ -94,6 +94,15 @@ def test_shooting_config_validation():
         ShootingConfig(max_iter=4)
 
 
+def test_shooting_config_rejects_non_finite_values():
+    # an infinite width used to hang the search, an infinite tolerance to
+    # skip refinement altogether
+    with pytest.raises(ValueError, match="energy_tol"):
+        ShootingConfig(energy_tol=math.inf)
+    with pytest.raises(ValueError, match="x_max"):
+        ShootingConfig(x_max=math.inf)
+
+
 def test_shooting_rejects_negative_level():
     with pytest.raises(ValueError):
         shoot_eigenvalue(spec_at(0.05), -1)

@@ -4,6 +4,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from varpert import helium, reports
 from varpert.helium import (HeliumChannel, HeliumResult, channel_amplitude_sq,
                             enumerate_channels, excited_triplet_energy,
                             ground_state, hydrogenic_radial,
@@ -123,8 +124,8 @@ def test_amplitude_composition_s_channel():
     y = y_integral(1, 2, 0, ZS)
     x = x_integral(2, ZS)
     expected = 2.0 * (2.0 * y - (2.0 - ZS) * 2.0 * x) ** 2
-    assert channel_amplitude_sq(ch, ZS, 2.0) == pytest.approx(expected,
-                                                              rel=1e-13)
+    assert channel_amplitude_sq(ch, ZS, 2.0, y) == pytest.approx(expected,
+                                                                 rel=1e-13)
 
 
 def test_amplitude_composition_higher_l():
@@ -133,8 +134,8 @@ def test_amplitude_composition_higher_l():
     ch = HeliumChannel.make(2, 2, 1, 1)
     y = y_integral(2, 2, 1, ZS)
     expected = (2.0 * (1.0 / math.sqrt(2.0)) * 2.0 * (-1.0) * y / 3.0) ** 2
-    assert channel_amplitude_sq(ch, ZS, 2.0) == pytest.approx(expected,
-                                                              rel=1e-13)
+    assert channel_amplitude_sq(ch, ZS, 2.0, y) == pytest.approx(expected,
+                                                                 rel=1e-13)
 
 
 def test_second_order_buckets_sum_to_total():
@@ -235,3 +236,48 @@ def test_excited_numeric_minimizer_agrees():
     # minimum, so 1e-8 is the best locatable width
     assert 0.5 * (a + b) == pytest.approx(optimal_zstar_excited(2.0),
                                           abs=5e-8)
+
+
+def test_second_order_takes_each_slater_integral_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return y_integral(*args)
+
+    monkeypatch.setattr(helium, "y_integral", counted)
+    first = second_order_by_n_prime(ZS, 2.0, 4)
+    # one call per distinct (n, n', l) among the 28 channels through n' = 4
+    distinct = {(ch.n, ch.n_prime, ch.l) for ch in enumerate_channels(4)}
+    assert len(calls) == len(distinct) == 19
+    assert len(set(calls)) == 19
+    # no memo outlives the call: an identical call recomputes all of them
+    assert second_order_by_n_prime(ZS, 2.0, 4) == first
+    assert len(calls) == 38
+
+
+def test_run_helium_sums_the_channels_once(monkeypatch):
+    sums = []
+
+    def counted(*args):
+        sums.append(args)
+        return second_order_by_n_prime(*args)
+
+    monkeypatch.setattr(helium, "second_order_by_n_prime", counted)
+    doc = reports.run_helium(reports.RunConfig("helium", n_max_helium=4))
+    assert len(sums) == 1
+    assert "| 4 |" in doc.text
+
+
+def test_ground_state_matches_unmemoized_channel_sum():
+    # the same per-n' sums in channel order, every Y taken afresh
+    n_max = 4
+    zs = optimal_zstar_ground(2.0)
+    by_n_prime = dict.fromkeys(range(2, n_max + 1), 0.0)
+    for ch in enumerate_channels(n_max):
+        denom = -zs * zs * (2.0 - 1.0 / ch.n ** 2 - 1.0 / ch.n_prime ** 2)
+        y = y_integral(ch.n, ch.n_prime, ch.l, zs)
+        by_n_prime[ch.n_prime] += channel_amplitude_sq(ch, zs, 2.0, y) / denom
+    result = ground_state(n_max=n_max)
+    assert result.e_second_by_n_prime == tuple(by_n_prime.values())
+    assert result.e_second == math.fsum(by_n_prime.values())

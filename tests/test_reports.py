@@ -184,12 +184,18 @@ def test_cli_check_cross_checks_unreferenced_columns(capsys):
     assert "b=10000.0" in err
 
 
-def test_cli_cache_round_trip(tmp_path, capsys):
-    path = str(tmp_path / "cache.json")
-    assert main(["helium", "--n-max", "3", "--cache", path]) == 0
-    cold = capsys.readouterr().out
-    assert main(["helium", "--n-max", "3", "--cache", path]) == 0
-    assert capsys.readouterr().out == cold
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_cli_rejects_non_finite_exact_tol(bad, capsys):
+    # an infinite tolerance used to return the first bracket's midpoint
+    assert main(["table1", "--b", "0.05", "--exact-tol", bad]) == 2
+    assert f"exact_tol must be finite and > 0, got {bad}" in capsys.readouterr().err
+
+
+def test_cli_helium_rejects_cache_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["helium", "--cache", "x"])
+    assert exc.value.code == 2
+    assert "--cache" in capsys.readouterr().err
 
 
 def test_cli_convergence_failure_exit_code(monkeypatch, capsys):
