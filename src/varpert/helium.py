@@ -86,6 +86,16 @@ class HeliumResult:
             raise ValueError("e_total must equal e_variational + e_second")
 
 
+def _require_z_star(z_star: float) -> None:
+    if not (z_star > 0.0 and math.isfinite(z_star)):
+        raise ValueError(f"z_star must be finite and > 0, got {z_star}")
+
+
+def _require_z(z: float) -> None:
+    if not (z >= 1.0 and math.isfinite(z)):
+        raise ValueError(f"z must be finite and >= 1, got {z}")
+
+
 def hydrogenic_radial(n: int, l: int, z_star: float) -> PolyExp:
     """Normalized hydrogenic R_nl at effective charge z_star, r in a0.
 
@@ -98,8 +108,7 @@ def hydrogenic_radial(n: int, l: int, z_star: float) -> PolyExp:
         raise ValueError("n must be >= 1")
     if not 0 <= l <= n - 1:
         raise ValueError(f"need 0 <= l <= n-1, got l={l}, n={n}")
-    if not z_star > 0.0:
-        raise ValueError("z_star must be > 0")
+    _require_z_star(z_star)
     zs = Fraction(z_star)
     two_g = 2 * zs / n                       # argument scale 2 z / n
     norm_sq = (two_g ** 3 * math.factorial(n - l - 1)
@@ -140,15 +149,13 @@ def variational_ground_energy(z_star: float, z: float) -> float:
     <H> = -(4 Z* Z - 2 Z*^2 - (5/4) Z*), the textbook screened-charge
     expression with the electron-electron term (5/4) Z* from Y110.
     """
-    if not z_star > 0.0:
-        raise ValueError("z_star must be > 0")
+    _require_z_star(z_star)
     return -(4.0 * z_star * z - 2.0 * z_star * z_star - 1.25 * z_star)
 
 
 def optimal_zstar_ground(z: float) -> float:
     """Minimizer of the ground-state expectation: Z* = Z - 5/16."""
-    if z < 1.0:
-        raise ValueError("z must be >= 1")
+    _require_z(z)
     return z - 5.0 / 16.0
 
 
@@ -241,8 +248,7 @@ def excited_triplet_energy(z_star: float, z: float) -> float:
     Coulomb integrals of the (1s, 2s) pair evaluated from Slater integrals
     at the common charge z_star.
     """
-    if not z_star > 0.0:
-        raise ValueError("z_star must be > 0")
+    _require_z_star(z_star)
     j, k = _direct_exchange_1s2s(z_star)
     return 1.25 * z_star * z_star - 2.5 * z * z_star + (j - k)
 
@@ -254,8 +260,7 @@ def optimal_zstar_excited(z: float) -> float:
     Z* = Z - (2/5) d(J-K)/dZ*, with the slope taken from the Slater
     integrals at unit charge.
     """
-    if z < 1.0:
-        raise ValueError("z must be >= 1")
+    _require_z(z)
     j1, k1 = _direct_exchange_1s2s(1.0)
     return z - 0.4 * (j1 - k1)
 

@@ -41,8 +41,9 @@ class Constants:
 
     def __post_init__(self) -> None:
         for name in ("kappa", "rydberg", "bohr_radius"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @classmethod
     def from_file(cls, path: str) -> "Constants":

@@ -6,7 +6,9 @@ decay rates are exact rationals; the single float ``scale`` absorbs the
 irrational normalization, so one-dimensional moments and two-dimensional
 Slater kernels reduce to exact factorial sums with at most a few ulp of
 rounding at the final conversion. Orthogonality integrals in particular
-come out exactly zero.
+come out exactly zero. A Slater integral is one exact integer sum over a
+common denominator, turned into a float by one correctly rounded int / int
+division; no ``Fraction`` arithmetic runs inside its sum.
 """
 from __future__ import annotations
 
@@ -81,15 +83,10 @@ def polyexp_moment(f: PolyExp, g: PolyExp, p: int) -> float:
     return f.scale * g.scale * float(total)
 
 
-def _lower_tail(m: int, nu: Fraction) -> list[tuple[Fraction, int]]:
-    """Coefficients of exp(-nu x) sum_i (m!/i!) x^i / nu^(m+1-i).
-
-    This is the subtracted part of the lower incomplete integral
-    int_0^x t^m exp(-nu t) dt = m!/nu^(m+1) - exp(-nu x) * (that sum).
-    """
-    fact_m = math.factorial(m)
-    return [(Fraction(fact_m, math.factorial(i)) / nu ** (m + 1 - i), i)
-            for i in range(m + 1)]
+def _inverse_powers(rate: Fraction, top: int) -> list[int]:
+    """Numerators of rate^-e over the denominator num(rate)^top, e = 0..top."""
+    num, den = rate.numerator, rate.denominator
+    return [den ** e * num ** (top - e) for e in range(top + 1)]
 
 
 def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> float:
@@ -99,8 +96,19 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
     r1^2 r2^2 a(r1) c(r1) b(r2) d(r2) r_<^k / r_>^(k+1)
     in closed form. The inner r2 integral splits at r1 into a lower piece
     (kernel r2^k/r1^(k+1)) and an upper piece (kernel r1^k/r2^(k+1)); both
-    reduce through the incomplete-factorial identity in ``_lower_tail`` to
-    single factorial sums, so there is no quadrature anywhere.
+    reduce through the incomplete-factorial identity
+    int_0^x t^m exp(-nu t) dt = m!/nu^(m+1)
+                                - exp(-nu x) sum_i (m!/i!) x^i / nu^(m+1-i)
+    to single factorial sums, so there is no quadrature anywhere.
+
+    With mu, nu and sigma = mu + nu the decay rates of the r1 side, the r2
+    side and their sum, every term is a rational with denominator dividing
+    num(mu)^e_mu num(nu)^e_nu num(sigma)^e_sig lp lg, where e_* are the
+    highest inverse powers that occur and lp, lg are common multiples of
+    the coefficient denominators on each side. The numerator over that one
+    denominator is accumulated as a Python int and converted by a single
+    int / int division, which rounds correctly, so the result is the exact
+    value rounded once and then multiplied by the four scales.
 
     Symmetry: swapping (a, b) together with (c, d) relabels r1 and r2 and
     leaves the value unchanged.
@@ -109,30 +117,51 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
         raise ValueError("multipole order k must be >= 0")
     p_terms, mu = _product(a, c, 2)
     g_terms, nu = _product(b, d, 2)
-    total = Fraction(0)
-    for pg, cg in g_terms.items():
-        # lower piece: full moment minus the exponential tail at r1
-        m = pg + k
-        whole = Fraction(math.factorial(m)) / nu ** (m + 1)
-        tail = _lower_tail(m, nu)
-        for pp, cp in p_terms.items():
-            q = pp - (k + 1)
-            if q < 0:
+    if g_terms:
+        for pp in p_terms:
+            if pp < k + 1:
                 raise ValueError(
                     f"kernel power k={k} too high for r1-side power {pp}")
-            total += cp * cg * whole * math.factorial(q) / mu ** (q + 1)
-            for coef, i in tail:
-                qi = q + i
-                total -= (cp * cg * coef
-                          * math.factorial(qi) / (mu + nu) ** (qi + 1))
-        # upper piece: r1^k times the exponential tail of order pg - k - 1
-        mm = pg - k - 1
-        if mm < 0:
+    for pg in g_terms:
+        if pg < k + 1:
             raise ValueError(
                 f"kernel power k={k} too high for r2-side power {pg}")
-        for coef, i in _lower_tail(mm, nu):
-            for pp, cp in p_terms.items():
-                qi = pp + k + i
-                total += (cp * cg * coef
-                          * math.factorial(qi) / (mu + nu) ** (qi + 1))
-    return a.scale * b.scale * c.scale * d.scale * float(total)
+    if not (p_terms and g_terms):
+        return a.scale * b.scale * c.scale * d.scale * 0.0
+    # integer coefficients over the common multiples lp and lg; lists, not
+    # generators, as arguments: CPython unpacks a generator into a 10-slot
+    # tuple shrunk to size, which grows its small-tuple free lists by one
+    # tuple per call, up to about half a megabyte
+    lp = math.lcm(*[cp.denominator for cp in p_terms.values()])
+    lg = math.lcm(*[cg.denominator for cg in g_terms.values()])
+    ip = [(pp - k - 1, cp.numerator * (lp // cp.denominator))
+          for pp, cp in p_terms.items()]
+    ig = [(pg, cg.numerator * (lg // cg.denominator))
+          for pg, cg in g_terms.items()]
+    # highest inverse powers of mu, nu and sigma over all terms
+    top_p, top_g = max(p_terms), max(g_terms)
+    e_mu, e_nu, e_sig = top_p - k, top_g + k + 1, top_p + top_g
+    inv_mu = _inverse_powers(mu, e_mu)
+    inv_nu = _inverse_powers(nu, e_nu)
+    inv_sig = _inverse_powers(mu + nu, e_sig)
+    fact = [math.factorial(i) for i in range(max(e_nu, e_sig) + 1)]
+    total = 0
+    for pg, cg in ig:
+        m = pg + k
+        mm = pg - k - 1
+        acc = 0
+        for q, cp in ip:
+            # lower piece: full moment minus the exponential tail at r1
+            whole = fact[m] * fact[q] * inv_nu[m + 1] * inv_mu[q + 1]
+            tail = sum(fact[m] // fact[i] * fact[q + i]
+                       * inv_nu[m + 1 - i] * inv_sig[q + i + 1]
+                       for i in range(m + 1))
+            # upper piece: r1^k times the exponential tail of order mm
+            qk = q + 2 * k + 1
+            upper = sum(fact[mm] // fact[i] * fact[qk + i]
+                        * inv_nu[mm + 1 - i] * inv_sig[qk + i + 1]
+                        for i in range(mm + 1))
+            acc += cp * (whole * inv_sig[0] + (upper - tail) * inv_mu[0])
+        total += cg * acc
+    den = lp * lg * inv_mu[0] * inv_nu[0] * inv_sig[0]
+    return a.scale * b.scale * c.scale * d.scale * (total / den)

@@ -2,7 +2,8 @@
 
 The goldens in ``tests/goldens`` hold stdout of ``varpert <command>`` at
 default settings, plus ``--levels 2`` and ``--b 0`` for the four table
-commands, in markdown (``.md``), CSV and JSON. Markdown and CSV must match
+commands and ``--n-max 10`` under both m ranges for helium, in markdown
+(``.md``), CSV and JSON. Markdown and CSV must match
 byte for byte, helium JSON exactly. Oscillator JSON must match exactly
 except the ``exact`` value cells, which carry the shooting solver's full
 precision and may move within its 1e-9 eV energy tolerance.
@@ -17,13 +18,17 @@ from varpert.cli import main
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 FORMATS = {".md": "markdown", ".csv": "csv", ".json": "json"}
 VARIANTS = {"": [], "levels2": ["--levels", "2"], "b0": ["--b", "0"]}
+HELIUM_VARIANTS = {"": [], "nmax10": ["--n-max", "10"],
+                   "nmax10full": ["--n-max", "10", "--m-range", "full"]}
 EXACT_TOL_EV = 1e-9
 
 
 def golden_names():
     names = []
     for fmt in FORMATS:
-        names.append(f"helium{fmt}")
+        for variant in HELIUM_VARIANTS:
+            stem = f"helium_{variant}" if variant else "helium"
+            names.append(f"{stem}{fmt}")
         for command in ("table1", "table2", "table3", "sweep"):
             for variant in VARIANTS:
                 stem = f"{command}_{variant}" if variant else command
@@ -34,7 +39,8 @@ def golden_names():
 def argv_for(name):
     path = Path(name)
     command, _, variant = path.stem.partition("_")
-    return [command, *VARIANTS[variant], "--format", FORMATS[path.suffix]]
+    extra = HELIUM_VARIANTS if command == "helium" else VARIANTS
+    return [command, *extra[variant], "--format", FORMATS[path.suffix]]
 
 
 def split_exact_values(payload):
@@ -49,7 +55,7 @@ def split_exact_values(payload):
 def test_goldens_cover_every_file():
     on_disk = sorted(p.name for p in GOLDENS.iterdir())
     assert on_disk == sorted(golden_names())
-    assert len(on_disk) == 39
+    assert len(on_disk) == 45
 
 
 @pytest.mark.parametrize("name", golden_names())

@@ -42,6 +42,35 @@ def test_radial_validation():
         hydrogenic_radial(2, 0, 0.0)
 
 
+NON_FINITE = [float("inf"), float("nan")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_radial_rejects_non_finite_charge(bad):
+    with pytest.raises(ValueError, match="z_star must be finite and > 0"):
+        hydrogenic_radial(1, 0, bad)
+    with pytest.raises(ValueError, match="z_star must be finite and > 0"):
+        y_integral(1, 2, 0, bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_energies_reject_non_finite_charge(bad):
+    with pytest.raises(ValueError, match="z_star must be finite and > 0"):
+        variational_ground_energy(bad, 2.0)
+    with pytest.raises(ValueError, match="z_star must be finite and > 0"):
+        excited_triplet_energy(bad, 2.0)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_optimal_charges_reject_non_finite_z(bad):
+    with pytest.raises(ValueError, match=f"z must be finite and >= 1, got {bad}"):
+        optimal_zstar_ground(bad)
+    with pytest.raises(ValueError, match=f"z must be finite and >= 1, got {bad}"):
+        optimal_zstar_excited(bad)
+    with pytest.raises(ValueError, match=f"z must be finite and >= 1, got {bad}"):
+        ground_state(bad, n_max=2)
+
+
 def test_radial_against_quadrature():
     r32 = hydrogenic_radial(3, 2, ZS)
     val, _ = quad(lambda r: r * r * r32(r) ** 2, 0.0, 80.0, limit=300)

@@ -16,9 +16,10 @@ def test_default_constants():
 
 
 @pytest.mark.parametrize("field", ["kappa", "rydberg", "bohr_radius"])
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_constants_must_be_positive(field, bad):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be finite and > 0, got {bad}$"):
         Constants(**{field: bad})
 
 

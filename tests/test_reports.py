@@ -160,6 +160,15 @@ def test_cli_rejects_bad_constants_file(tmp_path, capsys):
     assert "speed_of_light" in capsys.readouterr().err
 
 
+def test_cli_rejects_infinite_constant(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"kappa_eV_A2": Infinity}')
+    assert main(["table1", "--b", "0.05", "--constants", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "kappa must be finite and > 0, got inf" in err
+    assert "e_total" not in err
+
+
 def test_cli_rejects_negative_b(capsys):
     assert main(["table1", "--b", "-0.05"]) == 2
     assert "varpert" in capsys.readouterr().err
