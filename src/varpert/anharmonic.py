@@ -58,10 +58,10 @@ class OmegaSolution:
 def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     """Solve the per-level cubic for u = hbar Omega_n.
 
-    Newton iteration seeded above the root, with a bisection fallback on a
-    bracket grown from [hbar omega, seed]; the cubic has exactly one
-    positive root for b >= 0, so the search cannot misconverge. For b = 0
-    the root is hbar omega itself.
+    Newton iteration seeded above the root; the cubic has exactly one
+    positive root for b >= 0 and is convex above it, so Newton descends
+    onto it monotonically. A result that fails the residual check raises
+    ``ValueError``. For b = 0 the root is hbar omega itself.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -77,34 +77,14 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     else:
         # seed 1.5x above both scales keeps Newton on the convex branch
         u = 1.5 * max(hw, rhs ** (1.0 / 3.0))
-        converged = False
         for _ in range(80):
-            f = cubic(u)
-            df = 3.0 * u * u - hw * hw
-            step = f / df
-            u_new = u - step
-            if u_new <= 0.0:
+            step = cubic(u) / (3.0 * u * u - hw * hw)
+            u -= step
+            if abs(step) <= 1e-15 * u:
                 break
-            if abs(step) <= 1e-15 * u_new:
-                u = u_new
-                converged = True
-                break
-            u = u_new
-        if not converged or abs(cubic(u)) > 1e-10 * u ** 3:
-            # bracket [hbar omega, top] with cubic(top) > 0, then bisect
-            top = 1.5 * max(hw, rhs ** (1.0 / 3.0))
-            while cubic(top) <= 0.0:
-                top *= 2.0
-            lo, hi = hw, top
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if cubic(mid) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo <= 1e-16 * hi:
-                    break
-            u = 0.5 * (lo + hi)
+        if not abs(cubic(u)) <= 1e-10 * u ** 3:
+            raise ValueError(f"Newton iteration for hbar Omega_{n} failed: "
+                             f"u = {u}, residual {cubic(u)}")
 
     h = 1e-6 * u
     stat = (energy_first_order(spec, n, u + h)

@@ -8,6 +8,8 @@ fails to converge.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
 from collections.abc import Sequence
 
@@ -19,7 +21,14 @@ EXIT_CHECK_FAILED = 2
 EXIT_NO_CONVERGENCE = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The varpert parser, built once; parsing does not change it.
+
+    Every option's dest is a ``RunConfig`` field and an option left unset
+    is absent from the namespace, so ``RunConfig`` holds the only defaults.
+    """
+    default = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     parser = argparse.ArgumentParser(
         prog="varpert",
         description="Variational-perturbation energies for the quartic "
@@ -33,54 +42,47 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep": "long-format dump of all methods over levels and b values",
     }
     for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+        p = sub.add_parser(name, help=descriptions[name],
+                           argument_default=argparse.SUPPRESS)
         if name != "helium":
-            p.add_argument("--b", type=float, nargs="+", default=None,
+            p.add_argument("--b", type=float, nargs="+", dest="b_values",
                            metavar="B",
                            help="quartic coefficients in eV/A^4 "
                                 f"(default {list(DEFAULT_B[name])})")
-            p.add_argument("--levels", type=int, default=1,
-                           help="number of levels to report (default 1)")
-            p.add_argument("--exact-tol", type=float, default=1e-9,
+            p.add_argument("--levels", type=int, dest="n_levels",
+                           metavar="LEVELS",
+                           help="number of levels to report "
+                                f"(default {default['n_levels']})")
+            p.add_argument("--exact-tol", type=float,
                            help="energy tolerance for the shooting solver "
-                                "in eV (default 1e-9)")
+                                f"in eV (default {default['exact_tol']})")
+            p.add_argument("--exact-dim", type=int,
+                           help="basis size for the diagonalization oracle "
+                                f"(default {default['exact_dim']})")
+            p.add_argument("--constants", dest="constants_path",
+                           metavar="PATH",
+                           help="JSON file overriding physical constants")
         else:
-            p.add_argument("--n-max", type=int, default=7,
+            p.add_argument("--n-max", type=int, dest="n_max_helium",
+                           metavar="N_MAX",
                            help="largest principal quantum number in the "
-                                "second-order sum (default 7)")
+                                "second-order sum "
+                                f"(default {default['n_max_helium']})")
             p.add_argument("--m-range", choices=("paper", "full"),
-                           default="paper",
                            help="magnetic sublevels: nonnegative m only "
                                 "(paper) or degeneracy-weighted (full)")
-        p.add_argument("--exact-dim", type=int, default=120,
-                       help="basis size for the diagonalization oracle "
-                            "(default 120)")
-        p.add_argument("--format", choices=FORMATS, default="markdown",
-                       dest="output_format", help="output format")
-        p.add_argument("--constants", default=None, metavar="PATH",
-                       help="JSON file overriding physical constants")
+        p.add_argument("--format", choices=FORMATS, dest="output_format",
+                       help="output format")
         p.add_argument("--check", action="store_true",
                        help="compare results against embedded reference "
                             "values and exit 2 on disagreement")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    common = dict(command=args.command, exact_dim=args.exact_dim,
-                  output_format=args.output_format,
-                  constants_path=args.constants, check=args.check)
-    if args.command == "helium":
-        return RunConfig(n_max_helium=args.n_max, m_range=args.m_range,
-                         **common)
-    b_values = tuple(args.b) if args.b is not None else ()
-    return RunConfig(b_values=b_values, n_levels=args.levels,
-                     exact_tol=args.exact_tol, **common)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(args))
         doc = run_helium(cfg) if cfg.command == "helium" else run_table(cfg)
     except (ValueError, OSError) as exc:
         print(f"varpert: {exc}", file=sys.stderr)

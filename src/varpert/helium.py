@@ -150,6 +150,7 @@ def variational_ground_energy(z_star: float, z: float) -> float:
     expression with the electron-electron term (5/4) Z* from Y110.
     """
     _require_z_star(z_star)
+    _require_z(z)
     return -(4.0 * z_star * z - 2.0 * z_star * z_star - 1.25 * z_star)
 
 
@@ -218,6 +219,7 @@ def second_order_by_n_prime(z_star: float, z: float, n_max: int,
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    _require_z(z)
     y = functools.cache(y_integral)
     buckets = {np: 0.0 for np in range(2, n_max + 1)}
     for ch in enumerate_channels(n_max):
@@ -249,6 +251,7 @@ def excited_triplet_energy(z_star: float, z: float) -> float:
     at the common charge z_star.
     """
     _require_z_star(z_star)
+    _require_z(z)
     j, k = _direct_exchange_1s2s(z_star)
     return 1.25 * z_star * z_star - 2.5 * z * z_star + (j - k)
 

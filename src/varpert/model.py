@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 # CODATA-derived defaults for an electron, not fit to any published table.
 KAPPA_EV_A2 = 3.8099821      # hbar^2/(2 m_e) in eV Angstrom^2
-RYDBERG_EV = 13.605693
-BOHR_A = 0.5291772
 
 METHOD_TAGS = frozenset(
     {"variational", "present", "conventional_pt1", "conventional_pt2", "exact"}
@@ -29,37 +27,27 @@ class Constants:
     ----------
     kappa : float
         Kinetic scale hbar^2/2m in eV A^2. The default is the electron value.
-    rydberg : float
-        Rydberg energy in eV.
-    bohr_radius : float
-        Bohr radius in Angstrom.
     """
 
     kappa: float = KAPPA_EV_A2
-    rydberg: float = RYDBERG_EV
-    bohr_radius: float = BOHR_A
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "rydberg", "bohr_radius"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
 
     @classmethod
     def from_file(cls, path: str) -> "Constants":
         """Load overrides from a flat JSON file.
 
-        Recognized keys: ``kappa_eV_A2``, ``rydberg_eV``, ``bohr_A``.
-        Missing keys keep their defaults; unknown keys are rejected.
+        The one recognized key is ``kappa_eV_A2``; when it is missing the
+        default holds, and any other key is rejected.
         """
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {"kappa_eV_A2": "kappa", "rydberg_eV": "rydberg", "bohr_A": "bohr_radius"}
-        unknown = set(raw) - set(known)
+        unknown = set(raw) - {"kappa_eV_A2"}
         if unknown:
             raise ValueError(f"unknown constants keys: {sorted(unknown)}")
-        kwargs = {known[k]: float(v) for k, v in raw.items()}
-        return cls(**kwargs)
+        return cls(float(raw["kappa_eV_A2"])) if raw else cls()
 
 
 @dataclass(frozen=True)

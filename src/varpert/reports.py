@@ -1,7 +1,7 @@
 """Report assembly for the command-line front end.
 
-Builds structured documents for the oscillator tables and the helium
-summary, renders them as markdown, CSV, or JSON, and optionally checks
+Builds a flat list of cells for each oscillator table and a summary dict
+for helium, renders them as markdown, CSV, or JSON, and optionally checks
 every cell against the embedded reference constants. All rendering is
 order-fixed and timestamp-free so identical configurations produce byte
 identical output.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import reference as ref
 from .anharmonic import (energy_conventional_pt, energy_present,
@@ -43,6 +43,7 @@ class RunConfig:
     check: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "b_values", tuple(self.b_values))
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.output_format not in FORMATS:
@@ -67,6 +68,23 @@ class RunConfig:
         return replace(self, b_values=DEFAULT_B[self.command])
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One table entry: a method's value at one (level, b) point.
+
+    ``percent`` is the value as a percent of the exact energy, printed to
+    three decimals, or "" where there is none; ``note`` is "divergent",
+    "unconverged: ..." or "".
+    """
+
+    level: int
+    b: float
+    method: str
+    value: float
+    percent: str
+    note: str
+
+
 @dataclass
 class ReportDocument:
     """Rendered report plus check/convergence outcomes."""
@@ -80,79 +98,50 @@ def _fmt(v: float) -> str:
     return f"{v:.7g}"
 
 
-def _percent(v: float, exact: float) -> str:
-    return f"{100.0 * v / exact:.3f}"
-
-
-def _cell_txt(cell: dict[str, object]) -> str:
+def _cell_txt(cell: Cell) -> str:
     """Markdown table cell: value, then (percent of exact) and [note] if set."""
-    txt = _fmt(float(cell["value"]))
-    if cell["percent"]:
-        txt += f" ({cell['percent']}%)"
-    if cell["note"]:
-        txt += f" [{cell['note']}]"
+    txt = _fmt(cell.value)
+    if cell.percent:
+        txt += f" ({cell.percent}%)"
+    if cell.note:
+        txt += f" [{cell.note}]"
     return txt
 
 
-def _constants(cfg: RunConfig) -> Constants:
-    if cfg.constants_path is None:
-        return Constants()
-    return Constants.from_file(cfg.constants_path)
-
-
-def _levels(cfg: RunConfig) -> list[int]:
-    first = 1 if cfg.command == "table3" else 0
-    return list(range(first, first + cfg.n_levels))
-
-
 def _oscillator_cells(cfg: RunConfig, constants: Constants, n: int,
-                      b: float) -> dict[str, dict[str, object]]:
-    """All method values for one (level, b) point.
+                      b: float) -> list[Cell]:
+    """The column of cells for one (level, b) point, conventional_pt1 first.
 
-    Returns method -> {value, note}; a shooting convergence failure turns
-    the exact cell into an annotation instead of aborting the table.
+    The closed forms run before shooting, so that a point they reject
+    fails fast. A shooting convergence failure turns the exact cell into
+    an annotation instead of aborting the table; the other cells then
+    carry no percent.
     """
     spec = make_anharmonic_spec(STIFFNESS_K, b, constants)
-    hw = hbar_omega(spec)
-    sol = solve_omega(spec, n)
-    cells: dict[str, dict[str, object]] = {}
-    pt1 = energy_conventional_pt(spec, n, 1)
-    pt2 = energy_conventional_pt(spec, n, 2)
-    divergent = pt_divergent(spec, n)
-    cells["conventional_pt1"] = {"value": pt1.e_total, "note": ""}
-    cells["conventional_pt2"] = {"value": pt2.e_total,
-                                 "note": "divergent" if divergent else ""}
-    cells["variational"] = {"value": energy_variational(spec, n).e_total,
-                            "note": ""}
-    cells["present"] = {"value": energy_present(spec, n).e_total, "note": ""}
-    try:
-        exact = shoot_eigenvalue(spec, n,
-                                 ShootingConfig(energy_tol=cfg.exact_tol))
-        cells["exact"] = {"value": exact, "note": ""}
-    except ConvergenceError as exc:
-        cells["exact"] = {"value": math.nan, "note": f"unconverged: {exc}"}
     # stiffness of the optimized parent oscillator, k (Omega_n/omega)^2
-    cells["half_m_omega2"] = {
-        "value": STIFFNESS_K * (sol.hbar_Omega_n / hw) ** 2, "note": ""}
-    return cells
-
-
-def _attach_percents(cells: dict[str, dict[str, object]]) -> None:
-    exact = cells["exact"]["value"]
-    for method in ("conventional_pt1", "conventional_pt2", "variational",
-                   "present"):
-        cell = cells[method]
-        if isinstance(exact, float) and math.isfinite(exact):
-            cell["percent"] = _percent(float(cell["value"]), exact)
-        else:
-            cell["percent"] = ""
-    cells["exact"]["percent"] = ""
-    cells["half_m_omega2"]["percent"] = ""
+    stiffness = STIFFNESS_K * (solve_omega(spec, n).hbar_Omega_n / hbar_omega(spec)) ** 2
+    estimates = [
+        ("conventional_pt1", energy_conventional_pt(spec, n, 1).e_total, ""),
+        ("conventional_pt2", energy_conventional_pt(spec, n, 2).e_total,
+         "divergent" if pt_divergent(spec, n) else ""),
+        ("variational", energy_variational(spec, n).e_total, ""),
+        ("present", energy_present(spec, n).e_total, ""),
+    ]
+    try:
+        exact = shoot_eigenvalue(spec, n, ShootingConfig(energy_tol=cfg.exact_tol))
+        exact_note = ""
+    except ConvergenceError as exc:
+        exact, exact_note = math.nan, f"unconverged: {exc}"
+    return [Cell(n, b, method, value,
+                 f"{100.0 * value / exact:.3f}" if math.isfinite(exact) else "", note)
+            for method, value, note in estimates] + [
+        Cell(n, b, "exact", exact, "", exact_note),
+        Cell(n, b, "half_m_omega2", stiffness, "", ""),
+    ]
 
 
 def _check_oscillator(cfg: RunConfig, constants: Constants, n: int, b: float,
-                      cells: dict[str, dict[str, object]],
-                      violations: list[str]) -> None:
+                      cells: dict[str, Cell], violations: list[str]) -> None:
     """Compare one column against the embedded reference constants."""
     refs: dict[str, float] = {}
     if n == 0 and b in ref.TABLE1:
@@ -162,22 +151,22 @@ def _check_oscillator(cfg: RunConfig, constants: Constants, n: int, b: float,
     elif n == 1 and b in (0.05,):
         refs = dict(ref.TABLE3)
     for method, expected in refs.items():
-        got = float(cells[method]["value"])
+        got = cells[method].value
         if not math.isfinite(got) or abs(got - expected) > ref.TOL_TABLE_EV:
             violations.append(
                 f"n={n} b={b} {method}: {_fmt(got)} vs reference "
                 f"{_fmt(expected)} (tol {ref.TOL_TABLE_EV:g})")
-    if n == 0 and b in ref.PT_DIVERGENT_B and cells["conventional_pt2"]["note"] != "divergent":
+    if n == 0 and b in ref.PT_DIVERGENT_B and cells["conventional_pt2"].note != "divergent":
         violations.append(
             f"n={n} b={b}: order-2 perturbation theory should be flagged divergent")
     if n == 0 and b in ref.TABLE1 and "conventional_pt2" in refs \
-            and cells["conventional_pt2"]["note"] == "divergent":
+            and cells["conventional_pt2"].note == "divergent":
         violations.append(
             f"n={n} b={b}: order-2 perturbation theory unexpectedly flagged divergent")
     # cross-validate the two exact oracles in every column, referenced or not
     spec = make_anharmonic_spec(STIFFNESS_K, b, constants)
     try:
-        shoot = float(cells["exact"]["value"])
+        shoot = cells["exact"].value
         diag = diag_eigenvalues(spec, dim=cfg.exact_dim, n_levels=n + 1)[n]
         if abs(shoot - diag) > ref.TOL_CROSS_ORACLE_EV:
             violations.append(
@@ -187,119 +176,112 @@ def _check_oscillator(cfg: RunConfig, constants: Constants, n: int, b: float,
         violations.append(f"n={n} b={b}: diagonalization oracle failed: {exc}")
 
 
-TABLE_ROWS = ("conventional_pt2", "variational", "present", "exact",
-              "half_m_omega2")
-SWEEP_ROWS = ("conventional_pt1",) + TABLE_ROWS
-
-
 def run_table(cfg: RunConfig) -> ReportDocument:
     """Build the report for table1, table2, table3, or sweep."""
     cfg = cfg.with_default_b()
-    constants = _constants(cfg)
+    constants = (Constants() if cfg.constants_path is None
+                 else Constants.from_file(cfg.constants_path))
+    first = 1 if cfg.command == "table3" else 0
+    cells: list[Cell] = []
     violations: list[str] = []
-    blocks = []
-    convergence_failed = False
-    for n in _levels(cfg):
-        columns = []
+    for n in range(first, first + cfg.n_levels):
         for b in cfg.b_values:
-            cells = _oscillator_cells(cfg, constants, n, b)
-            _attach_percents(cells)
-            if "unconverged" in str(cells["exact"]["note"]):
-                convergence_failed = True
+            column = _oscillator_cells(cfg, constants, n, b)
             if cfg.check:
-                _check_oscillator(cfg, constants, n, b, cells, violations)
-            columns.append({"b": b, "cells": cells})
-        blocks.append({"level": n, "columns": columns})
-    doc = {
-        "command": cfg.command,
-        "stiffness_k": STIFFNESS_K,
-        "kappa": constants.kappa,
-        "m_range": None,
-        "blocks": blocks,
-    }
-    if cfg.command == "table2":
-        text = _render_table2(cfg, doc)
-    else:
-        text = _render_table(cfg, doc)
-    return ReportDocument(text=text, violations=violations,
-                          convergence_failed=convergence_failed)
+                _check_oscillator(cfg, constants, n, b,
+                                  {c.method: c for c in column}, violations)
+            cells += column
+    render = {"markdown": _table_markdown, "csv": _table_csv,
+              "json": _table_json}[cfg.output_format]
+    return ReportDocument(
+        text=render(cfg, constants.kappa, cells), violations=violations,
+        convergence_failed=any(c.note.startswith("unconverged") for c in cells))
 
 
-def _render_table(cfg: RunConfig, doc: dict) -> str:
-    rows = SWEEP_ROWS if cfg.command == "sweep" else TABLE_ROWS
-    if cfg.output_format == "json":
-        return _as_json(cfg, doc)
-    if cfg.output_format == "csv":
-        lines = ["command,level,b,method,value,percent_of_exact,note"]
-        for block in doc["blocks"]:
-            for col in block["columns"]:
-                for method in rows:
-                    cell = col["cells"][method]
-                    lines.append(
-                        f"{cfg.command},{block['level']},{_fmt(col['b'])},"
-                        f"{method},{_fmt(float(cell['value']))},"
-                        f"{cell['percent']},{cell['note']}")
-        return "\n".join(lines) + "\n"
-    # markdown
-    out = [f"# {cfg.command}: V(x) = k x^2 + b x^4 at k = "
-           f"{_fmt(doc['stiffness_k'])} eV/A^2 "
-           f"(kappa = {_fmt(doc['kappa'])} eV A^2)", ""]
-    for block in doc["blocks"]:
-        out.append(f"## level n = {block['level']} (energies in eV, "
-                   "stiffness row in eV/A^2)")
-        out.append("")
-        header = "| method | " + " | ".join(
-            f"b={_fmt(col['b'])}" for col in block["columns"]) + " |"
-        out.append(header)
-        out.append("|" + " --- |" * (len(block["columns"]) + 1))
-        for method in rows:
-            cells = [_cell_txt(col["cells"][method]) for col in block["columns"]]
-            out.append(f"| {method} | " + " | ".join(cells) + " |")
-        out.append("")
+# table2's first/second-order grid; its CSV labels each row "scheme,order"
+TABLE2_GRID = {"conventional_pt1": "conventional,1",
+               "conventional_pt2": "conventional,2",
+               "variational": "present,1", "present": "present,2"}
+
+
+def _row_label(command: str, method: str) -> str | None:
+    """CSV row label of a method, or None where the markdown and CSV
+    reports leave it out (JSON carries every cell)."""
+    if command == "table2":
+        return TABLE2_GRID.get(method)
+    if method == "conventional_pt1" and command != "sweep":
+        return None
+    return method
+
+
+def _blocks(cells: list[Cell]) -> list[tuple[int, list[dict[str, Cell]]]]:
+    """Group the flat cell list into levels of (level, b) columns. Columns
+    are split by position, so that repeated b values stay separate."""
+    columns: list[dict[str, Cell]] = []
+    for cell in cells:
+        if cell.method == cells[0].method:
+            columns.append({})
+        columns[-1][cell.method] = cell
+    return [(level, list(cols)) for level, cols in itertools.groupby(
+        columns, key=lambda col: col["exact"].level)]
+
+
+def _table_csv(cfg: RunConfig, kappa: float, cells: list[Cell]) -> str:
+    head = "scheme,order" if cfg.command == "table2" else "method"
+    lines = [f"command,level,b,{head},value,percent_of_exact,note"]
+    for c in cells:
+        label = _row_label(cfg.command, c.method)
+        if label is not None:
+            lines.append(f"{cfg.command},{c.level},{_fmt(c.b)},{label},"
+                         f"{_fmt(c.value)},{c.percent},{c.note}")
+    return "\n".join(lines) + "\n"
+
+
+def _md_table(heading: str, header: list[str],
+              rows: list[list[str]]) -> list[str]:
+    """Markdown lines: heading, blank, a table whose trailing empty cells
+    print as bare bars, blank."""
+    return [heading, "", *(("| " + " | ".join(row)).rstrip() + " |"
+                           for row in [header, ["---"] * len(header), *rows]), ""]
+
+
+def _table_markdown(cfg: RunConfig, kappa: float, cells: list[Cell]) -> str:
+    k = f"k = {_fmt(STIFFNESS_K)} eV/A^2"
+    if cfg.command != "table2":
+        out = [f"# {cfg.command}: V(x) = k x^2 + b x^4 at {k} "
+               f"(kappa = {_fmt(kappa)} eV A^2)", ""]
+        for level, columns in _blocks(cells):
+            out += _md_table(
+                f"## level n = {level} (energies in eV, stiffness row in eV/A^2)",
+                ["method", *(f"b={_fmt(col['exact'].b)}" for col in columns)],
+                [[m, *(_cell_txt(col[m]) for col in columns)]
+                 for m in columns[0] if _row_label(cfg.command, m) is not None])
+        return "\n".join(out)
+    out = [f"# table2: order-by-order comparison at {k}", ""]
+    for level, columns in _blocks(cells):
+        for col in columns:
+            txt = {m: _cell_txt(cell) for m, cell in col.items()}
+            out += _md_table(
+                f"## level n = {level}, b = {_fmt(col['exact'].b)} (energies in eV)",
+                ["scheme", "first order", "second order"],
+                [["conventional", txt["conventional_pt1"], txt["conventional_pt2"]],
+                 ["present", txt["variational"], txt["present"]],
+                 ["exact", txt["exact"], ""]])
     return "\n".join(out)
 
 
-def _render_table2(cfg: RunConfig, doc: dict) -> str:
-    """First-order/second-order grid for the conventional and present schemes."""
-    if cfg.output_format == "json":
-        return _as_json(cfg, doc)
-    if cfg.output_format == "csv":
-        lines = ["command,level,b,scheme,order,value,percent_of_exact,note"]
-        for block in doc["blocks"]:
-            for col in block["columns"]:
-                c = col["cells"]
-                grid = [("conventional", 1, c["conventional_pt1"]),
-                        ("conventional", 2, c["conventional_pt2"]),
-                        ("present", 1, c["variational"]),
-                        ("present", 2, c["present"])]
-                for scheme, order, cell in grid:
-                    lines.append(
-                        f"{cfg.command},{block['level']},{_fmt(col['b'])},"
-                        f"{scheme},{order},{_fmt(float(cell['value']))},"
-                        f"{cell['percent']},{cell['note']}")
-        return "\n".join(lines) + "\n"
-    out = [f"# {cfg.command}: order-by-order comparison at k = "
-           f"{_fmt(doc['stiffness_k'])} eV/A^2", ""]
-    for block in doc["blocks"]:
-        for col in block["columns"]:
-            c = col["cells"]
-            out.append(f"## level n = {block['level']}, b = {_fmt(col['b'])} "
-                       "(energies in eV)")
-            out.append("")
-            out.append("| scheme | first order | second order |")
-            out.append("| --- | --- | --- |")
-            out.append("| conventional | " + _cell_txt(c["conventional_pt1"])
-                       + " | " + _cell_txt(c["conventional_pt2"]) + " |")
-            out.append("| present | " + _cell_txt(c["variational"])
-                       + " | " + _cell_txt(c["present"]) + " |")
-            out.append(f"| exact | {_fmt(float(c['exact']['value']))} | |")
-            out.append("")
-    return "\n".join(out)
+def _table_json(cfg: RunConfig, kappa: float, cells: list[Cell]) -> str:
+    blocks = [{"level": level, "columns": [
+        {"b": col["exact"].b,
+         "cells": {m: {"value": c.value, "percent": c.percent, "note": c.note}
+                   for m, c in col.items()}} for col in columns]}
+        for level, columns in _blocks(cells)]
+    return _as_json(cfg, {"command": cfg.command, "stiffness_k": STIFFNESS_K,
+                          "kappa": kappa, "m_range": None, "blocks": blocks})
 
 
 def run_helium(cfg: RunConfig) -> ReportDocument:
     """Build the helium ground and excited state report."""
-    violations: list[str] = []
     z = 2.0
     result = ground_state(z=z, n_max=cfg.n_max_helium, m_range=cfg.m_range)
     partials = [{"n_prime_max": np, "correction": running}
@@ -326,12 +308,11 @@ def run_helium(cfg: RunConfig) -> ReportDocument:
             "experimental": ref.EXPERIMENTAL_EXCITED_RYD,
         },
     }
-    if cfg.check:
-        _check_helium(cfg, doc, violations)
-    return ReportDocument(text=_render_helium(cfg, doc), violations=violations)
+    return ReportDocument(text=_render_helium(cfg, doc),
+                          violations=_check_helium(doc) if cfg.check else [])
 
 
-def _check_helium(cfg: RunConfig, doc: dict, violations: list[str]) -> None:
+def _check_helium(doc: dict) -> list[str]:
     pairs = [
         ("z_star", doc["z_star"], ref.HELIUM["z_star"], 0.0),
         ("e_variational", doc["e_variational"], ref.HELIUM["e_variational"],
@@ -345,10 +326,8 @@ def _check_helium(cfg: RunConfig, doc: dict, violations: list[str]) -> None:
         ("e_excited", doc["excited"]["e_total"], ref.HELIUM["e_excited"],
          ref.TOL_HELIUM_VARIATIONAL),
     ]
-    for name, got, expected, tol in pairs:
-        if abs(got - expected) > tol:
-            violations.append(
-                f"helium {name}: {got!r} vs reference {expected!r} (tol {tol:g})")
+    return [f"helium {name}: {got!r} vs reference {expected!r} (tol {tol:g})"
+            for name, got, expected, tol in pairs if abs(got - expected) > tol]
 
 
 def _render_helium(cfg: RunConfig, doc: dict) -> str:
@@ -356,23 +335,20 @@ def _render_helium(cfg: RunConfig, doc: dict) -> str:
         return _as_json(cfg, doc)
     tag = " (investigative)" if doc["m_range"] == "full" else ""
     if cfg.output_format == "csv":
-        lines = ["command,section,key,value,note"]
-
-        def row(section: str, key: str, value: float, note: str = "") -> None:
-            lines.append(f"helium,{section},{key},{_fmt(value)},{note}")
-
-        row("ground", "z_star", doc["z_star"])
-        row("ground", "e_variational_ryd", doc["e_variational"])
-        for p in doc["partial_sums"]:
-            row("ground", f"e_second_nprime_le_{p['n_prime_max']}",
-                p["correction"], f"m_range={doc['m_range']}{tag}")
-        row("ground", "e_second_ryd", doc["e_second"],
-            f"m_range={doc['m_range']}{tag}")
-        row("ground", "e_total_ryd", doc["e_total"])
-        row("ground", "percent_of_experimental", doc["percent_total"])
-        row("excited", "z_star", doc["excited"]["z_star"])
-        row("excited", "e_total_ryd", doc["excited"]["e_total"])
-        row("excited", "experimental_ryd", doc["excited"]["experimental"])
+        note = f"m_range={doc['m_range']}{tag}"
+        rows = [("ground", "z_star", doc["z_star"], ""),
+                ("ground", "e_variational_ryd", doc["e_variational"], "")]
+        rows += [("ground", f"e_second_nprime_le_{p['n_prime_max']}",
+                  p["correction"], note) for p in doc["partial_sums"]]
+        rows += [("ground", "e_second_ryd", doc["e_second"], note),
+                 ("ground", "e_total_ryd", doc["e_total"], ""),
+                 ("ground", "percent_of_experimental", doc["percent_total"], ""),
+                 ("excited", "z_star", doc["excited"]["z_star"], ""),
+                 ("excited", "e_total_ryd", doc["excited"]["e_total"], ""),
+                 ("excited", "experimental_ryd", doc["excited"]["experimental"], "")]
+        lines = ["command,section,key,value,note"] + [
+            f"helium,{section},{key},{_fmt(value)},{n}"
+            for section, key, value, n in rows]
         return "\n".join(lines) + "\n"
     out = [f"# helium: screened variational basis plus second order (Z = "
            f"{_fmt(doc['z'])})", ""]
@@ -380,14 +356,10 @@ def _render_helium(cfg: RunConfig, doc: dict) -> str:
     out.append(f"- variational energy = {_fmt(doc['e_variational'])} ryd "
                f"({doc['percent_variational']:.3f}% of experimental "
                f"{_fmt(doc['experimental_ground'])} ryd)")
-    out.append(f"- second-order sum over discrete states, m_range = "
-               f"{doc['m_range']}{tag}:")
-    out.append("")
-    out.append("| n' up to | correction (ryd) |")
-    out.append("| --- | --- |")
-    for p in doc["partial_sums"]:
-        out.append(f"| {p['n_prime_max']} | {_fmt(p['correction'])} |")
-    out.append("")
+    out += _md_table(f"- second-order sum over discrete states, m_range = "
+                     f"{doc['m_range']}{tag}:", ["n' up to", "correction (ryd)"],
+                     [[str(p["n_prime_max"]), _fmt(p["correction"])]
+                      for p in doc["partial_sums"]])
     out.append(f"- second-order correction = {_fmt(doc['e_second'])} ryd")
     out.append(f"- total = {_fmt(doc['e_total'])} ryd "
                f"({doc['percent_total']:.3f}% of experimental)")
@@ -401,13 +373,7 @@ def _render_helium(cfg: RunConfig, doc: dict) -> str:
 
 
 def _as_json(cfg: RunConfig, doc: dict) -> str:
-    payload = {"config": {
-        "command": cfg.command,
-        "b_values": list(cfg.b_values),
-        "n_levels": cfg.n_levels,
-        "n_max_helium": cfg.n_max_helium,
-        "m_range": cfg.m_range,
-        "exact_dim": cfg.exact_dim,
-        "exact_tol": cfg.exact_tol,
-    }, "report": doc}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    config = {k: v for k, v in asdict(cfg).items()
+              if k not in ("output_format", "constants_path", "check")}
+    return json.dumps({"config": config, "report": doc},
+                      sort_keys=True, indent=2) + "\n"

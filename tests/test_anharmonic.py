@@ -29,6 +29,12 @@ def test_cubic_root_residual_and_stationarity(b, n):
     assert abs(sol.stationarity) <= 1e-7
 
 
+def test_solve_omega_raises_when_newton_fails():
+    # the cube of the Newton seed overflows; this used to return inf
+    with pytest.raises(ValueError, match="Newton iteration for hbar Omega_0"):
+        solve_omega(spec_at(1e306), 0)
+
+
 def test_harmonic_limit_root_is_bare_quantum():
     spec = spec_at(0.0)
     sol = solve_omega(spec, 3)

@@ -71,6 +71,19 @@ def test_optimal_charges_reject_non_finite_z(bad):
         ground_state(bad, n_max=2)
 
 
+@pytest.mark.parametrize("bad", [-3.0, *NON_FINITE])
+def test_energies_reject_bad_nuclear_charge(bad):
+    # variational_ground_energy(1.6875, -3.0) used to return +28.05 ryd
+    calls = [lambda: variational_ground_energy(ZS, bad),
+             lambda: excited_triplet_energy(ZS, bad),
+             lambda: second_order_by_n_prime(ZS, bad, 3),
+             lambda: second_order_correction(ZS, bad, 3)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=f"^z must be finite and >= 1, got {bad}$"):
+            call()
+
+
 def test_radial_against_quadrature():
     r32 = hydrogenic_radial(3, 2, ZS)
     val, _ = quad(lambda r: r * r * r32(r) ** 2, 0.0, 80.0, limit=300)

@@ -11,11 +11,9 @@ from varpert.model import (Constants, LevelResult, hbar_omega,
 def test_default_constants():
     c = Constants()
     assert c.kappa == pytest.approx(3.8099821, abs=1e-7)
-    assert c.rydberg == pytest.approx(13.605693, abs=1e-6)
-    assert c.bohr_radius == pytest.approx(0.5291772, abs=1e-7)
 
 
-@pytest.mark.parametrize("field", ["kappa", "rydberg", "bohr_radius"])
+@pytest.mark.parametrize("field", ["kappa"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_constants_must_be_positive(field, bad):
     with pytest.raises(ValueError,
@@ -25,18 +23,19 @@ def test_constants_must_be_positive(field, bad):
 
 def test_constants_from_file(tmp_path):
     path = tmp_path / "const.json"
-    path.write_text(json.dumps({"kappa_eV_A2": 3.81, "rydberg_eV": 13.6}))
-    c = Constants.from_file(str(path))
-    assert c.kappa == 3.81
-    assert c.rydberg == 13.6
-    assert c.bohr_radius == Constants().bohr_radius  # untouched default
+    path.write_text(json.dumps({"kappa_eV_A2": 3.81}))
+    assert Constants.from_file(str(path)).kappa == 3.81
+    path.write_text("{}")
+    assert Constants.from_file(str(path)) == Constants()  # untouched default
 
 
 def test_constants_from_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "const.json"
-    path.write_text(json.dumps({"kappa_eV_A2": 3.81, "planck": 1.0}))
-    with pytest.raises(ValueError, match="planck"):
-        Constants.from_file(str(path))
+    # rydberg_eV and bohr_A were accepted once but never read
+    for key in ("planck", "rydberg_eV", "bohr_A"):
+        path.write_text(json.dumps({"kappa_eV_A2": 3.81, key: 1.0}))
+        with pytest.raises(ValueError, match=key):
+            Constants.from_file(str(path))
 
 
 def test_make_spec_validates_signs():

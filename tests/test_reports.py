@@ -1,10 +1,12 @@
 """Report assembly and the command-line interface."""
 import json
+import re
+from collections import Counter
 
 import pytest
 
 import varpert.reports as reports
-from varpert.cli import main
+from varpert.cli import build_parser, main
 from varpert.exact import ConvergenceError
 from varpert.reports import RunConfig, run_helium, run_table
 
@@ -220,3 +222,107 @@ def test_cli_levels_flag(capsys):
     assert main(["table3", "--b", "0.05", "--levels", "2"]) == 0
     out = capsys.readouterr().out
     assert "## level n = 1" in out and "## level n = 2" in out
+
+
+def test_table2_markdown_shows_unconverged_note(capsys):
+    assert main(["table2", "--b", "0.05", "--exact-tol", "1e-300"]) == 3
+    out = capsys.readouterr().out
+    assert ("| exact | nan [unconverged: search budget exhausted for level "
+            "n=0] | |") in out
+
+
+@pytest.mark.parametrize("flag", [["--constants", "/nonexistent"],
+                                  ["--exact-dim", "9999"]])
+def test_cli_helium_rejects_table_only_flags(flag, capsys):
+    # helium reads neither option, so argparse refuses them
+    with pytest.raises(SystemExit) as exc:
+        main(["helium", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_leaves_defaults_to_run_config():
+    assert build_parser() is build_parser()
+    assert vars(build_parser().parse_args(["table1"])) == {"command": "table1"}
+    args = build_parser().parse_args(["helium", "--n-max", "3", "--check"])
+    assert RunConfig(**vars(args)) == RunConfig("helium", n_max_helium=3,
+                                                check=True)
+
+
+# every method a (level, b) column holds, and the rows each command shows
+METHODS = {"conventional_pt1", "conventional_pt2", "variational", "present",
+           "exact", "half_m_omega2"}
+TABLE2_GRID = {("conventional", "1"): "conventional_pt1",
+               ("conventional", "2"): "conventional_pt2",
+               ("present", "1"): "variational", ("present", "2"): "present"}
+SHOWN_IN_CSV = {"table1": METHODS - {"conventional_pt1"},
+                "table3": METHODS - {"conventional_pt1"},
+                "sweep": METHODS, "table2": set(TABLE2_GRID.values())}
+MD_CELL = re.compile(r"^(\S+)(?: \((-?[\d.]+)%\))?(?: \[(.*)\])?$")
+
+
+def _json_cells(text):
+    return Counter(
+        (block["level"], f"{col['b']:.7g}", method, f"{c['value']:.7g}",
+         c["percent"], c["note"])
+        for block in json.loads(text)["report"]["blocks"]
+        for col in block["columns"] for method, c in col["cells"].items())
+
+
+def _csv_cells(command, text):
+    cells = Counter()
+    for row in text.splitlines()[1:]:
+        if command == "table2":
+            name, level, b, scheme, order, value, percent, note = row.split(",", 7)
+            method = TABLE2_GRID[scheme, order]
+        else:
+            name, level, b, method, value, percent, note = row.split(",", 6)
+        assert name == command
+        cells[int(level), b, method, value, percent, note] += 1
+    return cells
+
+
+def _markdown_cells(command, text):
+    cells = Counter()
+    for line in text.splitlines():
+        if line.startswith("## level n = "):
+            m = re.match(r"## level n = (\d+)(?:, b = (\S+))? ", line)
+            level, b = int(m[1]), m[2]
+        elif line.startswith("| method |"):
+            bs = [h.strip().removeprefix("b=") for h in line.split("|")[2:-1]]
+        elif line.startswith("| ") and not line.startswith(("| scheme", "| ---")):
+            name, *texts = [f.strip() for f in line.split("|")[1:-1]]
+            if command != "table2":
+                entries = [(name, col_b, t) for col_b, t in zip(bs, texts)]
+            elif name == "exact":
+                entries = [("exact", b, texts[0])]
+            else:
+                entries = [(TABLE2_GRID[name, order], b, t)
+                           for order, t in zip("12", texts)]
+            for method, col_b, txt in entries:
+                value, percent, note = MD_CELL.match(txt).groups()
+                cells[level, col_b, method, value, percent or "",
+                      note or ""] += 1
+    return cells
+
+
+@pytest.mark.parametrize("extra", [[], ["--b", "0.05", "0.05", "--levels", "2"]],
+                         ids=["defaults", "repeated_b"])
+@pytest.mark.parametrize("command", ["table1", "table2", "table3", "sweep"])
+def test_formats_carry_the_same_cells(command, extra, capsys):
+    outputs = {}
+    for fmt in ("markdown", "csv", "json"):
+        assert main([command, *extra, "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    every = _json_cells(outputs["json"])
+    # two levels of two columns each, or one level at the default b values
+    n_columns = 2 * 2 if extra else len(reports.DEFAULT_B[command])
+    assert sum(every.values()) == n_columns * len(METHODS)
+
+    def shown(methods):
+        return Counter({k: v for k, v in every.items() if k[2] in methods})
+
+    csv_methods = SHOWN_IN_CSV[command]
+    md_methods = csv_methods | {"exact"}
+    assert _csv_cells(command, outputs["csv"]) == shown(csv_methods)
+    assert _markdown_cells(command, outputs["markdown"]) == shown(md_methods)
