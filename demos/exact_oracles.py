@@ -2,8 +2,9 @@
 
 Every closed-form energy in this package is judged against a numerical
 eigenvalue, so the numerical route itself needs a second opinion. The
-shooting solver integrates the Schroedinger equation outward with an
-adaptive Runge-Kutta-Fehlberg pair, brackets the level by node count and
+shooting solver integrates the Schroedinger equation outward with
+Taylor-series steps of order 28 (the polynomial potential makes every
+coefficient a five-term recurrence), brackets the level by node count and
 refines on the sign change of psi at the far boundary; the
 diagonalization solver truncates the Hamiltonian in a harmonic basis and
 calls a banded symmetric eigensolver.

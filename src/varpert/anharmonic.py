@@ -60,8 +60,11 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
 
     Newton iteration seeded above the root; the cubic has exactly one
     positive root for b >= 0 and is convex above it, so Newton descends
-    onto it monotonically. A result that fails the residual check raises
-    ``ValueError``. For b = 0 the root is hbar omega itself.
+    onto it monotonically. It runs on v = u / s, with s the seed rounded
+    to a power of two: every scaled step is the unscaled one exactly, and
+    the cube cannot overflow while 24 b kappa^2 g(n) is finite. A result
+    that fails the residual check raises ``ValueError``. For b = 0 the root
+    is hbar omega itself.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -69,27 +72,31 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     kap = spec.constants.kappa
     rhs = 24.0 * spec.quartic_b * kap * kap * _g(n)
 
-    def cubic(u: float) -> float:
-        return u * u * u - hw * hw * u - rhs
-
     if rhs == 0.0:
-        u = hw
+        u, residual = hw, 0.0
     else:
         # seed 1.5x above both scales keeps Newton on the convex branch
-        u = 1.5 * max(hw, rhs ** (1.0 / 3.0))
+        v, e = math.frexp(1.5 * max(hw, rhs ** (1.0 / 3.0)))
+        w = math.ldexp(hw, -e)
+        r = math.ldexp(rhs, -3 * e)
+
+        def cubic(v: float) -> float:
+            return v * v * v - w * w * v - r
+
         for _ in range(80):
-            step = cubic(u) / (3.0 * u * u - hw * hw)
-            u -= step
-            if abs(step) <= 1e-15 * u:
+            step = cubic(v) / (3.0 * v * v - w * w)
+            v -= step
+            if abs(step) <= 1e-15 * v:
                 break
-        if not abs(cubic(u)) <= 1e-10 * u ** 3:
+        u, residual = math.ldexp(v, e), math.ldexp(cubic(v), 3 * e)
+        if not abs(cubic(v)) <= 1e-10 * v ** 3:
             raise ValueError(f"Newton iteration for hbar Omega_{n} failed: "
-                             f"u = {u}, residual {cubic(u)}")
+                             f"u = {u}, residual {residual}")
 
     h = 1e-6 * u
     stat = (energy_first_order(spec, n, u + h)
             - energy_first_order(spec, n, u - h)) / (2.0 * h)
-    return OmegaSolution(n=n, hbar_Omega_n=u, residual=cubic(u), stationarity=stat)
+    return OmegaSolution(n=n, hbar_Omega_n=u, residual=residual, stationarity=stat)
 
 
 def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:

@@ -1,20 +1,27 @@
 """Independent eigenvalue oracles for -kappa psi'' + (k x^2 + b x^4) psi = E psi.
 
-Two deliberately different routes: adaptive Runge-Kutta-Fehlberg shooting on
-the half line with parity initial conditions, and truncated-basis
-diagonalization of the band Hamiltonian. Agreement between them is the
-package's definition of "exact" for this potential.
+Two deliberately different routes: Taylor-series shooting on the half line
+with parity initial conditions, and truncated-basis diagonalization of the
+band Hamiltonian. Agreement between them is the package's definition of
+"exact" for this potential. Shooting uses neither numpy nor scipy; both
+load only when the diagonalization runs.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .model import AnharmonicSpec, hbar_omega
 from .oscillator import OscBasis, build_hamiltonian
+
+
+ORDER = 28  # degree of the Taylor polynomial taken per shooting step
+_RECURRENCE = tuple(1.0 / ((j + 1) * (j + 2)) for j in range(ORDER - 1))
+_ROOT_PREV, _ROOT_LAST = 1.0 / (ORDER - 1), 1.0 / ORDER
+_SAFETY = 0.5  # shrinks the last terms by a further 2^-ORDER or so
+_TINY = sys.float_info.min
 
 
 class ConvergenceError(RuntimeError):
@@ -33,9 +40,12 @@ class ShootingConfig:
     the width is sized per energy so that the potential wall both exceeds
     E by 25 harmonic quanta and accumulates 25 WKB decay constants beyond
     the turning point, keeping boundary contamination of the eigenvalue
-    below 1e-10. ``abs_tol`` is the local ODE error tolerance (at most
-    1e-6), ``energy_tol`` the final width of the energy bracket, and
-    ``max_iter`` the combined budget of bracket-growth and search steps.
+    below 1e-10. ``abs_tol`` (at most 1e-6) bounds the truncation of each
+    Taylor step, relative to max(1, |psi|). ``energy_tol`` is the final
+    width of the energy bracket, floored at 8 ulps of E (8 eps E, above
+    1e-9 eV only once E passes about 5e5 eV), since no narrower bracket
+    can be split. ``max_iter`` is the combined budget of bracket-growth
+    and search steps.
     """
 
     x_max: float = 0.0
@@ -58,80 +68,55 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
                x_max: float, abs_tol: float) -> tuple[float, int]:
     """March psi from 0 to x_max; return (psi(x_max), node count).
 
-    Adaptive Runge-Kutta-Fehlberg 4(5) on psi' = p, p' = q(x) psi with
-    q(x) = (k x^2 + b x^4 - E) / kappa, advancing with the 5th-order
-    combination. Each stage is written out: u, v are the stage values of
-    psi and p, and w = q u is the stage slope of p.
+    Taylor-series steps of fixed order ``ORDER`` on psi'' = q(x) psi with
+    q(x) = (k x^2 + b x^4 - E) / kappa. Around each x0, q is re-expanded
+    in powers of t = (x - x0) / H, H = pi / (2 sqrt(E / kappa)), and the
+    series coefficients a_j of psi(x0 + H t) obey the five-term recurrence
+    (j+1)(j+2) a_{j+2} = sum_{i<=4} q_i a_{j-i}. The step t <= 1 keeps the
+    last two terms within ``abs_tol`` max(1, |psi|), so no step is ever
+    rejected. As V >= 0, zeros of psi lie at least 2H apart (Sturm
+    comparison with the free wave at energy E), so a step of at most H
+    holds at most one of them and a sign change counts it exactly.
     """
     inv_kappa = 1.0 / spec.constants.kappa
     c2 = spec.stiffness_k * inv_kappa
     c4 = spec.quartic_b * inv_kappa
     ce = energy * inv_kappa
+    big_h = 0.5 * math.pi / math.sqrt(ce)
+    h2 = big_h * big_h
+    h4 = h2 * h2
 
     y0, y1 = (1.0, 0.0) if parity == 0 else (0.0, 1.0)
     x = 0.0
-    h = min(1e-3, 0.01 * x_max)
     nodes = 0
     last_sign = 1.0  # psi first moves positive for either parity
     while x < x_max:
-        if x + h > x_max:
-            h = x_max - x
+        # H^2 q(x + H t) = q0 + q1 t + ... + q4 t^4
         s = x * x
-        w1 = ((c2 + c4 * s) * s - ce) * y0
-        u2 = y0 + h * (1.0 / 4.0) * y1
-        v2 = y1 + h * (1.0 / 4.0) * w1
-        t = x + (1.0 / 4.0) * h
-        s = t * t
-        w2 = ((c2 + c4 * s) * s - ce) * u2
-        u3 = y0 + h * (3.0 / 32.0 * y1 + 9.0 / 32.0 * v2)
-        v3 = y1 + h * (3.0 / 32.0 * w1 + 9.0 / 32.0 * w2)
-        t = x + (3.0 / 8.0) * h
-        s = t * t
-        w3 = ((c2 + c4 * s) * s - ce) * u3
-        u4 = y0 + h * (1932.0 / 2197.0 * y1 - 7200.0 / 2197.0 * v2
-                       + 7296.0 / 2197.0 * v3)
-        v4 = y1 + h * (1932.0 / 2197.0 * w1 - 7200.0 / 2197.0 * w2
-                       + 7296.0 / 2197.0 * w3)
-        t = x + (12.0 / 13.0) * h
-        s = t * t
-        w4 = ((c2 + c4 * s) * s - ce) * u4
-        u5 = y0 + h * (439.0 / 216.0 * y1 - 8.0 * v2 + 3680.0 / 513.0 * v3
-                       - 845.0 / 4104.0 * v4)
-        v5 = y1 + h * (439.0 / 216.0 * w1 - 8.0 * w2 + 3680.0 / 513.0 * w3
-                       - 845.0 / 4104.0 * w4)
-        t = x + h
-        s = t * t
-        w5 = ((c2 + c4 * s) * s - ce) * u5
-        u6 = y0 + h * (-8.0 / 27.0 * y1 + 2.0 * v2 - 3544.0 / 2565.0 * v3
-                       + 1859.0 / 4104.0 * v4 - 11.0 / 40.0 * v5)
-        v6 = y1 + h * (-8.0 / 27.0 * w1 + 2.0 * w2 - 3544.0 / 2565.0 * w3
-                       + 1859.0 / 4104.0 * w4 - 11.0 / 40.0 * w5)
-        t = x + (1.0 / 2.0) * h
-        s = t * t
-        w6 = ((c2 + c4 * s) * s - ce) * u6
-        n0 = y0 + h * (16.0 / 135.0 * y1 + 6656.0 / 12825.0 * v3
-                       + 28561.0 / 56430.0 * v4 - 9.0 / 50.0 * v5
-                       + 2.0 / 55.0 * v6)
-        n1 = y1 + h * (16.0 / 135.0 * w1 + 6656.0 / 12825.0 * w3
-                       + 28561.0 / 56430.0 * w4 - 9.0 / 50.0 * w5
-                       + 2.0 / 55.0 * w6)
-        e0 = h * (1.0 / 360.0 * y1 - 128.0 / 4275.0 * v3
-                  - 2197.0 / 75240.0 * v4 + 1.0 / 50.0 * v5 + 2.0 / 55.0 * v6)
-        e1 = h * (1.0 / 360.0 * w1 - 128.0 / 4275.0 * w3
-                  - 2197.0 / 75240.0 * w4 + 1.0 / 50.0 * w5 + 2.0 / 55.0 * w6)
-        err = max(abs(e0), abs(e1))
-        tol = abs_tol * max(1.0, abs(n0), abs(n1))
-        if err <= tol or h <= 1e-12:
-            x += h
-            y0, y1 = n0, n1
-            if y0 != 0.0:
-                if (y0 < 0.0) != (last_sign < 0.0):
-                    nodes += 1
-                last_sign = y0
-        if err > 0.0:
-            h *= min(4.0, max(0.1, 0.9 * (tol / err) ** 0.2))
-        else:
-            h *= 4.0
+        q0 = ((c4 * s + c2) * s - ce) * h2
+        q1 = (4.0 * c4 * s + 2.0 * c2) * x * h2 * big_h
+        q2 = (6.0 * c4 * s + c2) * h4
+        q3 = 4.0 * c4 * x * h4 * big_h
+        q4 = c4 * h4 * h2
+        a = [0.0, 0.0, 0.0, 0.0, y0, y1 * big_h]
+        for j, inv in enumerate(_RECURRENCE):
+            a.append((q0 * a[j + 4] + q1 * a[j + 3] + q2 * a[j + 2]
+                      + q3 * a[j + 1] + q4 * a[j]) * inv)
+        tol = abs_tol * max(1.0, abs(y0))
+        t = min(1.0, (x_max - x) / big_h,
+                _SAFETY * (tol / max(abs(a[-2]), _TINY)) ** _ROOT_PREV,
+                _SAFETY * (tol / max(abs(a[-1]), _TINY)) ** _ROOT_LAST)
+        # Horner's rule for psi and d psi / dt at t
+        u, v = a[-1], 0.0
+        for c in reversed(a[4:-1]):
+            v = v * t + u
+            u = u * t + c
+        x += t * big_h
+        y0, y1 = u, v / big_h
+        if y0 != 0.0:
+            if (y0 < 0.0) != (last_sign < 0.0):
+                nodes += 1
+            last_sign = y0
     return y0, nodes
 
 
@@ -143,21 +128,20 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     hw = hbar_omega(spec)
 
     def wall(v: float) -> float:
-        # outer solution of k x^2 + b x^4 = v
-        if b == 0.0:
-            return math.sqrt(v / k)
-        x2 = (-k + math.sqrt(k * k + 4.0 * b * v)) / (2.0 * b)
-        return math.sqrt(x2)
+        # outer root of k x^2 + b x^4 = v, in a form that needs no b = 0
+        # branch and cannot overflow at huge b
+        root = math.hypot(k, 2.0 * math.sqrt(b) * math.sqrt(v))
+        return math.sqrt(2.0 * v / (k + root))
 
     x_margin = wall(energy + 25.0 * hw)
     # march the decay integral int sqrt((V-E)/kappa) dx to 25
-    x = wall(max(energy, 1e-12))
-    dx = 0.01 * max(x, 1.0)
+    x = wall(energy)
+    dx = 0.01 * x  # sized by the turning point, whatever its scale
     s = 0.0
     f_here = 0.0
     while s < 25.0:
         x_next = x + dx
-        v_next = k * x_next * x_next + b * x_next ** 4 - energy
+        v_next = (k + b * x_next * x_next) * x_next * x_next - energy
         f_next = math.sqrt(max(v_next, 0.0) / kappa)
         s += 0.5 * (f_here + f_next) * dx
         x, f_here = x_next, f_next
@@ -171,14 +155,18 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     Even n integrates with psi(0)=1, psi'(0)=0, odd n with psi(0)=0,
     psi'(0)=1, so only [0, x_max] is traversed and the target node count on
     the open half line is floor(n/2). The eigenvalue is where a node enters
-    through the far boundary. Node counting keeps the search on level n:
+    through the far boundary. The first upper end is the larger of
+    hbar omega (n + 3/2) and the pure-quartic scale
+    kappa^(2/3) b^(1/3) (n + 1)^(4/3), grown by 1.4x until it holds more
+    than floor(n/2) nodes. Node counting keeps the search on level n:
     the energy is bisected on the count until the bracket [lo, hi] holds a
     single count change, nodes(lo) = n//2 and nodes(hi) = n//2 + 1. Inside
     that bracket psi(x_max), whose sign is (-1)^nodes, crosses zero once,
     and Illinois regula falsi on it (x_max held fixed) picks the next
     trial. Every trial still moves lo or hi by its node count, a trial that
     lands outside the two counts sends the next step back to bisection,
-    and the midpoint is returned once hi - lo <= ``energy_tol``.
+    and the midpoint is returned once hi - lo <= max(``energy_tol``,
+    8 eps hi).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -188,7 +176,9 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     budget = cfg.max_iter
 
     e_lo = 0.0
-    e_hi = hw * (n + 1.5)
+    # the pure-quartic scale keeps bracket growth short at huge b
+    e_hi = max(hw * (n + 1.5), spec.constants.kappa ** (2.0 / 3.0)
+               * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
     x_max = cfg.x_max if cfg.x_max > 0.0 else _default_x_max(spec, e_hi)
 
     def shoot(e: float) -> tuple[float, int]:
@@ -212,11 +202,13 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
         psi_lo, nodes_lo = shoot(e_lo)
 
     lo, hi = e_lo, e_hi
+    # a bracket narrower than a few ulps of E cannot be split
+    width = max(cfg.energy_tol, 8.0 * sys.float_info.epsilon * hi)
     # regula falsi trials stay pad clear of both ends, so the far end also
     # moves once the near one has converged
-    pad = 0.5 * cfg.energy_tol
+    pad = 0.5 * width
     kept = 0  # +1 / -1 while trials keep replacing hi / lo
-    while hi - lo > cfg.energy_tol:
+    while hi - lo > width:
         budget -= 1
         if budget <= 0:
             raise ConvergenceError(
@@ -252,7 +244,8 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
     dim >= n_levels + 20 so the top of the truncated spectrum cannot
     contaminate the requested levels.
     """
-    from scipy.linalg import eig_banded  # costs ~0.3 s; only this oracle needs it
+    import numpy as np  # only this oracle needs numpy and scipy (~0.3 s)
+    from scipy.linalg import eig_banded
 
     if dim < n_levels + 20:
         raise ValueError(f"dim must be >= n_levels + 20, got {dim}")

@@ -18,6 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .polyexp import PolyExp, polyexp_moment, slater_radial
 
@@ -132,15 +133,20 @@ def x_integral(n: int, z_star: float) -> float:
                           hydrogenic_radial(1, 0, z_star), 1)
 
 
-def y_integral(n: int, n_prime: int, l: int, z_star: float) -> float:
+def y_integral(n: int, n_prime: int, l: int, z_star: float,
+               orbital: Callable[[int, int, float], PolyExp] | None = None
+               ) -> float:
     """Slater integral Y_nn'l against two 1s legs, in 1/a0 units.
 
     Y = R^l(R_nl, R_n'l; R_10, R_10): the multipole-l kernel between the
     excited orbital product on one side and the 1s^2 product on the other.
+    ``orbital(n, l, z_star)`` builds the legs, ``hydrogenic_radial`` when
+    omitted; a caller taking many Y at one charge passes a memoized one.
     """
-    r1s = hydrogenic_radial(1, 0, z_star)
-    return slater_radial(l, hydrogenic_radial(n, l, z_star),
-                         hydrogenic_radial(n_prime, l, z_star), r1s, r1s)
+    orbital = orbital or hydrogenic_radial
+    r1s = orbital(1, 0, z_star)
+    return slater_radial(l, orbital(n, l, z_star), orbital(n_prime, l, z_star),
+                         r1s, r1s)
 
 
 def variational_ground_energy(z_star: float, z: float) -> float:
@@ -215,17 +221,22 @@ def second_order_by_n_prime(z_star: float, z: float, n_max: int,
     """Second-order contribution grouped by the outer quantum number n'.
 
     Each distinct Slater integral Y_nn'l is taken once per call and shared
-    by the channels that differ only in m; nothing is kept between calls.
+    by the channels that differ only in m, and each orbital R_nl of their
+    legs is built once per call; nothing is kept between calls.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     _require_z(z)
-    y = functools.cache(y_integral)
+    orbital = functools.cache(hydrogenic_radial)
+
+    @functools.cache
+    def y(n: int, n_prime: int, l: int) -> float:
+        return y_integral(n, n_prime, l, z_star, orbital)
+
     buckets = {np: 0.0 for np in range(2, n_max + 1)}
     for ch in enumerate_channels(n_max):
         denom = -z_star * z_star * (2.0 - 1.0 / ch.n ** 2 - 1.0 / ch.n_prime ** 2)
-        amp_sq = channel_amplitude_sq(ch, z_star, z,
-                                      y(ch.n, ch.n_prime, ch.l, z_star))
+        amp_sq = channel_amplitude_sq(ch, z_star, z, y(ch.n, ch.n_prime, ch.l))
         buckets[ch.n_prime] += _m_weight(ch, m_range) * amp_sq / denom
     return buckets
 

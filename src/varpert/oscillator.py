@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .model import AnharmonicSpec
 
 
@@ -64,6 +62,8 @@ class BandMatrix:
         return float(self.bands[d, lo])
 
     def dense(self) -> np.ndarray:
+        import numpy as np
+
         a = np.zeros((self.dim, self.dim))
         for d in range(self.half_bandwidth + 1):
             idx = np.arange(self.dim - d)
@@ -128,6 +128,8 @@ def build_hamiltonian(spec: AnharmonicSpec, basis: OscBasis, dim: int) -> BandMa
     Returns a half-bandwidth-4 ``BandMatrix``; requires dim >= 8 so that at
     least one complete set of x^4 couplings is present.
     """
+    import numpy as np  # imported here so shooting-only runs never load it
+
     if dim < 8:
         raise ValueError(f"dim must be >= 8, got {dim}")
     u = basis.hbar_Omega

@@ -30,9 +30,25 @@ def test_cubic_root_residual_and_stationarity(b, n):
 
 
 def test_solve_omega_raises_when_newton_fails():
-    # the cube of the Newton seed overflows; this used to return inf
+    # 24 b kappa^2 overflows; this used to return inf
     with pytest.raises(ValueError, match="Newton iteration for hbar Omega_0"):
         solve_omega(spec_at(1e306), 0)
+
+
+def test_solve_omega_root_past_cube_overflow_of_the_seed():
+    # the cube of the unscaled Newton seed overflows from b of about 1.5e305
+    spec = spec_at(3e305)
+    sol = solve_omega(spec, 0)
+    u = sol.hbar_Omega_n
+    assert u == pytest.approx(4.71e102, rel=1e-3)
+    # the residual check, scaled by the power of two nearest u
+    e = math.frexp(u)[1]
+    v = math.ldexp(u, -e)
+    w = math.ldexp(hbar_omega(spec), -e)
+    kap = spec.constants.kappa
+    r = math.ldexp(24.0 * 3e305 * kap * kap, -3 * e)
+    assert abs(v ** 3 - w * w * v - r) <= 1e-10 * v ** 3
+    assert math.isfinite(sol.residual) and math.isfinite(sol.stationarity)
 
 
 def test_harmonic_limit_root_is_bare_quantum():

@@ -1,8 +1,10 @@
 """Shooting and diagonalization oracles: agreement, limits, failure modes."""
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -154,15 +156,23 @@ def test_shooting_matches_omega_basis_diagonalization(n, b):
     assert abs(shoot_eigenvalue(spec, n) - diag) <= 1e-9
 
 
-@pytest.mark.parametrize("b", [0.05, 1e4])
+@pytest.mark.parametrize("b", [0.05, 1e4, 1e8])
 def test_shooting_levels_ascend_strictly(b):
     spec = spec_at(b)
-    levels = [shoot_eigenvalue(spec, n) for n in range(8)]
+    levels = [shoot_eigenvalue(spec, n) for n in range(21)]
     assert all(lo < hi for lo, hi in zip(levels, levels[1:]))
 
 
+def _run_fresh(code):
+    src = str(Path(exact.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_and_table_leave_scipy_linalg_unloaded():
-    code = (
+    _run_fresh(
         "import contextlib, io, sys\n"
         "import varpert\n"
         "assert 'scipy.linalg' not in sys.modules, 'loaded by import'\n"
@@ -171,8 +181,88 @@ def test_import_and_table_leave_scipy_linalg_unloaded():
         "    assert main(['table1']) == 0\n"
         "assert 'scipy.linalg' not in sys.modules, 'loaded by table1'\n"
     )
-    src = str(Path(exact.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_table_and_helium_leave_numpy_unloaded():
+    # shooting and the closed forms are pure Python; only diagonalization
+    # needs numpy
+    _run_fresh(
+        "import contextlib, io, sys\n"
+        "import varpert\n"
+        "assert 'numpy' not in sys.modules, 'loaded by import'\n"
+        "from varpert.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['table1']) == 0\n"
+        "    assert 'numpy' not in sys.modules, 'loaded by table1'\n"
+        "    assert main(['helium']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'loaded by helium'\n"
+    )
+
+
+def _hermite(n, xi):
+    h0, h1 = 1.0, 2.0 * xi
+    for m in range(1, n):
+        h0, h1 = h1, 2.0 * xi * h1 - 2.0 * m * h0
+    return h0 if n == 0 else h1
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_integrate_reproduces_hermite_gaussian(n):
+    # at b = 0 and E = hbar omega (n + 1/2) the parity solution is
+    # H_n(xi) exp(-xi^2 / 2) with xi = sqrt(alpha) x, alpha = sqrt(k / kappa),
+    # scaled to psi(0) = 1 (even n) or psi'(0) = 1 (odd n)
+    spec = spec_at(0.0)
+    root_alpha = (spec.stiffness_k / spec.constants.kappa) ** 0.25
+    if n % 2 == 0:
+        norm = _hermite(n, 0.0)
+    else:
+        norm = root_alpha * 2.0 * n * _hermite(n - 1, 0.0)
+    # 1.5x the turning point: every node inside, psi still well above the
+    # error the growing solution picks up
+    x_max = 1.5 * math.sqrt(2 * n + 1) / root_alpha
+    xi = root_alpha * x_max
+    expected = _hermite(n, xi) * math.exp(-0.5 * xi * xi) / norm
+    psi, nodes = exact._integrate(spec, (n + 0.5) * hbar_omega(spec), n % 2,
+                                  x_max, ShootingConfig().abs_tol)
+    assert nodes == n // 2
+    assert psi == pytest.approx(expected, rel=1e-9)
+
+
+def _random_points(count, seed):
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        k = 10.0 ** rng.uniform(-4.0, 3.0)
+        b = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 8.0)
+        points.append((k, b, rng.randint(0, 20)))
+    return points
+
+
+@pytest.mark.parametrize("k, b, n", _random_points(20, seed=20261018))
+def test_shooting_matches_omega_basis_diagonalization_at_random_points(k, b, n):
+    spec = make_anharmonic_spec(k, b)
+    u = solve_omega(spec, n).hbar_Omega_n
+    diag = diag_eigenvalues(spec, dim=200, basis_u=u, n_levels=n + 1)[n]
+    assert abs(shoot_eigenvalue(spec, n) - diag) <= max(1e-9, 1e-12 * diag)
+
+
+@pytest.mark.parametrize("b", [1e20, 1e40, 1e100])
+def test_huge_b_shooting_ends_quickly(b):
+    # one ulp of these energies exceeds 1e-9 eV, and they lie up to 1e33
+    # hbar omega above the ground state of the harmonic part
+    spec = spec_at(b)
+    start = time.perf_counter()
+    levels = [shoot_eigenvalue(spec, n) for n in range(4)]
+    assert time.perf_counter() - start < 10.0
+    assert all(lo < hi for lo, hi in zip(levels, levels[1:]))
+    # pure-quartic limit E_0 = kappa^(2/3) b^(1/3) e_0 (Hioe & Montroll)
+    scale = spec.constants.kappa ** (2.0 / 3.0) * b ** (1.0 / 3.0)
+    assert levels[0] / scale == pytest.approx(1.0603620905, rel=1e-8)
+
+
+def test_energy_tol_below_float_resolution_stops_at_the_floor():
+    # no bracket narrower than 8 ulps of E can be split, so the search
+    # stops there instead of running out of budget
+    spec = spec_at(0.05)
+    e = shoot_eigenvalue(spec, 0, ShootingConfig(energy_tol=1e-300))
+    assert e == pytest.approx(shoot_eigenvalue(spec, 0), abs=1e-9)

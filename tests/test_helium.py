@@ -298,6 +298,21 @@ def test_second_order_takes_each_slater_integral_once_per_call(monkeypatch):
     assert len(calls) == 38
 
 
+def test_second_order_builds_each_orbital_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hydrogenic_radial(*args)
+
+    monkeypatch.setattr(helium, "hydrogenic_radial", counted)
+    second_order_by_n_prime(ZS, 2.0, 4)
+    # the Y legs need the 10 orbitals R_nl with n <= 4; X_n' takes R_n'0
+    # and R_10 directly for each n' = 2, 3, 4
+    assert len(set(calls)) == 10
+    assert len(calls) == 10 + 2 * 3
+
+
 def test_run_helium_sums_the_channels_once(monkeypatch):
     sums = []
 

@@ -218,14 +218,26 @@ def test_cli_convergence_failure_exit_code(monkeypatch, capsys):
     assert "unconverged" in capsys.readouterr().out
 
 
+def test_cli_table1_at_huge_b_finishes(capsys):
+    # E_0 is the pure-quartic limit kappa^(2/3) b^(1/3) e_0
+    assert main(["table1", "--b", "1e40"]) == 0
+    assert "| exact | 5.572749e+13 |" in capsys.readouterr().out
+
+
 def test_cli_levels_flag(capsys):
     assert main(["table3", "--b", "0.05", "--levels", "2"]) == 0
     out = capsys.readouterr().out
     assert "## level n = 1" in out and "## level n = 2" in out
 
 
-def test_table2_markdown_shows_unconverged_note(capsys):
-    assert main(["table2", "--b", "0.05", "--exact-tol", "1e-300"]) == 3
+def test_table2_markdown_shows_unconverged_note(monkeypatch, capsys):
+    # the bracket stops at 8 ulps of E whatever the tolerance, so no
+    # --exact-tol exhausts the budget and the failure is forced
+    def exhausted(spec, n, cfg):
+        raise ConvergenceError(f"search budget exhausted for level n={n}", n=n)
+
+    monkeypatch.setattr(reports, "shoot_eigenvalue", exhausted)
+    assert main(["table2", "--b", "0.05"]) == 3
     out = capsys.readouterr().out
     assert ("| exact | nan [unconverged: search budget exhausted for level "
             "n=0] | |") in out
