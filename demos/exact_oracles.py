@@ -12,8 +12,8 @@ They share no code path beyond the potential itself.
 
 Run with: python3 demos/exact_oracles.py
 """
-from varpert import (ShootingConfig, diag_eigenvalues, hbar_omega,
-                     make_anharmonic_spec, shoot_eigenvalue)
+from varpert import (diag_eigenvalues, hbar_omega, make_anharmonic_spec,
+                     shoot_eigenvalue)
 
 K = 0.5
 
@@ -48,9 +48,9 @@ def harmonic_sanity():
 def tolerance_behavior():
     print("--- the energy tolerance is an honest knob ---")
     spec = make_anharmonic_spec(K, 0.25)
-    reference = shoot_eigenvalue(spec, 2, ShootingConfig(energy_tol=1e-11))
+    reference = shoot_eigenvalue(spec, 2, energy_tol=1e-11)
     for tol in (1e-5, 1e-7, 1e-9):
-        e = shoot_eigenvalue(spec, 2, ShootingConfig(energy_tol=tol))
+        e = shoot_eigenvalue(spec, 2, energy_tol=tol)
         print(f"energy_tol = {tol:.0e}: E_2 = {e:.12f} eV "
               f"(off by {abs(e - reference):.1e})")
     print("Halving the tolerance moves the answer by less than the")

@@ -13,16 +13,15 @@ from .anharmonic import (OmegaSolution, energy_conventional_pt,
                          energy_variational, pt_divergent,
                          second_order_closed_form, second_order_sum,
                          solve_omega)
-from .exact import (ConvergenceError, ShootingConfig, diag_eigenvalues,
-                    shoot_eigenvalue)
+from .exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from .helium import (HeliumChannel, HeliumResult, enumerate_channels,
                      excited_triplet_energy, ground_state, hydrogenic_radial,
                      optimal_zstar_excited, optimal_zstar_ground,
                      second_order_correction, variational_ground_energy)
 from .model import (AnharmonicSpec, Constants, LevelResult, hbar_omega,
                     make_anharmonic_spec)
-from .oscillator import (BandMatrix, OscBasis, build_hamiltonian,
-                         hprime_element, x2_element, x4_element)
+from .oscillator import (OscBasis, build_hamiltonian, hprime_element,
+                         x2_element, x4_element)
 from .polyexp import PolyExp, polyexp_moment, slater_radial
 from .reports import ReportDocument, RunConfig, run_helium, run_table
 
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnharmonicSpec",
-    "BandMatrix",
     "Constants",
     "ConvergenceError",
     "HeliumChannel",
@@ -41,7 +39,6 @@ __all__ = [
     "PolyExp",
     "ReportDocument",
     "RunConfig",
-    "ShootingConfig",
     "build_hamiltonian",
     "diag_eigenvalues",
     "energy_conventional_pt",

@@ -44,15 +44,13 @@ def _beta(spec: AnharmonicSpec, u: float) -> float:
 class OmegaSolution:
     """Optimized basis quantum for one level.
 
-    ``residual`` is the cubic's value at the root (eV^3) and ``stationarity``
-    the central finite-difference derivative dE1/du at the root (step
-    1e-6 u); both are diagnostics kept small by construction.
+    ``residual`` is the cubic's value at the root (eV^3), a diagnostic kept
+    small by construction.
     """
 
     n: int
     hbar_Omega_n: float
     residual: float
-    stationarity: float
 
 
 def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
@@ -92,11 +90,7 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
         if not abs(cubic(v)) <= 1e-10 * v ** 3:
             raise ValueError(f"Newton iteration for hbar Omega_{n} failed: "
                              f"u = {u}, residual {residual}")
-
-    h = 1e-6 * u
-    stat = (energy_first_order(spec, n, u + h)
-            - energy_first_order(spec, n, u - h)) / (2.0 * h)
-    return OmegaSolution(n=n, hbar_Omega_n=u, residual=residual, stationarity=stat)
+    return OmegaSolution(n=n, hbar_Omega_n=u, residual=residual)
 
 
 def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:

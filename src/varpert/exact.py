@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .model import AnharmonicSpec, hbar_omega
@@ -22,6 +21,8 @@ _RECURRENCE = tuple(1.0 / ((j + 1) * (j + 2)) for j in range(ORDER - 1))
 _ROOT_PREV, _ROOT_LAST = 1.0 / (ORDER - 1), 1.0 / ORDER
 _SAFETY = 0.5  # shrinks the last terms by a further 2^-ORDER or so
 _TINY = sys.float_info.min
+ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to max(1, |psi|)
+MAX_ITER = 240  # combined budget of bracket-growth and search steps
 
 
 class ConvergenceError(RuntimeError):
@@ -32,40 +33,8 @@ class ConvergenceError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Numerical knobs of the shooting search.
-
-    ``x_max`` overrides the integration half-width when positive; by default
-    the width is sized per energy so that the potential wall both exceeds
-    E by 25 harmonic quanta and accumulates 25 WKB decay constants beyond
-    the turning point, keeping boundary contamination of the eigenvalue
-    below 1e-10. ``abs_tol`` (at most 1e-6) bounds the truncation of each
-    Taylor step, relative to max(1, |psi|). ``energy_tol`` is the final
-    width of the energy bracket, floored at 8 ulps of E (8 eps E, above
-    1e-9 eV only once E passes about 5e5 eV), since no narrower bracket
-    can be split. ``max_iter`` is the combined budget of bracket-growth
-    and search steps.
-    """
-
-    x_max: float = 0.0
-    abs_tol: float = 1e-10
-    energy_tol: float = 1e-9
-    max_iter: int = 240
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.abs_tol <= 1e-6:
-            raise ValueError("abs_tol must lie in (0, 1e-6]")
-        if not (self.energy_tol > 0.0 and math.isfinite(self.energy_tol)):
-            raise ValueError("energy_tol must be finite and > 0")
-        if not math.isfinite(self.x_max):
-            raise ValueError("x_max must be finite")
-        if self.max_iter < 8:
-            raise ValueError("max_iter must be >= 8")
-
-
 def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
-               x_max: float, abs_tol: float) -> tuple[float, int]:
+               x_max: float) -> tuple[float, int]:
     """March psi from 0 to x_max; return (psi(x_max), node count).
 
     Taylor-series steps of fixed order ``ORDER`` on psi'' = q(x) psi with
@@ -73,7 +42,7 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     in powers of t = (x - x0) / H, H = pi / (2 sqrt(E / kappa)), and the
     series coefficients a_j of psi(x0 + H t) obey the five-term recurrence
     (j+1)(j+2) a_{j+2} = sum_{i<=4} q_i a_{j-i}. The step t <= 1 keeps the
-    last two terms within ``abs_tol`` max(1, |psi|), so no step is ever
+    last two terms within ``ABS_TOL`` max(1, |psi|), so no step is ever
     rejected. As V >= 0, zeros of psi lie at least 2H apart (Sturm
     comparison with the free wave at energy E), so a step of at most H
     holds at most one of them and a sign change counts it exactly.
@@ -102,7 +71,7 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
         for j, inv in enumerate(_RECURRENCE):
             a.append((q0 * a[j + 4] + q1 * a[j + 3] + q2 * a[j + 2]
                       + q3 * a[j + 1] + q4 * a[j]) * inv)
-        tol = abs_tol * max(1.0, abs(y0))
+        tol = ABS_TOL * max(1.0, abs(y0))
         t = min(1.0, (x_max - x) / big_h,
                 _SAFETY * (tol / max(abs(a[-2]), _TINY)) ** _ROOT_PREV,
                 _SAFETY * (tol / max(abs(a[-1]), _TINY)) ** _ROOT_LAST)
@@ -121,7 +90,7 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
 
 
 def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
-    """Half-width combining the energy-margin and WKB-decay criteria."""
+    """Box half-width: the wall clears E by 25 quanta and 25 decay lengths."""
     k = spec.stiffness_k
     b = spec.quartic_b
     kappa = spec.constants.kappa
@@ -149,7 +118,7 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
 
 
 def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
-                     cfg: ShootingConfig = ShootingConfig()) -> float:
+                     energy_tol: float = 1e-9) -> float:
     """n-th eigenvalue by parity shooting: node-count bracket, then refine.
 
     Even n integrates with psi(0)=1, psi'(0)=0, odd n with psi(0)=0,
@@ -166,23 +135,26 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     trial. Every trial still moves lo or hi by its node count, a trial that
     lands outside the two counts sends the next step back to bisection,
     and the midpoint is returned once hi - lo <= max(``energy_tol``,
-    8 eps hi).
+    8 eps hi), as no narrower bracket can be split: a width, not an
+    accuracy bound. ``MAX_ITER`` trials bound growth and search together.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not (energy_tol > 0.0 and math.isfinite(energy_tol)):
+        raise ValueError("energy_tol must be finite and > 0")
     parity = n % 2
     target = n // 2
     hw = hbar_omega(spec)
-    budget = cfg.max_iter
+    budget = MAX_ITER
 
     e_lo = 0.0
     # the pure-quartic scale keeps bracket growth short at huge b
     e_hi = max(hw * (n + 1.5), spec.constants.kappa ** (2.0 / 3.0)
                * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
-    x_max = cfg.x_max if cfg.x_max > 0.0 else _default_x_max(spec, e_hi)
+    x_max = _default_x_max(spec, e_hi)
 
     def shoot(e: float) -> tuple[float, int]:
-        return _integrate(spec, e, parity, x_max, cfg.abs_tol)
+        return _integrate(spec, e, parity, x_max)
 
     psi_hi, nodes_hi = shoot(e_hi)
     psi_lo, nodes_lo = 0.0, -1  # E = 0 is not integrated: bisect first
@@ -194,8 +166,7 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
                 n=n, e_hi=e_hi, nodes=nodes_hi, target=target)
         e_lo = e_hi
         e_hi *= 1.4
-        if cfg.x_max <= 0.0:
-            x_max = _default_x_max(spec, e_hi)
+        x_max = _default_x_max(spec, e_hi)
         psi_hi, nodes_hi = shoot(e_hi)
     if e_lo > 0.0:
         # the grown bracket's lower end, integrated on the final x_max
@@ -203,7 +174,7 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
 
     lo, hi = e_lo, e_hi
     # a bracket narrower than a few ulps of E cannot be split
-    width = max(cfg.energy_tol, 8.0 * sys.float_info.epsilon * hi)
+    width = max(energy_tol, 8.0 * sys.float_info.epsilon * hi)
     # regula falsi trials stay pad clear of both ends, so the far end also
     # moves once the near one has converged
     pad = 0.5 * width
@@ -214,7 +185,7 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
             raise ConvergenceError(
                 f"search budget exhausted for level n={n}",
                 n=n, e_lo=lo, e_hi=hi, width=hi - lo,
-                energy_tol=cfg.energy_tol)
+                energy_tol=energy_tol)
         trial = 0.5 * (lo + hi)
         if nodes_lo == target and nodes_hi == target + 1:
             # the counts differ by one, so psi_lo and psi_hi differ in sign
@@ -244,16 +215,18 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
     dim >= n_levels + 20 so the top of the truncated spectrum cannot
     contaminate the requested levels.
     """
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
+    if dim < n_levels + 20:
+        raise ValueError(f"dim must be >= n_levels + 20, got {dim}")
     import numpy as np  # only this oracle needs numpy and scipy (~0.3 s)
     from scipy.linalg import eig_banded
 
-    if dim < n_levels + 20:
-        raise ValueError(f"dim must be >= n_levels + 20, got {dim}")
     u = hbar_omega(spec) if basis_u is None else basis_u
     basis = OscBasis(hbar_Omega=u, kappa=spec.constants.kappa)
-    ham = build_hamiltonian(spec, basis, dim)
+    bands = build_hamiltonian(spec, basis, dim)
     try:
-        w = eig_banded(ham.bands, lower=True, eigvals_only=True,
+        w = eig_banded(bands, lower=True, eigvals_only=True,
                        select="i", select_range=(0, n_levels - 1))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"band eigensolver failed: {exc}",

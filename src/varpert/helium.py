@@ -24,6 +24,7 @@ from .polyexp import PolyExp, polyexp_moment, slater_radial
 
 E2_RYD_A0 = 2.0        # e^2 in ryd a0
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+Orbital = Callable[[int, int, float], PolyExp]  # (n, l, z_star) -> R_nl
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class HeliumChannel:
     n_prime: int
     l: int
     m: int
-    A: float
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= self.n_prime:
@@ -52,16 +52,10 @@ class HeliumChannel:
             raise ValueError("need 0 <= l <= n - 1")
         if not 0 <= self.m <= self.l:
             raise ValueError("need 0 <= m <= l")
-        identical = self.n == self.n_prime and self.m == 0
-        expected = 0.5 if identical else INV_SQRT2
-        if abs(self.A - expected) > 1e-15:
-            raise ValueError(f"A must be {expected} for this channel")
 
-    @classmethod
-    def make(cls, n: int, n_prime: int, l: int, m: int) -> "HeliumChannel":
-        identical = n == n_prime and m == 0
-        return cls(n=n, n_prime=n_prime, l=l, m=m,
-                   A=0.5 if identical else INV_SQRT2)
+    @property
+    def A(self) -> float:
+        return 0.5 if self.n == self.n_prime and self.m == 0 else INV_SQRT2
 
 
 @dataclass(frozen=True)
@@ -125,17 +119,17 @@ def hydrogenic_radial(n: int, l: int, z_star: float) -> PolyExp:
                    scale=math.sqrt(float(norm_sq)))
 
 
-def x_integral(n: int, z_star: float) -> float:
-    """Radial overlap X_n = int r^2 R_n0 (1/r) R_10 dr in 1/a0 units."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return polyexp_moment(hydrogenic_radial(n, 0, z_star),
-                          hydrogenic_radial(1, 0, z_star), 1)
+def x_integral(n: int, z_star: float, orbital: Orbital | None = None) -> float:
+    """Radial overlap X_n = int r^2 R_n0 (1/r) R_10 dr in 1/a0 units.
+
+    ``orbital`` builds R_n0 and R_10 as in ``y_integral``.
+    """
+    orbital = orbital or hydrogenic_radial
+    return polyexp_moment(orbital(n, 0, z_star), orbital(1, 0, z_star), 1)
 
 
 def y_integral(n: int, n_prime: int, l: int, z_star: float,
-               orbital: Callable[[int, int, float], PolyExp] | None = None
-               ) -> float:
+               orbital: Orbital | None = None) -> float:
     """Slater integral Y_nn'l against two 1s legs, in 1/a0 units.
 
     Y = R^l(R_nl, R_n'l; R_10, R_10): the multipole-l kernel between the
@@ -167,7 +161,7 @@ def optimal_zstar_ground(z: float) -> float:
 
 
 def channel_amplitude_sq(ch: HeliumChannel, z_star: float, z: float,
-                         y: float) -> float:
+                         y: float, orbital: Orbital | None = None) -> float:
     """Squared matrix element |<channel| H' |1s^2>|^2 in ryd^2.
 
     ``y`` is the channel's Slater integral Y_nn'l at ``z_star``
@@ -177,12 +171,13 @@ def channel_amplitude_sq(ch: HeliumChannel, z_star: float, z: float,
     2 A e^2 (-1)^m Y_nn'l / (2l+1) for every channel; the one-body
     screening part -2 A (Z - Z*) e^2 X_n' contributes only in the 1s n's
     channels (n = 1, so l = m = 0), where one orbital stays 1s, and
-    interferes with the Coulomb part there.
+    interferes with the Coulomb part there. ``orbital`` builds the
+    orbitals of X_n' as in ``x_integral``.
     """
     amp = 2.0 * ch.A * E2_RYD_A0 * ((-1.0) ** ch.m) * y / (2 * ch.l + 1)
     if ch.n == 1:
         amp += (-2.0 * ch.A * (z - z_star) * E2_RYD_A0
-                * x_integral(ch.n_prime, z_star))
+                * x_integral(ch.n_prime, z_star, orbital))
     return amp * amp
 
 
@@ -197,7 +192,7 @@ def enumerate_channels(n_max: int) -> list[HeliumChannel]:
                 continue
             for l in range(0, n):
                 for m in range(0, l + 1):
-                    out.append(HeliumChannel.make(n, n_prime, l, m))
+                    out.append(HeliumChannel(n, n_prime, l, m))
     return out
 
 
@@ -221,8 +216,8 @@ def second_order_by_n_prime(z_star: float, z: float, n_max: int,
     """Second-order contribution grouped by the outer quantum number n'.
 
     Each distinct Slater integral Y_nn'l is taken once per call and shared
-    by the channels that differ only in m, and each orbital R_nl of their
-    legs is built once per call; nothing is kept between calls.
+    by the channels that differ only in m, and each orbital R_nl is built
+    once per call; nothing is kept between calls.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -236,7 +231,8 @@ def second_order_by_n_prime(z_star: float, z: float, n_max: int,
     buckets = {np: 0.0 for np in range(2, n_max + 1)}
     for ch in enumerate_channels(n_max):
         denom = -z_star * z_star * (2.0 - 1.0 / ch.n ** 2 - 1.0 / ch.n_prime ** 2)
-        amp_sq = channel_amplitude_sq(ch, z_star, z, y(ch.n, ch.n_prime, ch.l))
+        amp_sq = channel_amplitude_sq(ch, z_star, z,
+                                      y(ch.n, ch.n_prime, ch.l), orbital)
         buckets[ch.n_prime] += _m_weight(ch, m_range) * amp_sq / denom
     return buckets
 

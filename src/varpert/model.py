@@ -39,15 +39,21 @@ class Constants:
     def from_file(cls, path: str) -> "Constants":
         """Load overrides from a flat JSON file.
 
-        The one recognized key is ``kappa_eV_A2``; when it is missing the
-        default holds, and any other key is rejected.
+        The file holds one JSON object whose one recognized key is
+        ``kappa_eV_A2``, a number; when it is missing the default holds,
+        and any other key is rejected.
         """
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: constants must be a JSON object")
         unknown = set(raw) - {"kappa_eV_A2"}
         if unknown:
             raise ValueError(f"unknown constants keys: {sorted(unknown)}")
-        return cls(float(raw["kappa_eV_A2"])) if raw else cls()
+        kappa = raw.get("kappa_eV_A2", KAPPA_EV_A2)
+        if type(kappa) not in (int, float):  # neither bool nor string
+            raise ValueError(f"kappa_eV_A2 must be a number, got {kappa!r}")
+        return cls(float(kappa))
 
 
 @dataclass(frozen=True)

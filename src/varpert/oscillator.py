@@ -5,7 +5,7 @@ oscillator with quantum hbar Omega, the perturbation operator
 
     H' = (k - m Omega^2 / 2) x^2 + b x^4,
 
-and assembly of the full Hamiltonian as a symmetric band matrix. With
+and assembly of the full Hamiltonian in symmetric band storage. With
 s^2 = hbar/(2 m Omega) = kappa / (hbar Omega), the ladder expansion
 x = s (a + a^dagger) gives every element in closed form; the only nonzero
 off-diagonals are |k - n| in {2} for x^2 and {2, 4} for x^4.
@@ -13,7 +13,7 @@ off-diagonals are |k - n| in {2} for x^2 and {2, 4} for x^4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import AnharmonicSpec
 
@@ -38,38 +38,6 @@ class OscBasis:
     @property
     def s2(self) -> float:
         return self.kappa / self.hbar_Omega
-
-
-@dataclass
-class BandMatrix:
-    """Real symmetric band matrix in lower band storage.
-
-    ``bands[d, j]`` holds entry (j + d, j) for diagonal offset d up to
-    ``half_bandwidth``; everything further from the diagonal is exactly zero.
-    """
-
-    dim: int
-    half_bandwidth: int
-    bands: np.ndarray = field(repr=False)
-
-    def entry(self, i: int, j: int) -> float:
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexError(f"index ({i}, {j}) outside dim {self.dim}")
-        lo, hi = min(i, j), max(i, j)
-        d = hi - lo
-        if d > self.half_bandwidth:
-            return 0.0
-        return float(self.bands[d, lo])
-
-    def dense(self) -> np.ndarray:
-        import numpy as np
-
-        a = np.zeros((self.dim, self.dim))
-        for d in range(self.half_bandwidth + 1):
-            idx = np.arange(self.dim - d)
-            a[idx + d, idx] = self.bands[d, : self.dim - d]
-            a[idx, idx + d] = self.bands[d, : self.dim - d]
-        return a
 
 
 def x2_element(basis: OscBasis, k: int, n: int) -> float:
@@ -122,11 +90,13 @@ def hprime_element(spec: AnharmonicSpec, basis: OscBasis, k: int, n: int) -> flo
     return c2 * x2_element(basis, k, n) + spec.quartic_b * x4_element(basis, k, n)
 
 
-def build_hamiltonian(spec: AnharmonicSpec, basis: OscBasis, dim: int) -> BandMatrix:
+def build_hamiltonian(spec: AnharmonicSpec, basis: OscBasis,
+                      dim: int) -> np.ndarray:
     """Assemble H = hbar Omega (N + 1/2) + H' in the first ``dim`` states.
 
-    Returns a half-bandwidth-4 ``BandMatrix``; requires dim >= 8 so that at
-    least one complete set of x^4 couplings is present.
+    Returns the (5, dim) lower band storage of ``scipy.linalg.eig_banded``,
+    bands[d, j] = H[j + d, j]; requires dim >= 8 so that at least one
+    complete set of x^4 couplings is present.
     """
     import numpy as np  # imported here so shooting-only runs never load it
 
@@ -146,4 +116,4 @@ def build_hamiltonian(spec: AnharmonicSpec, basis: OscBasis, dim: int) -> BandMa
                            + b * s2 * s2 * (4.0 * ns + 6.0) * root2)[: dim - 2]
     root4 = np.sqrt((ns + 1.0) * (ns + 2.0) * (ns + 3.0) * (ns + 4.0))
     bands[4, : dim - 4] = (b * s2 * s2 * root4)[: dim - 4]
-    return BandMatrix(dim=dim, half_bandwidth=4, bands=bands)
+    return bands

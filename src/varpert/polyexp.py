@@ -15,9 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
-Rational = Fraction | int
 
 
 @dataclass(frozen=True)
@@ -39,23 +36,6 @@ class PolyExp:
         for coeff, power in self.terms:
             if not isinstance(power, int) or power < 0:
                 raise ValueError(f"powers must be integers >= 0, got {power}")
-
-    @classmethod
-    def build(cls, terms: Iterable[tuple[Rational, int]], gamma: Rational,
-              scale: float = 1.0) -> "PolyExp":
-        """Normalize inputs to exact ``Fraction`` coefficients."""
-        tt = tuple((Fraction(c), int(p)) for c, p in terms)
-        return cls(terms=tt, gamma=Fraction(gamma), scale=float(scale))
-
-    def __call__(self, r):
-        """Evaluate pointwise; accepts scalars or numpy arrays."""
-        import numpy as np
-
-        g = float(self.gamma)
-        acc = 0.0
-        for coeff, power in self.terms:
-            acc = acc + float(coeff) * np.power(r, power)
-        return self.scale * acc * np.exp(-g * np.asarray(r, dtype=float))
 
 
 def _product(f: PolyExp, g: PolyExp, extra_power: int = 0) -> tuple[dict[int, Fraction], Fraction]:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from . import reference as ref
 from .anharmonic import (energy_conventional_pt, energy_present,
                          energy_variational, pt_divergent, solve_omega)
-from .exact import ConvergenceError, ShootingConfig, diag_eigenvalues, shoot_eigenvalue
+from .exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from .helium import excited_triplet_energy, ground_state, optimal_zstar_excited
 from .model import Constants, hbar_omega, make_anharmonic_spec
 
@@ -128,7 +128,7 @@ def _oscillator_cells(cfg: RunConfig, constants: Constants, n: int,
         ("present", energy_present(spec, n).e_total, ""),
     ]
     try:
-        exact = shoot_eigenvalue(spec, n, ShootingConfig(energy_tol=cfg.exact_tol))
+        exact = shoot_eigenvalue(spec, n, energy_tol=cfg.exact_tol)
         exact_note = ""
     except ConvergenceError as exc:
         exact, exact_note = math.nan, f"unconverged: {exc}"

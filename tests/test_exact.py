@@ -12,8 +12,7 @@ import pytest
 import varpert.exact as exact
 import varpert.reference as ref
 from varpert.anharmonic import solve_omega
-from varpert.exact import (ConvergenceError, ShootingConfig, diag_eigenvalues,
-                           shoot_eigenvalue)
+from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from varpert.model import hbar_omega, make_anharmonic_spec
 
 # the (level, b) points of the published Tables 1 and 3
@@ -70,39 +69,47 @@ def test_diag_dimension_guard():
         diag_eigenvalues(spec_at(0.05), dim=23, n_levels=4)
 
 
+@pytest.mark.parametrize("n_levels", [0, -1])
+def test_diag_rejects_fewer_than_one_level(n_levels, monkeypatch):
+    # refused before the Hamiltonian is built, not inside the eigensolver
+    def unbuilt(*args):
+        raise AssertionError("Hamiltonian built")
+
+    monkeypatch.setattr(exact, "build_hamiltonian", unbuilt)
+    with pytest.raises(ValueError, match=r"^n_levels must be >= 1$"):
+        diag_eigenvalues(spec_at(0.05), n_levels=n_levels)
+
+
 def test_shooting_tolerance_halving():
     spec = spec_at(0.05)
     tol = 1e-7
-    e_coarse = shoot_eigenvalue(spec, 1, ShootingConfig(energy_tol=tol))
-    e_fine = shoot_eigenvalue(spec, 1, ShootingConfig(energy_tol=tol / 2.0))
+    e_coarse = shoot_eigenvalue(spec, 1, energy_tol=tol)
+    e_fine = shoot_eigenvalue(spec, 1, energy_tol=tol / 2.0)
     assert abs(e_coarse - e_fine) <= tol
 
 
-def test_shooting_explicit_box_matches_default():
+def test_shooting_explicit_box_matches_default(monkeypatch):
     spec = spec_at(0.05)
     e_auto = shoot_eigenvalue(spec, 0)
-    e_wide = shoot_eigenvalue(spec, 0, ShootingConfig(x_max=9.0))
+    # one fixed box for every trial energy, wider than the 8.5 A one
+    # sized per energy here
+    monkeypatch.setattr(exact, "_default_x_max", lambda spec, energy: 9.0)
+    e_wide = shoot_eigenvalue(spec, 0)
     assert e_auto == pytest.approx(e_wide, abs=1e-8)
 
 
 def test_shooting_config_validation():
-    with pytest.raises(ValueError, match="abs_tol"):
-        ShootingConfig(abs_tol=1e-5)  # looser than the 1e-6 ceiling
-    with pytest.raises(ValueError, match="abs_tol"):
-        ShootingConfig(abs_tol=0.0)
-    with pytest.raises(ValueError, match="energy_tol"):
-        ShootingConfig(energy_tol=0.0)
-    with pytest.raises(ValueError, match="max_iter"):
-        ShootingConfig(max_iter=4)
+    # energy_tol is the one setting of the search
+    for bad in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="energy_tol must be finite"):
+            shoot_eigenvalue(spec_at(0.05), 0, energy_tol=bad)
 
 
 def test_shooting_config_rejects_non_finite_values():
-    # an infinite width used to hang the search, an infinite tolerance to
-    # skip refinement altogether
-    with pytest.raises(ValueError, match="energy_tol"):
-        ShootingConfig(energy_tol=math.inf)
-    with pytest.raises(ValueError, match="x_max"):
-        ShootingConfig(x_max=math.inf)
+    # an infinite tolerance used to skip refinement altogether
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="energy_tol must be finite"):
+            shoot_eigenvalue(spec_at(0.05), 0, energy_tol=bad)
 
 
 def test_shooting_rejects_negative_level():
@@ -110,11 +117,11 @@ def test_shooting_rejects_negative_level():
         shoot_eigenvalue(spec_at(0.05), -1)
 
 
-def test_shooting_budget_exhaustion_raises():
+def test_shooting_budget_exhaustion_raises(monkeypatch):
     spec = spec_at(0.05)
+    monkeypatch.setattr(exact, "MAX_ITER", 8)
     with pytest.raises(ConvergenceError) as err:
-        shoot_eigenvalue(spec, 0, ShootingConfig(energy_tol=1e-13,
-                                                 max_iter=8))
+        shoot_eigenvalue(spec, 0, energy_tol=1e-13)
     assert err.value.diagnostics["n"] == 0
     assert "energy_tol" in err.value.diagnostics
 
@@ -223,7 +230,7 @@ def test_integrate_reproduces_hermite_gaussian(n):
     xi = root_alpha * x_max
     expected = _hermite(n, xi) * math.exp(-0.5 * xi * xi) / norm
     psi, nodes = exact._integrate(spec, (n + 0.5) * hbar_omega(spec), n % 2,
-                                  x_max, ShootingConfig().abs_tol)
+                                  x_max)
     assert nodes == n // 2
     assert psi == pytest.approx(expected, rel=1e-9)
 
@@ -264,5 +271,5 @@ def test_energy_tol_below_float_resolution_stops_at_the_floor():
     # no bracket narrower than 8 ulps of E can be split, so the search
     # stops there instead of running out of budget
     spec = spec_at(0.05)
-    e = shoot_eigenvalue(spec, 0, ShootingConfig(energy_tol=1e-300))
+    e = shoot_eigenvalue(spec, 0, energy_tol=1e-300)
     assert e == pytest.approx(shoot_eigenvalue(spec, 0), abs=1e-9)

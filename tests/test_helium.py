@@ -13,6 +13,8 @@ from varpert.helium import (HeliumChannel, HeliumResult, channel_amplitude_sq,
                             variational_ground_energy, x_integral, y_integral)
 from varpert.polyexp import polyexp_moment
 
+from polyexp_helpers import evaluate
+
 ZS = 1.6875  # optimal ground-state effective charge at Z = 2
 
 
@@ -40,6 +42,8 @@ def test_radial_validation():
         hydrogenic_radial(2, 2, ZS)
     with pytest.raises(ValueError):
         hydrogenic_radial(2, 0, 0.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        x_integral(0, ZS)
 
 
 NON_FINITE = [float("inf"), float("nan")]
@@ -86,7 +90,8 @@ def test_energies_reject_bad_nuclear_charge(bad):
 
 def test_radial_against_quadrature():
     r32 = hydrogenic_radial(3, 2, ZS)
-    val, _ = quad(lambda r: r * r * r32(r) ** 2, 0.0, 80.0, limit=300)
+    val, _ = quad(lambda r: r * r * evaluate(r32, r) ** 2, 0.0, 80.0,
+                  limit=300)
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
@@ -130,10 +135,10 @@ def test_optimal_zstar_ground_is_stationary():
 
 
 def test_channel_construction_and_symmetry_factor():
-    ch = HeliumChannel.make(1, 2, 0, 0)
+    ch = HeliumChannel(1, 2, 0, 0)
     assert ch.A == pytest.approx(1.0 / math.sqrt(2.0))
-    assert HeliumChannel.make(2, 2, 0, 0).A == 0.5       # identical orbitals
-    assert HeliumChannel.make(2, 2, 1, 1).A == pytest.approx(
+    assert HeliumChannel(2, 2, 0, 0).A == 0.5            # identical orbitals
+    assert HeliumChannel(2, 2, 1, 1).A == pytest.approx(
         1.0 / math.sqrt(2.0))                            # m breaks identity
 
 
@@ -141,18 +146,13 @@ def test_channel_construction_and_symmetry_factor():
                                   (2, 3, 1, 2)])
 def test_channel_validation(args):
     with pytest.raises(ValueError):
-        HeliumChannel.make(*args)
-
-
-def test_channel_rejects_wrong_symmetry_factor():
-    with pytest.raises(ValueError, match="A must be"):
-        HeliumChannel(n=1, n_prime=2, l=0, m=0, A=0.5)
+        HeliumChannel(*args)
 
 
 def test_enumerate_channels():
     chans = enumerate_channels(7)
     assert len(chans) == 209
-    assert chans[0] == HeliumChannel.make(1, 2, 0, 0)
+    assert chans[0] == HeliumChannel(1, 2, 0, 0)
     assert all(ch.n_prime <= 7 for ch in chans)
     assert len(set(chans)) == len(chans)
     # the count grows with the cutoff and starts at the single (1,2) channel
@@ -162,7 +162,7 @@ def test_enumerate_channels():
 def test_amplitude_composition_s_channel():
     # the 1s ns amplitude interferes the Coulomb and screening parts:
     # sqrt(2) (e^2 Y_1n0 - (Z - Z*) e^2 X_n), squared
-    ch = HeliumChannel.make(1, 2, 0, 0)
+    ch = HeliumChannel(1, 2, 0, 0)
     y = y_integral(1, 2, 0, ZS)
     x = x_integral(2, ZS)
     expected = 2.0 * (2.0 * y - (2.0 - ZS) * 2.0 * x) ** 2
@@ -173,7 +173,7 @@ def test_amplitude_composition_s_channel():
 def test_amplitude_composition_higher_l():
     # no screening term away from l = 0; the (2l+1) and (-1)^m factors
     # come from the multipole expansion
-    ch = HeliumChannel.make(2, 2, 1, 1)
+    ch = HeliumChannel(2, 2, 1, 1)
     y = y_integral(2, 2, 1, ZS)
     expected = (2.0 * (1.0 / math.sqrt(2.0)) * 2.0 * (-1.0) * y / 3.0) ** 2
     assert channel_amplitude_sq(ch, ZS, 2.0, y) == pytest.approx(expected,
@@ -307,10 +307,10 @@ def test_second_order_builds_each_orbital_once_per_call(monkeypatch):
 
     monkeypatch.setattr(helium, "hydrogenic_radial", counted)
     second_order_by_n_prime(ZS, 2.0, 4)
-    # the Y legs need the 10 orbitals R_nl with n <= 4; X_n' takes R_n'0
-    # and R_10 directly for each n' = 2, 3, 4
+    # the Y legs need the 10 orbitals R_nl with n <= 4, and the X_n'
+    # overlaps take R_n'0 and R_10 from the same memo
     assert len(set(calls)) == 10
-    assert len(calls) == 10 + 2 * 3
+    assert len(calls) == 10
 
 
 def test_run_helium_sums_the_channels_once(monkeypatch):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from varpert.cli import main
 from varpert.model import (Constants, LevelResult, hbar_omega,
                            make_anharmonic_spec)
 
@@ -25,6 +26,8 @@ def test_constants_from_file(tmp_path):
     path = tmp_path / "const.json"
     path.write_text(json.dumps({"kappa_eV_A2": 3.81}))
     assert Constants.from_file(str(path)).kappa == 3.81
+    path.write_text('{"kappa_eV_A2": 4}')  # a JSON integer is a number too
+    assert Constants.from_file(str(path)).kappa == 4.0
     path.write_text("{}")
     assert Constants.from_file(str(path)) == Constants()  # untouched default
 
@@ -36,6 +39,22 @@ def test_constants_from_file_rejects_unknown_keys(tmp_path):
         path.write_text(json.dumps({"kappa_eV_A2": 3.81, key: 1.0}))
         with pytest.raises(ValueError, match=key):
             Constants.from_file(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "constants must be a JSON object"),
+    ('{"kappa_eV_A2": null}', "kappa_eV_A2 must be a number, got None"),
+    ('{"kappa_eV_A2": true}', "kappa_eV_A2 must be a number, got True"),
+    ('{"kappa_eV_A2": "3.81"}', "kappa_eV_A2 must be a number, got '3.81'"),
+])
+def test_malformed_constants_file_exits_2(tmp_path, capsys, text, message):
+    # these used to raise a bare TypeError, or (true) run with kappa = 1
+    path = tmp_path / "const.json"
+    path.write_text(text)
+    assert main(["table1", "--b", "0.05", "--constants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("varpert: ") and message in captured.err
+    assert captured.out == ""
 
 
 def test_make_spec_validates_signs():

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from scipy.special import eval_hermite
 
 from varpert.model import make_anharmonic_spec
-from varpert.oscillator import (BandMatrix, OscBasis, build_hamiltonian,
-                                hprime_element, x2_element, x4_element)
+from varpert.oscillator import (OscBasis, build_hamiltonian, hprime_element,
+                                x2_element, x4_element)
 
 BASIS = OscBasis(hbar_Omega=2.76, kappa=3.8099821)
 
@@ -114,22 +114,17 @@ def test_hprime_element_composition():
 def test_hamiltonian_matches_elements():
     spec = make_anharmonic_spec(0.5, 0.05)
     basis = OscBasis(hbar_Omega=3.2, kappa=spec.constants.kappa)
-    ham = build_hamiltonian(spec, basis, 16)
-    assert ham.half_bandwidth == 4
+    bands = build_hamiltonian(spec, basis, 16)
+    # lower band storage: bands[d, j] is entry (j + d, j), d <= 4
+    assert bands.shape == (5, 16)
     for k in range(16):
         for n in range(16):
             expected = hprime_element(spec, basis, k, n)
             if k == n:
                 expected += 3.2 * (n + 0.5)
-            assert ham.entry(k, n) == pytest.approx(expected, rel=1e-12,
-                                                    abs=1e-15)
-
-
-def test_hamiltonian_dense_is_symmetric():
-    spec = make_anharmonic_spec(0.5, 0.25)
-    basis = OscBasis(hbar_Omega=4.0, kappa=spec.constants.kappa)
-    a = build_hamiltonian(spec, basis, 12).dense()
-    assert np.array_equal(a, a.T)
+            d = abs(k - n)
+            got = bands[d, min(k, n)] if d <= 4 else 0.0
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_hamiltonian_minimum_dim():
@@ -138,12 +133,3 @@ def test_hamiltonian_minimum_dim():
     with pytest.raises(ValueError, match="dim"):
         build_hamiltonian(spec, basis, 7)
 
-
-def test_band_matrix_entry_bounds():
-    m = BandMatrix(dim=4, half_bandwidth=1,
-                   bands=np.arange(8.0).reshape(2, 4))
-    assert m.entry(2, 2) == 2.0
-    assert m.entry(3, 2) == m.entry(2, 3) == 6.0
-    assert m.entry(0, 3) == 0.0  # beyond the stored bandwidth
-    with pytest.raises(IndexError):
-        m.entry(4, 0)

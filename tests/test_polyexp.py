@@ -7,14 +7,16 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from varpert.helium import _direct_exchange_1s2s, hydrogenic_radial
-from varpert.polyexp import PolyExp, _product, polyexp_moment, slater_radial
+from varpert.polyexp import _product, polyexp_moment, slater_radial
 
-ONE_S = PolyExp.build([(2, 0)], 1)            # 2 e^-r, the unit-charge 1s radial
-BARE = PolyExp.build([(1, 0)], 1)
+from polyexp_helpers import build, evaluate
+
+ONE_S = build([(2, 0)], 1)  # 2 e^-r, the unit-charge 1s radial
+BARE = build([(1, 0)], 1)
 
 
 def test_build_normalizes_to_fractions():
-    f = PolyExp.build([(0.5, 1), (Fraction(1, 3), 0)], Fraction(3, 2), scale=2.0)
+    f = build([(0.5, 1), (Fraction(1, 3), 0)], Fraction(3, 2), scale=2.0)
     assert f.terms == ((Fraction(1, 2), 1), (Fraction(1, 3), 0))
     assert f.gamma == Fraction(3, 2)
     assert f.scale == 2.0
@@ -22,16 +24,16 @@ def test_build_normalizes_to_fractions():
 
 def test_build_validation():
     with pytest.raises(ValueError, match="gamma"):
-        PolyExp.build([(1, 0)], 0)
+        build([(1, 0)], 0)
     with pytest.raises(ValueError, match="powers"):
-        PolyExp.build([(1, -1)], 1)
+        build([(1, -1)], 1)
 
 
 def test_pointwise_evaluation():
-    f = PolyExp.build([(1, 0), (-2, 1)], 2, scale=3.0)
+    f = build([(1, 0), (-2, 1)], 2, scale=3.0)
     r = np.array([0.0, 0.5, 1.0])
     expected = 3.0 * (1.0 - 2.0 * r) * np.exp(-2.0 * r)
-    assert np.allclose(f(r), expected, rtol=1e-14)
+    assert np.allclose(evaluate(f, r), expected, rtol=1e-14)
 
 
 @pytest.mark.parametrize("p, expected", [(0, 0.5), (1, 0.25), (2, 0.25),
@@ -42,9 +44,10 @@ def test_moment_pure_exponential(p, expected):
 
 
 def test_moment_against_quadrature():
-    f = PolyExp.build([(1, 0), (-1, 2)], Fraction(4, 3), scale=1.7)
-    g = PolyExp.build([(3, 1)], Fraction(1, 2), scale=0.4)
-    val, _ = quad(lambda r: r ** 2 * f(r) * g(r), 0.0, 60.0, limit=200)
+    f = build([(1, 0), (-1, 2)], Fraction(4, 3), scale=1.7)
+    g = build([(3, 1)], Fraction(1, 2), scale=0.4)
+    val, _ = quad(lambda r: r ** 2 * evaluate(f, r) * evaluate(g, r),
+                  0.0, 60.0, limit=200)
     assert polyexp_moment(f, g, 2) == pytest.approx(val, rel=1e-10)
 
 
@@ -61,16 +64,16 @@ def test_one_s_norm_is_unity():
 def test_slater_against_quadrature(k):
     # arbitrary non-hydrogenic legs keep this oracle independent; the
     # domain is split at r1 = r2 so each piece is smooth
-    a = PolyExp.build([(1, 0)], 1)
-    b = PolyExp.build([(1, 1)], Fraction(3, 2))
-    c = PolyExp.build([(2, k), (-1, k + 1)], 1)
-    d = PolyExp.build([(1, k)], 2)
+    a = build([(1, 0)], 1)
+    b = build([(1, 1)], Fraction(3, 2))
+    c = build([(2, k), (-1, k + 1)], 1)
+    d = build([(1, k)], 2)
 
     def f(r1):
-        return r1 * r1 * a(r1) * c(r1)
+        return r1 * r1 * evaluate(a, r1) * evaluate(c, r1)
 
     def g(r2):
-        return r2 * r2 * b(r2) * d(r2)
+        return r2 * r2 * evaluate(b, r2) * evaluate(d, r2)
 
     lower, _ = dblquad(lambda r2, r1: f(r1) * g(r2) * r2 ** k / r1 ** (k + 1),
                        0.0, 30.0, 0.0, lambda r1: r1, epsrel=1e-11)
@@ -81,10 +84,10 @@ def test_slater_against_quadrature(k):
 
 
 def test_slater_swap_symmetry():
-    a = PolyExp.build([(1, 1)], 1)
-    b = PolyExp.build([(1, 0), (1, 1)], Fraction(5, 4))
-    c = PolyExp.build([(2, 1)], Fraction(3, 4))
-    d = PolyExp.build([(1, 1)], 2)
+    a = build([(1, 1)], 1)
+    b = build([(1, 0), (1, 1)], Fraction(5, 4))
+    c = build([(2, 1)], Fraction(3, 4))
+    d = build([(1, 1)], 2)
     assert slater_radial(1, a, b, c, d) == pytest.approx(
         slater_radial(1, b, a, d, c), rel=1e-13)
 
@@ -105,14 +108,14 @@ def test_slater_rejects_singular_kernel():
     with pytest.raises(ValueError,
                        match=r"^kernel power k=2 too high for r1-side power 2$"):
         slater_radial(2, BARE, BARE, BARE, BARE)
-    p_leg = PolyExp.build([(1, 1)], 1)
+    p_leg = build([(1, 1)], 1)
     with pytest.raises(ValueError,
                        match=r"^kernel power k=2 too high for r2-side power 2$"):
         slater_radial(2, p_leg, BARE, p_leg, BARE)
 
 
 def test_scale_factors_multiply_through():
-    scaled = PolyExp.build([(1, 0)], 1, scale=3.0)
+    scaled = build([(1, 0)], 1, scale=3.0)
     assert polyexp_moment(scaled, BARE, 2) == pytest.approx(
         3.0 * polyexp_moment(BARE, BARE, 2), rel=1e-15)
     assert slater_radial(0, scaled, ONE_S, ONE_S, ONE_S) == pytest.approx(
@@ -186,24 +189,24 @@ def test_slater_bit_equal_to_fraction_sum_for_j_and_k(z_star):
 def _generic_slater_cases():
     cases = []
     for k in (0, 1, 2):
-        cases.append((k, PolyExp.build([(1, 0)], 1),
-                      PolyExp.build([(1, 1)], Fraction(3, 2)),
-                      PolyExp.build([(2, k), (-1, k + 1)], 1),
-                      PolyExp.build([(1, k)], 2)))
-    a = PolyExp.build([(1, 1)], 1)
-    b = PolyExp.build([(1, 0), (1, 1)], Fraction(5, 4))
-    c = PolyExp.build([(2, 1)], Fraction(3, 4))
-    d = PolyExp.build([(1, 1)], 2)
+        cases.append((k, build([(1, 0)], 1),
+                      build([(1, 1)], Fraction(3, 2)),
+                      build([(2, k), (-1, k + 1)], 1),
+                      build([(1, k)], 2)))
+    a = build([(1, 1)], 1)
+    b = build([(1, 0), (1, 1)], Fraction(5, 4))
+    c = build([(2, 1)], Fraction(3, 4))
+    d = build([(1, 1)], 2)
     cases += [(1, a, b, c, d), (1, b, a, d, c),
               (0, ONE_S, ONE_S, ONE_S, ONE_S),
-              (0, PolyExp.build([(1, 0)], 1, scale=3.0), ONE_S, ONE_S, ONE_S),
-              (1, PolyExp.build([(Fraction(-7, 3), 1), (Fraction(5, 9), 3)],
-                                Fraction(11, 7), scale=0.3),
-               PolyExp.build([(Fraction(2, 5), 2), (1, 0), (-3, 4)],
-                             Fraction(13, 6), scale=-1.9),
-               PolyExp.build([(Fraction(1, 6), 0), (4, 2)], Fraction(2, 9)),
-               PolyExp.build([(Fraction(-3, 8), 1)], Fraction(17, 5),
-                             scale=2.5))]
+              (0, build([(1, 0)], 1, scale=3.0), ONE_S, ONE_S, ONE_S),
+              (1, build([(Fraction(-7, 3), 1), (Fraction(5, 9), 3)],
+                        Fraction(11, 7), scale=0.3),
+               build([(Fraction(2, 5), 2), (1, 0), (-3, 4)],
+                     Fraction(13, 6), scale=-1.9),
+               build([(Fraction(1, 6), 0), (4, 2)], Fraction(2, 9)),
+               build([(Fraction(-3, 8), 1)], Fraction(17, 5),
+                     scale=2.5))]
     return cases
 
 

@@ -210,7 +210,7 @@ def test_cli_helium_rejects_cache_flag(capsys):
 
 
 def test_cli_convergence_failure_exit_code(monkeypatch, capsys):
-    def explode(spec, n, cfg):
+    def explode(spec, n, energy_tol):
         raise ConvergenceError("forced failure", n=n)
 
     monkeypatch.setattr(reports, "shoot_eigenvalue", explode)
@@ -233,7 +233,7 @@ def test_cli_levels_flag(capsys):
 def test_table2_markdown_shows_unconverged_note(monkeypatch, capsys):
     # the bracket stops at 8 ulps of E whatever the tolerance, so no
     # --exact-tol exhausts the budget and the failure is forced
-    def exhausted(spec, n, cfg):
+    def exhausted(spec, n, energy_tol):
         raise ConvergenceError(f"search budget exhausted for level n={n}", n=n)
 
     monkeypatch.setattr(reports, "shoot_eigenvalue", exhausted)
