@@ -14,10 +14,10 @@ from .anharmonic import (OmegaSolution, energy_conventional_pt,
                          second_order_closed_form, second_order_sum,
                          solve_omega)
 from .exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
-from .helium import (HeliumChannel, HeliumResult, enumerate_channels,
-                     excited_triplet_energy, ground_state, hydrogenic_radial,
-                     optimal_zstar_excited, optimal_zstar_ground,
-                     second_order_correction, variational_ground_energy)
+from .helium import (HeliumResult, excited_triplet_energy, ground_state,
+                     hydrogenic_radial, optimal_zstar_excited,
+                     optimal_zstar_ground, second_order_correction,
+                     variational_ground_energy)
 from .model import (AnharmonicSpec, Constants, LevelResult, hbar_omega,
                     make_anharmonic_spec)
 from .oscillator import (OscBasis, build_hamiltonian, hprime_element,
@@ -31,7 +31,6 @@ __all__ = [
     "AnharmonicSpec",
     "Constants",
     "ConvergenceError",
-    "HeliumChannel",
     "HeliumResult",
     "LevelResult",
     "OmegaSolution",
@@ -45,7 +44,6 @@ __all__ = [
     "energy_first_order",
     "energy_present",
     "energy_variational",
-    "enumerate_channels",
     "excited_triplet_energy",
     "ground_state",
     "hbar_omega",

@@ -225,6 +225,9 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
     u = hbar_omega(spec) if basis_u is None else basis_u
     basis = OscBasis(hbar_Omega=u, kappa=spec.constants.kappa)
     bands = build_hamiltonian(spec, basis, dim)
+    if not np.isfinite(bands).all():
+        # an extreme basis_u (or b) overflows the x^2 and x^4 terms
+        raise ValueError(f"basis_u={u!r} gives a non-finite Hamiltonian")
     try:
         w = eig_banded(bands, lower=True, eigvals_only=True,
                        select="i", select_range=(0, n_levels - 1))

@@ -28,37 +28,6 @@ Orbital = Callable[[int, int, float], PolyExp]  # (n, l, z_star) -> R_nl
 
 
 @dataclass(frozen=True)
-class HeliumChannel:
-    """Intermediate two-electron state label (n, n', l, m).
-
-    Channels are enumerated once per unordered orbital pair, with
-    1 <= n <= n', 0 <= l <= n-1, 0 <= m <= l and (n, n') != (1, 1).
-    ``A`` is the symmetrization factor: 1/2 when the two orbitals carry
-    identical quantum numbers (possible only for n = n', m = 0), else
-    1/sqrt(2).
-    """
-
-    n: int
-    n_prime: int
-    l: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= self.n_prime:
-            raise ValueError("need 1 <= n <= n_prime")
-        if (self.n, self.n_prime) == (1, 1):
-            raise ValueError("the (1, 1) pair is the ground state itself")
-        if not 0 <= self.l <= self.n - 1:
-            raise ValueError("need 0 <= l <= n - 1")
-        if not 0 <= self.m <= self.l:
-            raise ValueError("need 0 <= m <= l")
-
-    @property
-    def A(self) -> float:
-        return 0.5 if self.n == self.n_prime and self.m == 0 else INV_SQRT2
-
-
-@dataclass(frozen=True)
 class HeliumResult:
     """Ground-state summary: variational energy plus second-order shift.
 
@@ -160,80 +129,50 @@ def optimal_zstar_ground(z: float) -> float:
     return z - 5.0 / 16.0
 
 
-def channel_amplitude_sq(ch: HeliumChannel, z_star: float, z: float,
-                         y: float, orbital: Orbital | None = None) -> float:
-    """Squared matrix element |<channel| H' |1s^2>|^2 in ryd^2.
-
-    ``y`` is the channel's Slater integral Y_nn'l at ``z_star``
-    (``y_integral(ch.n, ch.n_prime, ch.l, z_star)``), which the caller
-    passes so that channels differing only in m share one evaluation.
-    The two-electron Coulomb part contributes
-    2 A e^2 (-1)^m Y_nn'l / (2l+1) for every channel; the one-body
-    screening part -2 A (Z - Z*) e^2 X_n' contributes only in the 1s n's
-    channels (n = 1, so l = m = 0), where one orbital stays 1s, and
-    interferes with the Coulomb part there. ``orbital`` builds the
-    orbitals of X_n' as in ``x_integral``.
-    """
-    amp = 2.0 * ch.A * E2_RYD_A0 * ((-1.0) ** ch.m) * y / (2 * ch.l + 1)
-    if ch.n == 1:
-        amp += (-2.0 * ch.A * (z - z_star) * E2_RYD_A0
-                * x_integral(ch.n_prime, z_star, orbital))
-    return amp * amp
-
-
-def enumerate_channels(n_max: int) -> list[HeliumChannel]:
-    """All channels with n' <= n_max in deterministic order."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    out = []
-    for n in range(1, n_max + 1):
-        for n_prime in range(n, n_max + 1):
-            if (n, n_prime) == (1, 1):
-                continue
-            for l in range(0, n):
-                for m in range(0, l + 1):
-                    out.append(HeliumChannel(n, n_prime, l, m))
-    return out
-
-
-def _m_weight(ch: HeliumChannel, m_range: str) -> float:
-    """Degeneracy weight of a channel under the chosen m-sum policy.
-
-    ``paper`` counts each listed (n, n', l, 0 <= m <= l) channel once.
-    ``full`` restores the complete magnetic degeneracy: for n != n' the
-    pairings (m, -m) and (-m, m) are distinct intermediate states, so every
-    m > 0 channel carries weight 2; for n = n' the two pairings coincide.
-    """
-    if m_range == "paper":
-        return 1.0
-    if m_range == "full":
-        return 2.0 if (ch.m > 0 and ch.n != ch.n_prime) else 1.0
-    raise ValueError(f"m_range must be 'paper' or 'full', got {m_range!r}")
-
-
 def second_order_by_n_prime(z_star: float, z: float, n_max: int,
                             m_range: str = "paper") -> dict[int, float]:
     """Second-order contribution grouped by the outer quantum number n'.
 
-    Each distinct Slater integral Y_nn'l is taken once per call and shared
-    by the channels that differ only in m, and each orbital R_nl is built
-    once per call; nothing is kept between calls.
+    The intermediate states are the channels (n, n', l, m), one per
+    unordered orbital pair: 1 <= n <= n' <= n_max with (n, n') != (1, 1),
+    0 <= l <= n-1 and 0 <= m <= l, at the energy denominator
+    -Z*^2 (2 - 1/n^2 - 1/n'^2). The Coulomb part of H' couples each to
+    1s^2 with amplitude 2 A e^2 (-1)^m Y_nn'l / (2l+1), where the
+    symmetrization factor A is 1/2 for identical orbitals (n = n', m = 0)
+    and 1/sqrt(2) otherwise. For n = 1 (so l = m = 0), where one orbital
+    stays 1s, the screening part adds -2 A (Z - Z*) e^2 X_n'.
+
+    ``paper`` counts each channel once. ``full`` restores the complete
+    magnetic degeneracy: for n != n' the pairings (m, -m) and (-m, m) are
+    distinct intermediate states, so every m > 0 channel carries weight 2;
+    for n = n' the two pairings coincide.
+
+    Each Y_nn'l is taken once per call, shared by the channels that differ
+    only in m, and each orbital R_nl is built once per call; nothing is
+    kept between calls.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     _require_z(z)
+    if m_range not in ("paper", "full"):
+        raise ValueError(f"m_range must be 'paper' or 'full', got {m_range!r}")
+    full = m_range == "full"
     orbital = functools.cache(hydrogenic_radial)
 
-    @functools.cache
-    def y(n: int, n_prime: int, l: int) -> float:
-        return y_integral(n, n_prime, l, z_star, orbital)
-
     buckets = {np: 0.0 for np in range(2, n_max + 1)}
-    for ch in enumerate_channels(n_max):
-        denom = -z_star * z_star * (2.0 - 1.0 / ch.n ** 2 - 1.0 / ch.n_prime ** 2)
-        amp_sq = channel_amplitude_sq(ch, z_star, z,
-                                      y(ch.n, ch.n_prime, ch.l), orbital)
-        buckets[ch.n_prime] += _m_weight(ch, m_range) * amp_sq / denom
+    for n in range(1, n_max + 1):
+        for n_prime in range(max(n, 2), n_max + 1):
+            denom = -z_star * z_star * (2.0 - 1.0 / n ** 2 - 1.0 / n_prime ** 2)
+            for l in range(n):
+                y = y_integral(n, n_prime, l, z_star, orbital)
+                for m in range(l + 1):
+                    a = 0.5 if n == n_prime and m == 0 else INV_SQRT2
+                    amp = 2.0 * a * E2_RYD_A0 * ((-1.0) ** m) * y / (2 * l + 1)
+                    if n == 1:
+                        amp += (-2.0 * a * (z - z_star) * E2_RYD_A0
+                                * x_integral(n_prime, z_star, orbital))
+                    weight = 2.0 if full and m > 0 and n != n_prime else 1.0
+                    buckets[n_prime] += weight * (amp * amp) / denom
     return buckets
 
 

@@ -80,6 +80,16 @@ def test_diag_rejects_fewer_than_one_level(n_levels, monkeypatch):
         diag_eigenvalues(spec_at(0.05), n_levels=n_levels)
 
 
+@pytest.mark.parametrize("b, basis_u", [(0.05, 1e300), (0.05, 1e-300),
+                                        (0.05, float("inf")), (1e308, None)])
+def test_diag_rejects_non_finite_hamiltonian(b, basis_u):
+    # refused by name, not inside scipy on an array the caller never passed;
+    # at b = 1e308 even the default basis overflows the x^4 terms
+    with pytest.raises(ValueError, match=r"^basis_u=.* gives a non-finite "
+                                         r"Hamiltonian$"):
+        diag_eigenvalues(spec_at(b), basis_u=basis_u)
+
+
 def test_shooting_tolerance_halving():
     spec = spec_at(0.05)
     tol = 1e-7

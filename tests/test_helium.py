@@ -1,12 +1,12 @@
 """Helium: hydrogenic algebra, channel bookkeeping, energies."""
+import itertools
 import math
 
 import pytest
 from scipy.integrate import quad
 
 from varpert import helium, reports
-from varpert.helium import (HeliumChannel, HeliumResult, channel_amplitude_sq,
-                            enumerate_channels, excited_triplet_energy,
+from varpert.helium import (HeliumResult, excited_triplet_energy,
                             ground_state, hydrogenic_radial,
                             optimal_zstar_excited, optimal_zstar_ground,
                             second_order_by_n_prime, second_order_correction,
@@ -134,50 +134,26 @@ def test_optimal_zstar_ground_is_stationary():
         optimal_zstar_ground(0.5)
 
 
-def test_channel_construction_and_symmetry_factor():
-    ch = HeliumChannel(1, 2, 0, 0)
-    assert ch.A == pytest.approx(1.0 / math.sqrt(2.0))
-    assert HeliumChannel(2, 2, 0, 0).A == 0.5            # identical orbitals
-    assert HeliumChannel(2, 2, 1, 1).A == pytest.approx(
-        1.0 / math.sqrt(2.0))                            # m breaks identity
-
-
-@pytest.mark.parametrize("args", [(2, 1, 0, 0), (1, 1, 0, 0), (2, 3, 2, 0),
-                                  (2, 3, 1, 2)])
-def test_channel_validation(args):
-    with pytest.raises(ValueError):
-        HeliumChannel(*args)
-
-
-def test_enumerate_channels():
-    chans = enumerate_channels(7)
-    assert len(chans) == 209
-    assert chans[0] == HeliumChannel(1, 2, 0, 0)
-    assert all(ch.n_prime <= 7 for ch in chans)
-    assert len(set(chans)) == len(chans)
-    # the count grows with the cutoff and starts at the single (1,2) channel
-    assert len(enumerate_channels(2)) == 4
-
-
-def test_amplitude_composition_s_channel():
-    # the 1s ns amplitude interferes the Coulomb and screening parts:
-    # sqrt(2) (e^2 Y_1n0 - (Z - Z*) e^2 X_n), squared
-    ch = HeliumChannel(1, 2, 0, 0)
-    y = y_integral(1, 2, 0, ZS)
-    x = x_integral(2, ZS)
-    expected = 2.0 * (2.0 * y - (2.0 - ZS) * 2.0 * x) ** 2
-    assert channel_amplitude_sq(ch, ZS, 2.0, y) == pytest.approx(expected,
-                                                                 rel=1e-13)
-
-
-def test_amplitude_composition_higher_l():
-    # no screening term away from l = 0; the (2l+1) and (-1)^m factors
-    # come from the multipole expansion
-    ch = HeliumChannel(2, 2, 1, 1)
-    y = y_integral(2, 2, 1, ZS)
-    expected = (2.0 * (1.0 / math.sqrt(2.0)) * 2.0 * (-1.0) * y / 3.0) ** 2
-    assert channel_amplitude_sq(ch, ZS, 2.0, y) == pytest.approx(expected,
-                                                                 rel=1e-13)
+@pytest.mark.parametrize("m_range", ["paper", "full"])
+def test_amplitude_composition_by_hand(m_range):
+    # the four channels through n' = 2, expanded from Y and X: the 1s 2s
+    # amplitude interferes the Coulomb and screening parts, A is 1/2 only
+    # for identical orbitals, and (-1)^m and 2l+1 enter with Y_221
+    y120, y220, y221 = (y_integral(n, 2, l, ZS)
+                        for n, l in ((1, 0), (2, 0), (2, 1)))
+    x2 = x_integral(2, ZS)
+    e2, r = 2.0, 1.0 / math.sqrt(2.0)
+    channels = [  # (amplitude, 2 - 1/n^2 - 1/n'^2)
+        (2.0 * r * e2 * y120 - 2.0 * r * (2.0 - ZS) * e2 * x2, 0.75),  # 1200
+        (2.0 * 0.5 * e2 * y220, 1.5),                                 # 2200
+        (2.0 * 0.5 * e2 * y221 / 3.0, 1.5),                           # 2210
+        (2.0 * r * e2 * (-1.0) * y221 / 3.0, 1.5),                    # 2211
+    ]
+    expected = sum(amp * amp / (-ZS * ZS * gap) for amp, gap in channels)
+    # n = n' for the only m > 0 channel, so ``full`` weighs it once too
+    buckets = second_order_by_n_prime(ZS, 2.0, 2, m_range=m_range)
+    assert list(buckets) == [2]
+    assert buckets[2] == pytest.approx(expected, rel=1e-13)
 
 
 def test_second_order_buckets_sum_to_total():
@@ -215,6 +191,16 @@ def test_second_order_rejects_bad_arguments():
         second_order_correction(ZS, 2.0, 1)
     with pytest.raises(ValueError):
         second_order_correction(ZS, 2.0, 3, m_range="half")
+
+
+def test_second_order_checks_m_range_before_any_work(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("orbital built")
+
+    monkeypatch.setattr(helium, "hydrogenic_radial", unbuilt)
+    with pytest.raises(ValueError, match=r"^m_range must be 'paper' or "
+                                         r"'full', got 'half'$"):
+        second_order_by_n_prime(ZS, 2.0, 3, m_range="half")
 
 
 def test_ground_state_pipeline():
@@ -290,7 +276,9 @@ def test_second_order_takes_each_slater_integral_once_per_call(monkeypatch):
     monkeypatch.setattr(helium, "y_integral", counted)
     first = second_order_by_n_prime(ZS, 2.0, 4)
     # one call per distinct (n, n', l) among the 28 channels through n' = 4
-    distinct = {(ch.n, ch.n_prime, ch.l) for ch in enumerate_channels(4)}
+    distinct = {(n, n_prime, l) for n in range(1, 5)
+                for n_prime in range(max(n, 2), 5) for l in range(n)}
+    assert {args[:3] for args in calls} == distinct
     assert len(calls) == len(distinct) == 19
     assert len(set(calls)) == 19
     # no memo outlives the call: an identical call recomputes all of them
@@ -327,14 +315,26 @@ def test_run_helium_sums_the_channels_once(monkeypatch):
 
 
 def test_ground_state_matches_unmemoized_channel_sum():
-    # the same per-n' sums in channel order, every Y taken afresh
-    n_max = 4
+    # an independent reference: every (n, n', l, m) through n' = 7 filtered
+    # down to the channels, in the same order, with every Y and X (and
+    # their orbitals) taken afresh
+    n_max = 7
     zs = optimal_zstar_ground(2.0)
+    channels = [(n, n_prime, l, m)
+                for n, n_prime, l, m in itertools.product(range(n_max + 1),
+                                                          repeat=4)
+                if 1 <= n <= n_prime and (n, n_prime) != (1, 1)
+                and l < n and m <= l]
+    assert len(channels) == 209
     by_n_prime = dict.fromkeys(range(2, n_max + 1), 0.0)
-    for ch in enumerate_channels(n_max):
-        denom = -zs * zs * (2.0 - 1.0 / ch.n ** 2 - 1.0 / ch.n_prime ** 2)
-        y = y_integral(ch.n, ch.n_prime, ch.l, zs)
-        by_n_prime[ch.n_prime] += channel_amplitude_sq(ch, zs, 2.0, y) / denom
+    for n, n_prime, l, m in channels:
+        a = 0.5 if n == n_prime and m == 0 else 1.0 / math.sqrt(2.0)
+        y = y_integral(n, n_prime, l, zs)
+        amp = 2.0 * a * 2.0 * ((-1.0) ** m) * y / (2 * l + 1)
+        if n == 1:
+            amp += -2.0 * a * (2.0 - zs) * 2.0 * x_integral(n_prime, zs)
+        denom = -zs * zs * (2.0 - 1.0 / n ** 2 - 1.0 / n_prime ** 2)
+        by_n_prime[n_prime] += amp * amp / denom
     result = ground_state(n_max=n_max)
     assert result.e_second_by_n_prime == tuple(by_n_prime.values())
     assert result.e_second == math.fsum(by_n_prime.values())
