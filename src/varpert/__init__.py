@@ -20,8 +20,8 @@ from .helium import (HeliumResult, excited_triplet_energy, ground_state,
                      variational_ground_energy)
 from .model import (AnharmonicSpec, Constants, LevelResult, hbar_omega,
                     make_anharmonic_spec)
-from .oscillator import (OscBasis, build_hamiltonian, hprime_element,
-                         x2_element, x4_element)
+from .oscillator import (build_hamiltonian, hprime_element, x2_element,
+                         x4_element)
 from .polyexp import PolyExp, polyexp_moment, slater_radial
 from .reports import ReportDocument, RunConfig, run_helium, run_table
 
@@ -34,7 +34,6 @@ __all__ = [
     "HeliumResult",
     "LevelResult",
     "OmegaSolution",
-    "OscBasis",
     "PolyExp",
     "ReportDocument",
     "RunConfig",

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import AnharmonicSpec, LevelResult, hbar_omega
-from .oscillator import OscBasis, hprime_element, x4_element
+from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
+from .oscillator import hprime_element, x4_element
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
 # every n (equivalence enforced by tests at relative 1e-10). The linear
@@ -101,8 +101,7 @@ def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
     at u = hbar omega and as the objective whose stationary point defines
     hbar Omega_n.
     """
-    if u <= 0.0:
-        raise ValueError(f"basis quantum u must be > 0, got {u}")
+    _require_positive("u", u)
     hw = hbar_omega(spec)
     beta = _beta(spec, u)
     poly = 2 * n * n + 2 * n + 1
@@ -119,8 +118,7 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     eliminates u^2 - (hbar omega)^2 through the cubic, so u must solve the
     cubic for this n; the precondition is enforced at relative 1e-8.
     """
-    if u <= 0.0:
-        raise ValueError(f"basis quantum u must be > 0, got {u}")
+    _require_positive("u", u)
     hw = hbar_omega(spec)
     kap = spec.constants.kappa
     rhs = 24.0 * spec.quartic_b * kap * kap * _g(n)
@@ -140,16 +138,13 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
 
     The perturbation couples |n> only to |n +- 2> and |n +- 4>, so the
     Rayleigh-Schrodinger sum is exact with four terms:
-    sum_k |<k|H'|n>|^2 / (u (n - k)).
+    sum_k |<k|H'|n>|^2 / (u (n - k)). ``hprime_element`` checks u.
     """
-    if u <= 0.0:
-        raise ValueError(f"basis quantum u must be > 0, got {u}")
-    basis = OscBasis(hbar_Omega=u, kappa=spec.constants.kappa)
     total = 0.0
     for k in (n - 4, n - 2, n + 2, n + 4):
         if k < 0:
             continue
-        amp = hprime_element(spec, basis, k, n)
+        amp = hprime_element(spec, u, k, n)
         total += amp * amp / (u * (n - k))
     return total
 
@@ -159,7 +154,7 @@ def energy_variational(spec: AnharmonicSpec, n: int) -> LevelResult:
     sol = solve_omega(spec, n)
     e1 = energy_first_order(spec, n, sol.hbar_Omega_n)
     return LevelResult(n=n, hbar_omega_n=sol.hbar_Omega_n, e_first=e1,
-                       e_second_corr=0.0, e_total=e1, method_tag="variational")
+                       e_second_corr=0.0)
 
 
 def energy_present(spec: AnharmonicSpec, n: int) -> LevelResult:
@@ -168,8 +163,7 @@ def energy_present(spec: AnharmonicSpec, n: int) -> LevelResult:
     u = sol.hbar_Omega_n
     e1 = energy_first_order(spec, n, u)
     e2 = second_order_closed_form(spec, n, u)
-    return LevelResult(n=n, hbar_omega_n=u, e_first=e1, e_second_corr=e2,
-                       e_total=e1 + e2, method_tag="present")
+    return LevelResult(n=n, hbar_omega_n=u, e_first=e1, e_second_corr=e2)
 
 
 def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelResult:
@@ -183,14 +177,10 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     hw = hbar_omega(spec)
-    basis = OscBasis(hbar_Omega=hw, kappa=spec.constants.kappa)
-    e1 = hw * (n + 0.5) + spec.quartic_b * x4_element(basis, n, n)
-    if order == 1:
-        return LevelResult(n=n, hbar_omega_n=hw, e_first=e1, e_second_corr=0.0,
-                           e_total=e1, method_tag="conventional_pt1")
-    e2 = second_order_sum(spec, n, hw)
-    return LevelResult(n=n, hbar_omega_n=hw, e_first=e1, e_second_corr=e2,
-                       e_total=e1 + e2, method_tag="conventional_pt2")
+    s2 = spec.constants.kappa / hw
+    e1 = hw * (n + 0.5) + spec.quartic_b * x4_element(s2, n, n)
+    e2 = 0.0 if order == 1 else second_order_sum(spec, n, hw)
+    return LevelResult(n=n, hbar_omega_n=hw, e_first=e1, e_second_corr=e2)
 
 
 def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
@@ -203,6 +193,5 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
     if spec.quartic_b == 0.0:
         return False
     hw = hbar_omega(spec)
-    basis = OscBasis(hbar_Omega=hw, kappa=spec.constants.kappa)
-    first_b_term = spec.quartic_b * x4_element(basis, n, n)
+    first_b_term = spec.quartic_b * x4_element(spec.constants.kappa / hw, n, n)
     return abs(second_order_sum(spec, n, hw)) > abs(first_b_term)

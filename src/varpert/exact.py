@@ -12,8 +12,8 @@ import math
 import sys
 from typing import Sequence
 
-from .model import AnharmonicSpec, hbar_omega
-from .oscillator import OscBasis, build_hamiltonian
+from .model import AnharmonicSpec, _require_positive, hbar_omega
+from .oscillator import build_hamiltonian
 
 
 ORDER = 28  # degree of the Taylor polynomial taken per shooting step
@@ -22,6 +22,7 @@ _ROOT_PREV, _ROOT_LAST = 1.0 / (ORDER - 1), 1.0 / ORDER
 _SAFETY = 0.5  # shrinks the last terms by a further 2^-ORDER or so
 _TINY = sys.float_info.min
 ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to max(1, |psi|)
+REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
 
 
@@ -134,14 +135,15 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     and Illinois regula falsi on it (x_max held fixed) picks the next
     trial. Every trial still moves lo or hi by its node count, a trial that
     lands outside the two counts sends the next step back to bisection,
-    and the midpoint is returned once hi - lo <= max(``energy_tol``,
-    8 eps hi), as no narrower bracket can be split: a width, not an
-    accuracy bound. ``MAX_ITER`` trials bound growth and search together.
+    and the midpoint is returned once hi - lo <= max(min(``energy_tol``,
+    ``REL_WIDTH`` hi), 8 eps hi), hi the first upper end, as a level far
+    below ``energy_tol`` still needs splitting and no narrower bracket can
+    be split: a width, not an accuracy bound. ``MAX_ITER`` trials bound
+    growth and search together.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not (energy_tol > 0.0 and math.isfinite(energy_tol)):
-        raise ValueError("energy_tol must be finite and > 0")
+    _require_positive("energy_tol", energy_tol)
     parity = n % 2
     target = n // 2
     hw = hbar_omega(spec)
@@ -174,7 +176,8 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
 
     lo, hi = e_lo, e_hi
     # a bracket narrower than a few ulps of E cannot be split
-    width = max(energy_tol, 8.0 * sys.float_info.epsilon * hi)
+    width = max(min(energy_tol, REL_WIDTH * hi),
+                8.0 * sys.float_info.epsilon * hi)
     # regula falsi trials stay pad clear of both ends, so the far end also
     # moves once the near one has converged
     pad = 0.5 * width
@@ -223,10 +226,9 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
     from scipy.linalg import eig_banded
 
     u = hbar_omega(spec) if basis_u is None else basis_u
-    basis = OscBasis(hbar_Omega=u, kappa=spec.constants.kappa)
-    bands = build_hamiltonian(spec, basis, dim)
-    if not np.isfinite(bands).all():
-        # an extreme basis_u (or b) overflows the x^2 and x^4 terms
+    # an infinite or extreme basis_u (or b) overflows the x^2 and x^4 terms
+    if not (math.isfinite(u)
+            and np.isfinite(bands := build_hamiltonian(spec, u, dim)).all()):
         raise ValueError(f"basis_u={u!r} gives a non-finite Hamiltonian")
     try:
         w = eig_banded(bands, lower=True, eigvals_only=True,

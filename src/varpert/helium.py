@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .model import _require_positive
 from .polyexp import PolyExp, polyexp_moment, slater_radial
 
 E2_RYD_A0 = 2.0        # e^2 in ryd a0
@@ -38,21 +39,17 @@ class HeliumResult:
     z_star: float
     e_variational: float
     e_second: float
-    e_total: float
     n_max: int
     e_second_by_n_prime: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.e_second > 0.0:
             raise ValueError("ground-state second-order shift must be <= 0")
-        if not math.isclose(self.e_total, self.e_variational + self.e_second,
-                            rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("e_total must equal e_variational + e_second")
 
-
-def _require_z_star(z_star: float) -> None:
-    if not (z_star > 0.0 and math.isfinite(z_star)):
-        raise ValueError(f"z_star must be finite and > 0, got {z_star}")
+    @property
+    def e_total(self) -> float:
+        """Energy through second order, e_variational + e_second."""
+        return self.e_variational + self.e_second
 
 
 def _require_z(z: float) -> None:
@@ -72,7 +69,7 @@ def hydrogenic_radial(n: int, l: int, z_star: float) -> PolyExp:
         raise ValueError("n must be >= 1")
     if not 0 <= l <= n - 1:
         raise ValueError(f"need 0 <= l <= n-1, got l={l}, n={n}")
-    _require_z_star(z_star)
+    _require_positive("z_star", z_star)
     zs = Fraction(z_star)
     two_g = 2 * zs / n                       # argument scale 2 z / n
     norm_sq = (two_g ** 3 * math.factorial(n - l - 1)
@@ -84,8 +81,11 @@ def hydrogenic_radial(n: int, l: int, z_star: float) -> PolyExp:
         coeff = (Fraction((-1) ** j * math.comb(k + alpha, k - j),
                           math.factorial(j)) * two_g ** (l + j))
         terms.append((coeff, l + j))
-    return PolyExp(terms=tuple(terms), gamma=zs / n,
-                   scale=math.sqrt(float(norm_sq)))
+    try:
+        scale = math.sqrt(float(norm_sq))
+    except OverflowError:
+        raise ValueError(f"z_star={z_star!r} overflows R_{n}{l}") from None
+    return PolyExp(terms=tuple(terms), gamma=zs / n, scale=scale)
 
 
 def x_integral(n: int, z_star: float, orbital: Orbital | None = None) -> float:
@@ -118,7 +118,7 @@ def variational_ground_energy(z_star: float, z: float) -> float:
     <H> = -(4 Z* Z - 2 Z*^2 - (5/4) Z*), the textbook screened-charge
     expression with the electron-electron term (5/4) Z* from Y110.
     """
-    _require_z_star(z_star)
+    _require_positive("z_star", z_star)
     _require_z(z)
     return -(4.0 * z_star * z - 2.0 * z_star * z_star - 1.25 * z_star)
 
@@ -196,7 +196,7 @@ def excited_triplet_energy(z_star: float, z: float) -> float:
     Coulomb integrals of the (1s, 2s) pair evaluated from Slater integrals
     at the common charge z_star.
     """
-    _require_z_star(z_star)
+    _require_positive("z_star", z_star)
     _require_z(z)
     j, k = _direct_exchange_1s2s(z_star)
     return 1.25 * z_star * z_star - 2.5 * z * z_star + (j - k)
@@ -231,5 +231,4 @@ def ground_state(z: float = 2.0, n_max: int = 7,
     by_n_prime = tuple(second_order_by_n_prime(zs, z, n_max, m_range).values())
     e2 = math.fsum(by_n_prime)
     return HeliumResult(z_star=zs, e_variational=e_var, e_second=e2,
-                        e_total=e_var + e2, n_max=n_max,
-                        e_second_by_n_prime=by_n_prime)
+                        n_max=n_max, e_second_by_n_prime=by_n_prime)

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 # CODATA-derived defaults for an electron, not fit to any published table.
 KAPPA_EV_A2 = 3.8099821      # hbar^2/(2 m_e) in eV Angstrom^2
 
-METHOD_TAGS = frozenset(
-    {"variational", "present", "conventional_pt1", "conventional_pt2", "exact"}
-)
+
+def _require_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and > 0."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,7 @@ class Constants:
     kappa: float = KAPPA_EV_A2
 
     def __post_init__(self) -> None:
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        _require_positive("kappa", self.kappa)
 
     @classmethod
     def from_file(cls, path: str) -> "Constants":
@@ -74,27 +75,20 @@ class AnharmonicSpec:
 class LevelResult:
     """One energy level produced by one method.
 
-    ``e_total = e_first + e_second_corr`` always; the correction is zero for
-    the purely variational and exact tags. ``hbar_omega_n`` records the basis
-    quantum actually used (the optimized hbar Omega_n, or hbar omega for the
-    conventional rows, or 0.0 when no basis is involved).
+    The correction is zero for the purely variational and first-order
+    results. ``hbar_omega_n`` records the basis quantum actually used (the
+    optimized hbar Omega_n, or hbar omega for the conventional rows).
     """
 
     n: int
     hbar_omega_n: float
     e_first: float
     e_second_corr: float
-    e_total: float
-    method_tag: str
 
-    def __post_init__(self) -> None:
-        if self.method_tag not in METHOD_TAGS:
-            raise ValueError(f"unknown method_tag {self.method_tag!r}")
-        if self.method_tag in ("variational", "exact") and self.e_second_corr != 0.0:
-            raise ValueError(f"{self.method_tag} results must have zero correction")
-        if not math.isclose(self.e_total, self.e_first + self.e_second_corr,
-                            rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("e_total must equal e_first + e_second_corr")
+    @property
+    def e_total(self) -> float:
+        """Energy through the method's order, e_first + e_second_corr."""
+        return self.e_first + self.e_second_corr
 
 
 def make_anharmonic_spec(k: float, b: float,
@@ -113,8 +107,7 @@ def make_anharmonic_spec(k: float, b: float,
     """
     if constants is None:
         constants = Constants()
-    if not (k > 0.0 and math.isfinite(k)):
-        raise ValueError(f"stiffness_k must be finite and > 0, got {k}")
+    _require_positive("stiffness_k", k)
     if not (b >= 0.0 and math.isfinite(b)):
         raise ValueError(f"quartic_b must be finite and >= 0, got {b}")
     return AnharmonicSpec(stiffness_k=float(k), quartic_b=float(b),

@@ -1,54 +1,31 @@
 """Harmonic-oscillator basis algebra.
 
 Matrix elements of x^2 and x^4 between number states |n> of a basis
-oscillator with quantum hbar Omega, the perturbation operator
+oscillator with quantum u = hbar Omega, the perturbation operator
 
     H' = (k - m Omega^2 / 2) x^2 + b x^4,
 
 and assembly of the full Hamiltonian in symmetric band storage. With
-s^2 = hbar/(2 m Omega) = kappa / (hbar Omega), the ladder expansion
+s^2 = hbar/(2 m Omega) = kappa / u, the ladder expansion
 x = s (a + a^dagger) gives every element in closed form; the only nonzero
 off-diagonals are |k - n| in {2} for x^2 and {2, 4} for x^4.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import AnharmonicSpec
-
-
-@dataclass(frozen=True)
-class OscBasis:
-    """Number-state basis of an oscillator with quantum ``hbar_Omega``.
-
-    ``s2`` is the squared length scale hbar/(2 m Omega) = kappa/hbar_Omega
-    in A^2; it is derived, not free.
-    """
-
-    hbar_Omega: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not self.hbar_Omega > 0.0:
-            raise ValueError("hbar_Omega must be > 0")
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be > 0")
-
-    @property
-    def s2(self) -> float:
-        return self.kappa / self.hbar_Omega
+from .model import AnharmonicSpec, _require_positive
 
 
-def x2_element(basis: OscBasis, k: int, n: int) -> float:
-    """Matrix element <k| x^2 |n> in A^2.
+def x2_element(s2: float, k: int, n: int) -> float:
+    """Matrix element <k| x^2 |n> in A^2, with s2 = kappa / u in A^2.
 
     Diagonal s^2 (2n + 1); two steps away s^2 sqrt((m+1)(m+2)) with
     m = min(k, n); zero otherwise.
     """
+    _require_positive("s2", s2)
     if k < 0 or n < 0:
         raise ValueError("quantum numbers must be non-negative")
-    s2 = basis.s2
     d = abs(k - n)
     if d == 0:
         return s2 * (2 * n + 1)
@@ -58,17 +35,18 @@ def x2_element(basis: OscBasis, k: int, n: int) -> float:
     return 0.0
 
 
-def x4_element(basis: OscBasis, k: int, n: int) -> float:
-    """Matrix element <k| x^4 |n> in A^4.
+def x4_element(s2: float, k: int, n: int) -> float:
+    """Matrix element <k| x^4 |n> in A^4, with s2 = kappa / u in A^2.
 
-    Ladder algebra gives, with m = min(k, n) and s^4 = (kappa/hbar Omega)^2:
+    Ladder algebra gives, with m = min(k, n) and s^4 = (kappa/u)^2:
     diagonal s^4 (6n^2 + 6n + 3), second off-diagonal
     s^4 (4m + 6) sqrt((m+1)(m+2)), fourth off-diagonal
     s^4 sqrt((m+1)(m+2)(m+3)(m+4)).
     """
+    _require_positive("s2", s2)
     if k < 0 or n < 0:
         raise ValueError("quantum numbers must be non-negative")
-    s4 = basis.s2 ** 2
+    s4 = s2 ** 2
     d = abs(k - n)
     m = min(k, n)
     if d == 0:
@@ -80,19 +58,21 @@ def x4_element(basis: OscBasis, k: int, n: int) -> float:
     return 0.0
 
 
-def hprime_element(spec: AnharmonicSpec, basis: OscBasis, k: int, n: int) -> float:
-    """Matrix element <k| H' |n> of the residual perturbation, in eV.
+def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
+    """Matrix element <k| H' |n> of the residual perturbation in basis u, in eV.
 
-    H' = c2 x^2 + b x^4 where c2 = k_spec - (hbar Omega)^2 / (4 kappa) is the
+    H' = c2 x^2 + b x^4 where c2 = k_spec - u^2 / (4 kappa) is the
     coefficient m (omega^2 - Omega^2)/2 written without materializing m.
     """
-    c2 = spec.stiffness_k - basis.hbar_Omega ** 2 / (4.0 * basis.kappa)
-    return c2 * x2_element(basis, k, n) + spec.quartic_b * x4_element(basis, k, n)
+    _require_positive("u", u)
+    s2 = spec.constants.kappa / u
+    c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
+    return c2 * x2_element(s2, k, n) + spec.quartic_b * x4_element(s2, k, n)
 
 
-def build_hamiltonian(spec: AnharmonicSpec, basis: OscBasis,
+def build_hamiltonian(spec: AnharmonicSpec, u: float,
                       dim: int) -> np.ndarray:
-    """Assemble H = hbar Omega (N + 1/2) + H' in the first ``dim`` states.
+    """Assemble H = u (N + 1/2) + H' in the first ``dim`` states of basis u.
 
     Returns the (5, dim) lower band storage of ``scipy.linalg.eig_banded``,
     bands[d, j] = H[j + d, j]; requires dim >= 8 so that at least one
@@ -100,11 +80,11 @@ def build_hamiltonian(spec: AnharmonicSpec, basis: OscBasis,
     """
     import numpy as np  # imported here so shooting-only runs never load it
 
+    _require_positive("u", u)
     if dim < 8:
         raise ValueError(f"dim must be >= 8, got {dim}")
-    u = basis.hbar_Omega
-    s2 = basis.s2
-    c2 = spec.stiffness_k - u * u / (4.0 * basis.kappa)
+    s2 = spec.constants.kappa / u
+    c2 = spec.stiffness_k - u * u / (4.0 * spec.constants.kappa)
     b = spec.quartic_b
     ns = np.arange(dim, dtype=float)
     bands = np.zeros((5, dim))

@@ -13,6 +13,7 @@ division; no ``Fraction`` arithmetic runs inside its sum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,7 +89,8 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
     the coefficient denominators on each side. The numerator over that one
     denominator is accumulated as a Python int and converted by a single
     int / int division, which rounds correctly, so the result is the exact
-    value rounded once and then multiplied by the four scales.
+    value rounded once and then multiplied by the four scales. Where that
+    leaves the normal float range, it raises ``ValueError``.
 
     Symmetry: swapping (a, b) together with (c, d) relabels r1 and r2 and
     leaves the value unchanged.
@@ -144,4 +146,13 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
             acc += cp * (whole * inv_sig[0] + (upper - tail) * inv_mu[0])
         total += cg * acc
     den = lp * lg * inv_mu[0] * inv_nu[0] * inv_sig[0]
-    return a.scale * b.scale * c.scale * d.scale * (total / den)
+    scale = a.scale * b.scale * c.scale * d.scale
+    try:
+        exact = total / den
+    except OverflowError:
+        exact = math.inf
+    # a zero, subnormal or infinite factor has lost a nonzero value
+    factors = (scale, exact, scale * exact) if total else (scale,)
+    if not all(sys.float_info.min <= abs(f) < math.inf for f in factors):
+        raise ValueError(f"Slater integral R^{k} leaves the float range")
+    return scale * exact

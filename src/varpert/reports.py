@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import reference as ref
 from .anharmonic import (energy_conventional_pt, energy_present,
-                         energy_variational, pt_divergent, solve_omega)
+                         energy_variational, pt_divergent)
 from .exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from .helium import excited_triplet_energy, ground_state, optimal_zstar_excited
-from .model import Constants, hbar_omega, make_anharmonic_spec
+from .model import (Constants, _require_positive, hbar_omega,
+                    make_anharmonic_spec)
 
 COMMANDS = ("table1", "table2", "table3", "helium", "sweep")
 FORMATS = ("markdown", "csv", "json")
@@ -56,8 +57,7 @@ class RunConfig:
             raise ValueError("n_max_helium must be >= 2")
         if self.exact_dim < 24:
             raise ValueError("exact_dim must be >= 24")
-        if not (self.exact_tol > 0.0 and math.isfinite(self.exact_tol)):
-            raise ValueError(f"exact_tol must be finite and > 0, got {self.exact_tol}")
+        _require_positive("exact_tol", self.exact_tol)
         bad = [b for b in self.b_values if not (b >= 0.0 and math.isfinite(b))]
         if bad:
             raise ValueError(f"b values must be finite and >= 0, got {bad[0]}")
@@ -118,13 +118,14 @@ def _oscillator_cells(cfg: RunConfig, constants: Constants, n: int,
     carry no percent.
     """
     spec = make_anharmonic_spec(STIFFNESS_K, b, constants)
+    variational = energy_variational(spec, n)
     # stiffness of the optimized parent oscillator, k (Omega_n/omega)^2
-    stiffness = STIFFNESS_K * (solve_omega(spec, n).hbar_Omega_n / hbar_omega(spec)) ** 2
+    stiffness = STIFFNESS_K * (variational.hbar_omega_n / hbar_omega(spec)) ** 2
     estimates = [
         ("conventional_pt1", energy_conventional_pt(spec, n, 1).e_total, ""),
         ("conventional_pt2", energy_conventional_pt(spec, n, 2).e_total,
          "divergent" if pt_divergent(spec, n) else ""),
-        ("variational", energy_variational(spec, n).e_total, ""),
+        ("variational", variational.e_total, ""),
         ("present", energy_present(spec, n).e_total, ""),
     ]
     try:
@@ -204,11 +205,12 @@ TABLE2_GRID = {"conventional_pt1": "conventional,1",
                "variational": "present,1", "present": "present,2"}
 
 
-def _row_label(command: str, method: str) -> str | None:
+def _row_label(command: str, method: str, note: str = "") -> str | None:
     """CSV row label of a method, or None where the markdown and CSV
-    reports leave it out (JSON carries every cell)."""
+    reports leave it out (JSON carries every cell). table2's CSV keeps the
+    exact cell only when its note says why the percents are empty."""
     if command == "table2":
-        return TABLE2_GRID.get(method)
+        return "exact," if method == "exact" and note else TABLE2_GRID.get(method)
     if method == "conventional_pt1" and command != "sweep":
         return None
     return method
@@ -230,7 +232,7 @@ def _table_csv(cfg: RunConfig, kappa: float, cells: list[Cell]) -> str:
     head = "scheme,order" if cfg.command == "table2" else "method"
     lines = [f"command,level,b,{head},value,percent_of_exact,note"]
     for c in cells:
-        label = _row_label(cfg.command, c.method)
+        label = _row_label(cfg.command, c.method, c.note)
         if label is not None:
             lines.append(f"{cfg.command},{c.level},{_fmt(c.b)},{label},"
                          f"{_fmt(c.value)},{c.percent},{c.note}")

@@ -9,7 +9,7 @@ from varpert.anharmonic import (P_COEFFS, energy_conventional_pt,
                                 second_order_closed_form, second_order_sum,
                                 solve_omega)
 from varpert.model import hbar_omega, make_anharmonic_spec
-from varpert.oscillator import OscBasis, x4_element
+from varpert.oscillator import x4_element
 
 B_GRID = (0.001, 0.01, 0.05, 0.25, 1.0)
 
@@ -98,6 +98,15 @@ def test_first_order_rejects_nonpositive_u():
         energy_first_order(spec_at(0.05), 0, 0.0)
 
 
+@pytest.mark.parametrize("func", [energy_first_order, second_order_closed_form,
+                                  second_order_sum])
+@pytest.mark.parametrize("u", [0.0, -1.0, math.nan, math.inf])
+def test_basis_quantum_must_be_finite_and_positive(func, u):
+    # nan used to pass the u <= 0 test and come back as a nan energy
+    with pytest.raises(ValueError, match=r"^u must be finite and > 0"):
+        func(spec_at(0.05), 0, u)
+
+
 @pytest.mark.parametrize("b", B_GRID)
 def test_closed_form_matches_sum_on_shell(b):
     spec = spec_at(b)
@@ -166,26 +175,34 @@ def test_energy_frozen_values(b, n, var, present, pt2):
             pt2, rel=1e-12)
 
 
-def test_level_results_are_tagged_and_monotone():
+def test_level_results_are_monotone():
     spec = spec_at(0.05)
-    for builder, tag in [(energy_variational, "variational"),
-                         (energy_present, "present")]:
+    for builder in (energy_variational, energy_present):
         energies = []
         for n in range(6):
             r = builder(spec, n)
-            assert r.method_tag == tag
             assert r.n == n
             assert r.hbar_omega_n == solve_omega(spec, n).hbar_Omega_n
             energies.append(r.e_total)
         assert energies == sorted(energies)
 
 
+@pytest.mark.parametrize("b", B_GRID)
+def test_total_is_first_plus_correction(b):
+    spec = spec_at(b)
+    for n in range(4):
+        var = energy_variational(spec, n)
+        pt1 = energy_conventional_pt(spec, n, 1)
+        assert var.e_second_corr == pt1.e_second_corr == 0.0
+        for r in (var, energy_present(spec, n), pt1,
+                  energy_conventional_pt(spec, n, 2)):
+            assert r.e_total == r.e_first + r.e_second_corr
+
+
 def test_conventional_pt_orders():
     spec = spec_at(0.05)
     r1 = energy_conventional_pt(spec, 0, 1)
     r2 = energy_conventional_pt(spec, 0, 2)
-    assert r1.method_tag == "conventional_pt1"
-    assert r2.method_tag == "conventional_pt2"
     assert r1.hbar_omega_n == hbar_omega(spec)
     assert r2.e_first == r1.e_total
     assert r2.e_second_corr < 0.0
@@ -204,12 +221,10 @@ def test_divergence_threshold_is_first_order_term():
     # the flag trips exactly when |E2| outgrows b <n|x^4|n>
     spec = spec_at(0.25)
     hw = hbar_omega(spec)
-    basis = OscBasis(hbar_Omega=hw, kappa=spec.constants.kappa)
-    first = spec.quartic_b * x4_element(basis, 0, 0)
+    first = spec.quartic_b * x4_element(spec.constants.kappa / hw, 0, 0)
     second = second_order_sum(spec, 0, hw)
     assert abs(second) > first
     spec_small = spec_at(0.01)
-    basis_small = OscBasis(hbar_Omega=hbar_omega(spec_small),
-                           kappa=spec.constants.kappa)
-    assert abs(second_order_sum(spec_small, 0, hbar_omega(spec_small))) < \
-        spec_small.quartic_b * x4_element(basis_small, 0, 0)
+    hw_small = hbar_omega(spec_small)
+    assert abs(second_order_sum(spec_small, 0, hw_small)) < \
+        spec_small.quartic_b * x4_element(spec.constants.kappa / hw_small, 0, 0)

@@ -31,6 +31,17 @@ def test_harmonic_limit_shooting():
         assert e == pytest.approx((n + 0.5) * hw, abs=5e-9)
 
 
+@pytest.mark.parametrize("k", [1e-300, 1e-100, 1e-12])
+def test_shooting_resolves_levels_far_below_energy_tol(k):
+    # hbar omega is 4e-150 eV at k = 1e-300, far below the 1e-9 eV
+    # energy_tol, and the bracket must still narrow past its first midpoint
+    spec = make_anharmonic_spec(k, 0.0)
+    hw = hbar_omega(spec)
+    for n in (0, 1):
+        assert shoot_eigenvalue(spec, n) == pytest.approx((n + 0.5) * hw,
+                                                          rel=2e-9, abs=0.0)
+
+
 def test_harmonic_limit_diagonalization():
     spec = spec_at(0.0)
     hw = hbar_omega(spec)
@@ -90,9 +101,16 @@ def test_diag_rejects_non_finite_hamiltonian(b, basis_u):
         diag_eigenvalues(spec_at(b), basis_u=basis_u)
 
 
+@pytest.mark.parametrize("basis_u", [0.0, -1.0, math.nan])
+def test_diag_rejects_bad_basis_u(basis_u):
+    with pytest.raises(ValueError):
+        diag_eigenvalues(spec_at(0.05), basis_u=basis_u)
+
+
 def test_shooting_tolerance_halving():
+    # both below the 1e-9 relative cap, so each sets its own width
     spec = spec_at(0.05)
-    tol = 1e-7
+    tol = 2e-9
     e_coarse = shoot_eigenvalue(spec, 1, energy_tol=tol)
     e_fine = shoot_eigenvalue(spec, 1, energy_tol=tol / 2.0)
     assert abs(e_coarse - e_fine) <= tol

@@ -109,6 +109,19 @@ def test_y_integrals_closed_forms():
                                                     rel=1e-12)
 
 
+@pytest.mark.parametrize("z_star", [1e-100, 1e-60, 1e60, 1e100, 1e300])
+def test_y_integral_refuses_charges_out_of_float_range(z_star):
+    # 5 z/8 itself is a normal float, but the product of the four leg
+    # scales (each about z^1.5) or the exact ratio (about z^-5) is not
+    with pytest.raises(ValueError):
+        y_integral(1, 1, 0, z_star)
+
+
+def test_excited_energy_refuses_charge_out_of_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        excited_triplet_energy(1e-60, 2.0)
+
+
 @pytest.mark.parametrize("maker", [x_integral,
                                    lambda n, z: y_integral(1, n, 0, z)])
 def test_integrals_linear_in_charge(maker):
@@ -213,11 +226,7 @@ def test_ground_state_pipeline():
 
 def test_helium_result_validation():
     with pytest.raises(ValueError, match="second-order"):
-        HeliumResult(z_star=ZS, e_variational=-5.7, e_second=0.1,
-                     e_total=-5.6, n_max=7)
-    with pytest.raises(ValueError, match="e_total"):
-        HeliumResult(z_star=ZS, e_variational=-5.7, e_second=-0.01,
-                     e_total=-5.7, n_max=7)
+        HeliumResult(z_star=ZS, e_variational=-5.7, e_second=0.1, n_max=7)
 
 
 def test_direct_exchange_closed_forms():

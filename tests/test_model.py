@@ -91,25 +91,12 @@ def test_hbar_omega_scales_with_sqrt_k():
 
 
 def test_level_result_consistency():
-    r = LevelResult(n=0, hbar_omega_n=3.0, e_first=1.5, e_second_corr=-0.01,
-                    e_total=1.49, method_tag="present")
-    assert r.e_total == pytest.approx(r.e_first + r.e_second_corr)
+    r = LevelResult(n=0, hbar_omega_n=3.0, e_first=1.5, e_second_corr=-0.01)
+    assert r.e_total == 1.5 + -0.01
 
 
-def test_level_result_rejects_unknown_tag():
-    with pytest.raises(ValueError, match="method_tag"):
-        LevelResult(n=0, hbar_omega_n=3.0, e_first=1.5, e_second_corr=0.0,
-                    e_total=1.5, method_tag="magic")
+def test_package_exports_resolve():
+    import varpert
 
-
-@pytest.mark.parametrize("tag", ["variational", "exact"])
-def test_level_result_first_order_tags_forbid_correction(tag):
-    with pytest.raises(ValueError, match="zero correction"):
-        LevelResult(n=0, hbar_omega_n=3.0, e_first=1.5, e_second_corr=-0.1,
-                    e_total=1.4, method_tag=tag)
-
-
-def test_level_result_total_must_add_up():
-    with pytest.raises(ValueError, match="e_total"):
-        LevelResult(n=0, hbar_omega_n=3.0, e_first=1.5, e_second_corr=-0.01,
-                    e_total=1.5, method_tag="present")
+    missing = [name for name in varpert.__all__ if not hasattr(varpert, name)]
+    assert missing == []

@@ -243,6 +243,18 @@ def test_table2_markdown_shows_unconverged_note(monkeypatch, capsys):
             "n=0] | |") in out
 
 
+def test_table2_csv_shows_unconverged_note(monkeypatch, capsys):
+    # an exact row carries the note that explains the empty percents
+    def exhausted(spec, n, energy_tol):
+        raise ConvergenceError(f"search budget exhausted for level n={n}", n=n)
+
+    monkeypatch.setattr(reports, "shoot_eigenvalue", exhausted)
+    assert main(["table2", "--b", "0.05", "--format", "csv"]) == 3
+    out = capsys.readouterr().out
+    assert ("\ntable2,0,0.05,exact,,nan,,unconverged: search budget exhausted "
+            "for level n=0\n") in out
+
+
 @pytest.mark.parametrize("flag", [["--constants", "/nonexistent"],
                                   ["--exact-dim", "9999"]])
 def test_cli_helium_rejects_table_only_flags(flag, capsys):
