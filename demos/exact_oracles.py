@@ -6,8 +6,8 @@ shooting solver integrates the Schroedinger equation outward with
 Taylor-series steps of order 28 (the polynomial potential makes every
 coefficient a five-term recurrence), brackets the level by node count and
 refines on the sign change of psi at the far boundary; the
-diagonalization solver truncates the Hamiltonian in a harmonic basis and
-calls a banded symmetric eigensolver.
+diagonalization solver truncates the Hamiltonian in a harmonic basis scaled
+to the levels and diagonalizes its even and odd parity blocks with numpy.
 They share no code path beyond the potential itself.
 
 Run with: python3 demos/exact_oracles.py

@@ -5,7 +5,7 @@ optimizing the harmonic reference frequency separately for every level
 and then applying Rayleigh-Schroedinger perturbation theory in the
 optimized basis. The same machinery, with a screened nuclear charge as
 the variational parameter, gives helium ground and excited state
-energies. Two independent exact oracles (radial shooting and banded
+energies. Two independent exact oracles (radial shooting and parity-block
 diagonalization) validate every closed form.
 """
 from .anharmonic import (OmegaSolution, energy_conventional_pt,

@@ -60,15 +60,18 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     positive root for b >= 0 and is convex above it, so Newton descends
     onto it monotonically. It runs on v = u / s, with s the seed rounded
     to a power of two: every scaled step is the unscaled one exactly, and
-    the cube cannot overflow while 24 b kappa^2 g(n) is finite. A result
-    that fails the residual check raises ``ValueError``. For b = 0 the root
-    is hbar omega itself.
+    the cube cannot overflow while 24 b kappa^2 g(n) is finite. Where that
+    term overflows, or a result fails the residual check, it raises
+    ``ValueError``. For b = 0 the root is hbar omega itself.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
     kap = spec.constants.kappa
     rhs = 24.0 * spec.quartic_b * kap * kap * _g(n)
+    if rhs == math.inf:
+        raise ValueError(f"quartic_b={spec.quartic_b!r} overflows the cubic "
+                         f"for hbar Omega_{n}")
 
     if rhs == 0.0:
         u, residual = hw, 0.0

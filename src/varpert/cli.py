@@ -55,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"(default {default['n_levels']})")
             p.add_argument("--exact-tol", type=float,
                            help="energy tolerance for the shooting solver "
-                                f"in eV (default {default['exact_tol']})")
+                                f"in eV (default {default['exact_tol']}); "
+                                "it can only tighten the search below its "
+                                "1e-9 E cap")
             p.add_argument("--exact-dim", type=int,
                            help="basis size for the diagonalization oracle "
                                 f"(default {default['exact_dim']})")

@@ -2,9 +2,9 @@
 
 Two deliberately different routes: Taylor-series shooting on the half line
 with parity initial conditions, and truncated-basis diagonalization of the
-band Hamiltonian. Agreement between them is the package's definition of
-"exact" for this potential. Shooting uses neither numpy nor scipy; both
-load only when the diagonalization runs.
+Hamiltonian's two parity blocks. Agreement between them is the package's
+definition of "exact" for this potential. Shooting is pure Python; numpy
+loads only when the diagonalization runs.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import math
 import sys
 from typing import Sequence
 
+from .anharmonic import solve_omega
 from .model import AnharmonicSpec, _require_positive, hbar_omega
 from .oscillator import build_hamiltonian
 
@@ -211,10 +212,11 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
 def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
                      basis_u: float | None = None,
                      n_levels: int = 4) -> Sequence[float]:
-    """Lowest eigenvalues from band diagonalization, ascending.
+    """Lowest eigenvalues from diagonalization in an oscillator basis.
 
-    ``basis_u`` selects the basis quantum (hbar omega when omitted); results
-    are basis independent once ``dim`` is converged. Requires
+    ``basis_u`` selects the basis quantum, hbar Omega_n of the middle level
+    n = n_levels // 2 by default; results are basis independent once ``dim``
+    is converged. Level n is index n // 2 of parity block n % 2. Requires
     dim >= n_levels + 20 so the top of the truncated spectrum cannot
     contaminate the requested levels.
     """
@@ -222,18 +224,17 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
         raise ValueError("n_levels must be >= 1")
     if dim < n_levels + 20:
         raise ValueError(f"dim must be >= n_levels + 20, got {dim}")
-    import numpy as np  # only this oracle needs numpy and scipy (~0.3 s)
-    from scipy.linalg import eig_banded
+    import numpy as np  # only this oracle needs numpy
 
-    u = hbar_omega(spec) if basis_u is None else basis_u
+    u = (solve_omega(spec, n_levels // 2).hbar_Omega_n if basis_u is None
+         else basis_u)
     # an infinite or extreme basis_u (or b) overflows the x^2 and x^4 terms
     if not (math.isfinite(u)
-            and np.isfinite(bands := build_hamiltonian(spec, u, dim)).all()):
+            and np.isfinite(h := build_hamiltonian(spec, u, dim)).all()):
         raise ValueError(f"basis_u={u!r} gives a non-finite Hamiltonian")
     try:
-        w = eig_banded(bands, lower=True, eigvals_only=True,
-                       select="i", select_range=(0, n_levels - 1))
+        blocks = [np.linalg.eigvalsh(h[p::2, p::2]) for p in (0, 1)]
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"band eigensolver failed: {exc}",
+        raise ConvergenceError(f"eigensolver failed: {exc}",
                                dim=dim, basis_u=u) from exc
-    return [float(v) for v in w]
+    return [float(blocks[n % 2][n // 2]) for n in range(n_levels)]

@@ -63,12 +63,19 @@ class AnharmonicSpec:
 
     ``stiffness_k`` is m omega^2 / 2 in eV A^-2 and ``quartic_b`` is the
     quartic coefficient in eV A^-4, so the harmonic quantum is
-    hbar omega = 2 sqrt(kappa k).
+    hbar omega = 2 sqrt(kappa k). k must be finite and > 0, and b finite
+    and >= 0; anything else raises ``ValueError``.
     """
 
     stiffness_k: float
     quartic_b: float
     constants: Constants = field(default_factory=Constants)
+
+    def __post_init__(self) -> None:
+        _require_positive("stiffness_k", self.stiffness_k)
+        if not (self.quartic_b >= 0.0 and math.isfinite(self.quartic_b)):
+            raise ValueError(
+                f"quartic_b must be finite and >= 0, got {self.quartic_b}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class LevelResult:
 
 def make_anharmonic_spec(k: float, b: float,
                          constants: Constants | None = None) -> AnharmonicSpec:
-    """Validate and build an oscillator problem definition.
+    """Build an oscillator problem definition; ``AnharmonicSpec`` checks it.
 
     Parameters
     ----------
@@ -105,13 +112,8 @@ def make_anharmonic_spec(k: float, b: float,
     constants : Constants, optional
         Unit constants; electron defaults when omitted.
     """
-    if constants is None:
-        constants = Constants()
-    _require_positive("stiffness_k", k)
-    if not (b >= 0.0 and math.isfinite(b)):
-        raise ValueError(f"quartic_b must be finite and >= 0, got {b}")
-    return AnharmonicSpec(stiffness_k=float(k), quartic_b=float(b),
-                          constants=constants)
+    return AnharmonicSpec(float(k), float(b),
+                          Constants() if constants is None else constants)
 
 
 def hbar_omega(spec: AnharmonicSpec) -> float:

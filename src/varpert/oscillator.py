@@ -5,7 +5,7 @@ oscillator with quantum u = hbar Omega, the perturbation operator
 
     H' = (k - m Omega^2 / 2) x^2 + b x^4,
 
-and assembly of the full Hamiltonian in symmetric band storage. With
+and assembly of the full Hamiltonian as a dense symmetric matrix. With
 s^2 = hbar/(2 m Omega) = kappa / u, the ladder expansion
 x = s (a + a^dagger) gives every element in closed form; the only nonzero
 off-diagonals are |k - n| in {2} for x^2 and {2, 4} for x^4.
@@ -74,9 +74,9 @@ def build_hamiltonian(spec: AnharmonicSpec, u: float,
                       dim: int) -> np.ndarray:
     """Assemble H = u (N + 1/2) + H' in the first ``dim`` states of basis u.
 
-    Returns the (5, dim) lower band storage of ``scipy.linalg.eig_banded``,
-    bands[d, j] = H[j + d, j]; requires dim >= 8 so that at least one
-    complete set of x^4 couplings is present.
+    Returns the dense symmetric (dim, dim) matrix, whose only nonzero
+    entries lie on the main diagonal and 2 and 4 steps off it; requires
+    dim >= 8 so that at least one complete set of x^4 couplings is present.
     """
     import numpy as np  # imported here so shooting-only runs never load it
 
@@ -85,15 +85,13 @@ def build_hamiltonian(spec: AnharmonicSpec, u: float,
         raise ValueError(f"dim must be >= 8, got {dim}")
     s2 = spec.constants.kappa / u
     c2 = spec.stiffness_k - u * u / (4.0 * spec.constants.kappa)
-    b = spec.quartic_b
+    bs4 = spec.quartic_b * s2 * s2
     ns = np.arange(dim, dtype=float)
-    bands = np.zeros((5, dim))
-    bands[0] = (u * (ns + 0.5)
-                + c2 * s2 * (2.0 * ns + 1.0)
-                + b * s2 * s2 * (6.0 * ns * ns + 6.0 * ns + 3.0))
+    h = np.diag(u * (ns + 0.5) + c2 * s2 * (2.0 * ns + 1.0)
+                + bs4 * (6.0 * ns * ns + 6.0 * ns + 3.0))
     root2 = np.sqrt((ns + 1.0) * (ns + 2.0))
-    bands[2, : dim - 2] = (c2 * s2 * root2
-                           + b * s2 * s2 * (4.0 * ns + 6.0) * root2)[: dim - 2]
-    root4 = np.sqrt((ns + 1.0) * (ns + 2.0) * (ns + 3.0) * (ns + 4.0))
-    bands[4, : dim - 4] = (b * s2 * s2 * root4)[: dim - 4]
-    return bands
+    for d, band in ((2, (c2 * s2 + bs4 * (4.0 * ns + 6.0)) * root2),
+                    (4, bs4 * root2 * np.sqrt((ns + 3.0) * (ns + 4.0)))):
+        np.fill_diagonal(h[d:], band)  # entries (j + d, j), then (j, j + d)
+        np.fill_diagonal(h[:, d:], band)
+    return h

@@ -53,7 +53,8 @@ def polyexp_moment(f: PolyExp, g: PolyExp, p: int) -> float:
     """Exact integral of r^p f(r) g(r) over [0, inf).
 
     Termwise int r^k exp(-gamma r) dr = k!/gamma^(k+1); every combined
-    power k must be >= 0 for convergence at the origin.
+    power k must be >= 0 for convergence at the origin. Where the value
+    leaves the normal float range, it raises ``ValueError``.
     """
     prod, gam = _product(f, g, p)
     total = Fraction(0)
@@ -61,7 +62,21 @@ def polyexp_moment(f: PolyExp, g: PolyExp, p: int) -> float:
         if power < 0:
             raise ValueError(f"combined power {power} < 0, integral diverges")
         total += coeff * math.factorial(power) / gam ** (power + 1)
-    return f.scale * g.scale * float(total)
+    return _scaled(f.scale * g.scale, total.numerator, total.denominator,
+                   f"moment of r^{p}")
+
+
+def _scaled(scale: float, num: int, den: int, what: str) -> float:
+    """scale * (num / den), refused where it leaves the normal float range."""
+    try:
+        exact = num / den
+    except OverflowError:
+        exact = math.inf
+    # a zero, subnormal or infinite factor has lost a nonzero value
+    factors = (scale, exact, scale * exact) if num else (scale,)
+    if not all(sys.float_info.min <= abs(f) < math.inf for f in factors):
+        raise ValueError(f"{what} leaves the float range")
+    return scale * exact
 
 
 def _inverse_powers(rate: Fraction, top: int) -> list[int]:
@@ -146,13 +161,5 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
             acc += cp * (whole * inv_sig[0] + (upper - tail) * inv_mu[0])
         total += cg * acc
     den = lp * lg * inv_mu[0] * inv_nu[0] * inv_sig[0]
-    scale = a.scale * b.scale * c.scale * d.scale
-    try:
-        exact = total / den
-    except OverflowError:
-        exact = math.inf
-    # a zero, subnormal or infinite factor has lost a nonzero value
-    factors = (scale, exact, scale * exact) if total else (scale,)
-    if not all(sys.float_info.min <= abs(f) < math.inf for f in factors):
-        raise ValueError(f"Slater integral R^{k} leaves the float range")
-    return scale * exact
+    return _scaled(a.scale * b.scale * c.scale * d.scale, total, den,
+                   f"Slater integral R^{k}")

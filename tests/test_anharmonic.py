@@ -1,5 +1,6 @@
 """Optimized-basis perturbation scheme: cubic root, energies, equivalence."""
 import math
+import re
 
 import pytest
 
@@ -33,10 +34,13 @@ def test_cubic_root_residual_and_stationarity(b, n):
     assert abs(slope) <= 1e-7
 
 
-def test_solve_omega_raises_when_newton_fails():
-    # 24 b kappa^2 overflows; this used to return inf
-    with pytest.raises(ValueError, match="Newton iteration for hbar Omega_0"):
-        solve_omega(spec_at(1e306), 0)
+@pytest.mark.parametrize("b", [1e306, 1e307, 1e308])
+def test_solve_omega_refuses_overflowing_cubic(b):
+    # 24 b kappa^2 overflows; this used to return inf, then to fail the
+    # Newton residual check on u = nan
+    message = f"quartic_b={b!r} overflows the cubic for hbar Omega_0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_omega(spec_at(b), 0)
 
 
 def test_solve_omega_root_past_cube_overflow_of_the_seed():

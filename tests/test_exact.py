@@ -91,14 +91,35 @@ def test_diag_rejects_fewer_than_one_level(n_levels, monkeypatch):
         diag_eigenvalues(spec_at(0.05), n_levels=n_levels)
 
 
-@pytest.mark.parametrize("b, basis_u", [(0.05, 1e300), (0.05, 1e-300),
-                                        (0.05, float("inf")), (1e308, None)])
+@pytest.mark.parametrize("b, basis_u", [
+    (0.05, 1e300), (0.05, 1e-300), (0.05, float("inf")),
+    pytest.param(1e308, hbar_omega(spec_at(0.0)), id="1e+308-hbar_omega")])
 def test_diag_rejects_non_finite_hamiltonian(b, basis_u):
-    # refused by name, not inside scipy on an array the caller never passed;
-    # at b = 1e308 even the default basis overflows the x^4 terms
+    # refused by name, not inside the eigensolver on an array the caller
+    # never passed; at b = 1e308 the hbar omega basis overflows the x^4 terms
     with pytest.raises(ValueError, match=r"^basis_u=.* gives a non-finite "
                                          r"Hamiltonian$"):
         diag_eigenvalues(spec_at(b), basis_u=basis_u)
+
+
+def test_diag_default_basis_refuses_overflowing_cubic():
+    # the default basis quantum hbar Omega_2 cannot be solved for at all
+    with pytest.raises(ValueError, match=r"^quartic_b=1e\+308 overflows the "
+                                         r"cubic for hbar Omega_2$"):
+        diag_eigenvalues(spec_at(1e308))
+
+
+# strongly anharmonic points where the hbar omega basis at dim 120 returned
+# wrong levels without an error: 68.65 eV for 55.74 eV at (0.5, 1e4)
+FORMER_FAULT_POINTS = [(0.5, 1e4), (1e-6, 1.0), (1e-4, 1e8), (1e3, 1e8)]
+
+
+@pytest.mark.parametrize("k, b", FORMER_FAULT_POINTS)
+def test_diag_default_basis_matches_shooting_at_strong_coupling(k, b):
+    spec = make_anharmonic_spec(k, b)
+    diag = diag_eigenvalues(spec, n_levels=21)
+    for n in (0, 1, 10, 20):
+        assert diag[n] == pytest.approx(shoot_eigenvalue(spec, n), rel=1e-8)
 
 
 @pytest.mark.parametrize("basis_u", [0.0, -1.0, math.nan])
@@ -207,6 +228,7 @@ def _run_fresh(code):
 
 
 def test_import_and_table_leave_scipy_linalg_unloaded():
+    # scipy is a test dependency only: not even the diagonalization loads it
     _run_fresh(
         "import contextlib, io, sys\n"
         "import varpert\n"
@@ -215,6 +237,11 @@ def test_import_and_table_leave_scipy_linalg_unloaded():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['table1']) == 0\n"
         "assert 'scipy.linalg' not in sys.modules, 'loaded by table1'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['table1', '--check']) == 0\n"
+        "assert 'numpy' in sys.modules, 'no diagonalization ran'\n"
+        "varpert.diag_eigenvalues(varpert.make_anharmonic_spec(0.5, 0.05))\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     )
 
 

@@ -117,6 +117,17 @@ def test_y_integral_refuses_charges_out_of_float_range(z_star):
         y_integral(1, 1, 0, z_star)
 
 
+def test_x_integral_refuses_charges_out_of_float_range():
+    # X_2 = 4 sqrt(2) z / 27 holds at 1e-100; further down the product of
+    # the two leg scales (about z^3) underflows, and 0.0 used to come back
+    assert x_integral(2, 1e-100) == pytest.approx(
+        4.0 * math.sqrt(2.0) / 27.0 * 1e-100, rel=1e-13, abs=0.0)
+    for z_star in (1e-110, 1e-150):
+        with pytest.raises(ValueError, match=r"^moment of r\^1 leaves the "
+                                             r"float range$"):
+            x_integral(2, z_star)
+
+
 def test_excited_energy_refuses_charge_out_of_float_range():
     with pytest.raises(ValueError, match="float range"):
         excited_triplet_energy(1e-60, 2.0)

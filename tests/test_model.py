@@ -5,8 +5,8 @@ import math
 import pytest
 
 from varpert.cli import main
-from varpert.model import (Constants, LevelResult, hbar_omega,
-                           make_anharmonic_spec)
+from varpert.model import (AnharmonicSpec, Constants, LevelResult,
+                           hbar_omega, make_anharmonic_spec)
 
 
 def test_default_constants():
@@ -66,6 +66,16 @@ def test_make_spec_validates_signs():
         make_anharmonic_spec(0.5, -0.01)
     # b = 0 is the harmonic limit and must be accepted
     assert make_anharmonic_spec(0.5, 0.0).quartic_b == 0.0
+
+
+@pytest.mark.parametrize("k, b, message", [
+    (0.5, math.nan, "quartic_b must be finite and >= 0, got nan"),
+    (0.0, 0.05, "stiffness_k must be finite and > 0, got 0.0"),
+], ids=["nan_b", "zero_k"])
+def test_spec_built_directly_is_validated(k, b, message):
+    # these used to give a nan e_total and a ZeroDivisionError downstream
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AnharmonicSpec(k, b)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -122,17 +122,15 @@ def test_hprime_element_composition():
 
 def test_hamiltonian_matches_elements():
     spec = make_anharmonic_spec(0.5, 0.05)
-    bands = build_hamiltonian(spec, 3.2, 16)
-    # lower band storage: bands[d, j] is entry (j + d, j), d <= 4
-    assert bands.shape == (5, 16)
+    h = build_hamiltonian(spec, 3.2, 16)
+    assert h.shape == (16, 16)
+    assert (h == h.T).all()
     for k in range(16):
         for n in range(16):
             expected = hprime_element(spec, 3.2, k, n)
             if k == n:
                 expected += 3.2 * (n + 0.5)
-            d = abs(k - n)
-            got = bands[d, min(k, n)] if d <= 4 else 0.0
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert h[k, n] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_hamiltonian_minimum_dim():

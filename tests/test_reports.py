@@ -186,9 +186,15 @@ def test_cli_rejects_non_finite_b(bad, capsys):
     assert "e_total" not in err
 
 
-def test_cli_check_cross_checks_unreferenced_columns(capsys):
+def test_cli_check_cross_checks_unreferenced_columns(monkeypatch, capsys):
     # no published cell at b = 1e4, but the two oracles are still compared;
-    # the hbar-omega-basis diagonalization is 23 % off there
+    # a diagonalization 1e-4 eV off is caught there
+    diag = reports.diag_eigenvalues
+
+    def shifted(*args, **kwargs):
+        return [e + 1e-4 for e in diag(*args, **kwargs)]
+
+    monkeypatch.setattr(reports, "diag_eigenvalues", shifted)
     assert main(["table1", "--b", "10000", "--check"]) == 2
     err = capsys.readouterr().err
     assert "vs diagonalization" in err
