@@ -22,7 +22,7 @@ _RECURRENCE = tuple(1.0 / ((j + 1) * (j + 2)) for j in range(ORDER - 1))
 _ROOT_PREV, _ROOT_LAST = 1.0 / (ORDER - 1), 1.0 / ORDER
 _SAFETY = 0.5  # shrinks the last terms by a further 2^-ORDER or so
 _TINY = sys.float_info.min
-ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to max(1, |psi|)
+ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to psi's scale
 REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
 
@@ -44,8 +44,9 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     in powers of t = (x - x0) / H, H = pi / (2 sqrt(E / kappa)), and the
     series coefficients a_j of psi(x0 + H t) obey the five-term recurrence
     (j+1)(j+2) a_{j+2} = sum_{i<=4} q_i a_{j-i}. The step t <= 1 keeps the
-    last two terms within ``ABS_TOL`` max(1, |psi|), so no step is ever
-    rejected. As V >= 0, zeros of psi lie at least 2H apart (Sturm
+    last two terms within ``ABS_TOL`` max(s, |psi|), so no step is ever
+    rejected; psi's scale s is 1 for even parity and, as psi'(0) = 1, H
+    for odd. As V >= 0, zeros of psi lie at least 2H apart (Sturm
     comparison with the free wave at energy E), so a step of at most H
     holds at most one of them and a sign change counts it exactly.
     """
@@ -57,7 +58,7 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     h2 = big_h * big_h
     h4 = h2 * h2
 
-    y0, y1 = (1.0, 0.0) if parity == 0 else (0.0, 1.0)
+    y0, y1, scale = (1.0, 0.0, 1.0) if parity == 0 else (0.0, 1.0, big_h)
     x = 0.0
     nodes = 0
     last_sign = 1.0  # psi first moves positive for either parity
@@ -73,7 +74,7 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
         for j, inv in enumerate(_RECURRENCE):
             a.append((q0 * a[j + 4] + q1 * a[j + 3] + q2 * a[j + 2]
                       + q3 * a[j + 1] + q4 * a[j]) * inv)
-        tol = ABS_TOL * max(1.0, abs(y0))
+        tol = ABS_TOL * max(scale, abs(y0))
         t = min(1.0, (x_max - x) / big_h,
                 _SAFETY * (tol / max(abs(a[-2]), _TINY)) ** _ROOT_PREV,
                 _SAFETY * (tol / max(abs(a[-1]), _TINY)) ** _ROOT_LAST)

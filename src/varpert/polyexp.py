@@ -6,9 +6,12 @@ decay rates are exact rationals; the single float ``scale`` absorbs the
 irrational normalization, so one-dimensional moments and two-dimensional
 Slater kernels reduce to exact factorial sums with at most a few ulp of
 rounding at the final conversion. Orthogonality integrals in particular
-come out exactly zero. A Slater integral is one exact integer sum over a
-common denominator, turned into a float by one correctly rounded int / int
-division; no ``Fraction`` arithmetic runs inside its sum.
+come out exactly zero. Products are taken in integers over each factor's
+common denominator, and a moment or Slater integral is one exact integer
+sum turned into a float by one correctly rounded int / int division; no
+``Fraction`` arithmetic runs inside either. A Slater integral shares its
+r1-side sums among all r2 terms, so it costs O((P + G) M) for P and G
+terms on the two sides with powers up to M.
 """
 from __future__ import annotations
 
@@ -39,14 +42,26 @@ class PolyExp:
                 raise ValueError(f"powers must be integers >= 0, got {power}")
 
 
-def _product(f: PolyExp, g: PolyExp, extra_power: int = 0) -> tuple[dict[int, Fraction], Fraction]:
-    """Pointwise product f*g*r^extra_power as {power: coeff} plus decay rate."""
-    out: dict[int, Fraction] = {}
+def _product(f: PolyExp, g: PolyExp, extra_power: int = 0
+             ) -> tuple[dict[int, int], int, Fraction]:
+    """f*g*r^extra_power as ({power: numerator}, common denominator, decay).
+
+    A power whose integer coefficients cancel keeps its key, with 0.
+    """
+    # lists, not generators, as math.lcm's arguments: CPython unpacks a
+    # generator into a 10-slot tuple shrunk to size, which grows its
+    # small-tuple free lists by one tuple per call, up to about half a MB
+    den_f = math.lcm(*[cf.denominator for cf, _ in f.terms])
+    den_g = math.lcm(*[cg.denominator for cg, _ in g.terms])
+    ints_g = [(cg.numerator * (den_g // cg.denominator), pg)
+              for cg, pg in g.terms]
+    out: dict[int, int] = {}
     for cf, pf in f.terms:
-        for cg, pg in g.terms:
+        nf = cf.numerator * (den_f // cf.denominator)
+        for ng, pg in ints_g:
             p = pf + pg + extra_power
-            out[p] = out.get(p, Fraction(0)) + cf * cg
-    return out, f.gamma + g.gamma
+            out[p] = out.get(p, 0) + nf * ng
+    return out, den_f * den_g, f.gamma + g.gamma
 
 
 def polyexp_moment(f: PolyExp, g: PolyExp, p: int) -> float:
@@ -56,14 +71,14 @@ def polyexp_moment(f: PolyExp, g: PolyExp, p: int) -> float:
     power k must be >= 0 for convergence at the origin. Where the value
     leaves the normal float range, it raises ``ValueError``.
     """
-    prod, gam = _product(f, g, p)
-    total = Fraction(0)
-    for power, coeff in prod.items():
+    prod, den, gam = _product(f, g, p)
+    for power in prod:
         if power < 0:
             raise ValueError(f"combined power {power} < 0, integral diverges")
-        total += coeff * math.factorial(power) / gam ** (power + 1)
-    return _scaled(f.scale * g.scale, total.numerator, total.denominator,
-                   f"moment of r^{p}")
+    inv = _inverse_powers(gam, max(prod, default=0) + 1)
+    total = sum(coeff * math.factorial(power) * inv[power + 1]
+                for power, coeff in prod.items())
+    return _scaled(f.scale * g.scale, total, den * inv[0], f"moment of r^{p}")
 
 
 def _scaled(scale: float, num: int, den: int, what: str) -> float:
@@ -98,68 +113,52 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
     to single factorial sums, so there is no quadrature anywhere.
 
     With mu, nu and sigma = mu + nu the decay rates of the r1 side, the r2
-    side and their sum, every term is a rational with denominator dividing
-    num(mu)^e_mu num(nu)^e_nu num(sigma)^e_sig lp lg, where e_* are the
-    highest inverse powers that occur and lp, lg are common multiples of
-    the coefficient denominators on each side. The numerator over that one
-    denominator is accumulated as a Python int and converted by a single
-    int / int division, which rounds correctly, so the result is the exact
-    value rounded once and then multiplied by the four scales. Where that
-    leaves the normal float range, it raises ``ValueError``.
+    side and their sum, and c_q the r1-side coefficient of r1^(q+k+1),
+    the r1 integrals enter only through W = sum_q c_q q!/mu^(q+1) and
+    S_j = sum_q c_q (q+j)!/sigma^(q+j+1), formed once per call. An r2 term
+    of power p then needs one sum over S for its lower tail and one over S
+    shifted by 2k + 1 for its upper piece: O((P + G) M) for P and G terms
+    with powers up to M. The sum runs in Python ints over one common
+    denominator, and one int / int division rounds the exact value
+    correctly before the four scales multiply it. Where that leaves the
+    normal float range, it raises ``ValueError``.
 
     Symmetry: swapping (a, b) together with (c, d) relabels r1 and r2 and
     leaves the value unchanged.
     """
     if k < 0:
         raise ValueError("multipole order k must be >= 0")
-    p_terms, mu = _product(a, c, 2)
-    g_terms, nu = _product(b, d, 2)
-    if g_terms:
-        for pp in p_terms:
-            if pp < k + 1:
-                raise ValueError(
-                    f"kernel power k={k} too high for r1-side power {pp}")
-    for pg in g_terms:
-        if pg < k + 1:
-            raise ValueError(
-                f"kernel power k={k} too high for r2-side power {pg}")
+    p_terms, lp, mu = _product(a, c, 2)
+    g_terms, lg, nu = _product(b, d, 2)
+    for side, powers in ("r1", p_terms if g_terms else ()), ("r2", g_terms):
+        for power in powers:
+            if power < k + 1:
+                raise ValueError(f"kernel power k={k} too high for "
+                                 f"{side}-side power {power}")
     if not (p_terms and g_terms):
         return a.scale * b.scale * c.scale * d.scale * 0.0
-    # integer coefficients over the common multiples lp and lg; lists, not
-    # generators, as arguments: CPython unpacks a generator into a 10-slot
-    # tuple shrunk to size, which grows its small-tuple free lists by one
-    # tuple per call, up to about half a megabyte
-    lp = math.lcm(*[cp.denominator for cp in p_terms.values()])
-    lg = math.lcm(*[cg.denominator for cg in g_terms.values()])
-    ip = [(pp - k - 1, cp.numerator * (lp // cp.denominator))
-          for pp, cp in p_terms.items()]
-    ig = [(pg, cg.numerator * (lg // cg.denominator))
-          for pg, cg in g_terms.items()]
-    # highest inverse powers of mu, nu and sigma over all terms
     top_p, top_g = max(p_terms), max(g_terms)
-    e_mu, e_nu, e_sig = top_p - k, top_g + k + 1, top_p + top_g
-    inv_mu = _inverse_powers(mu, e_mu)
-    inv_nu = _inverse_powers(nu, e_nu)
-    inv_sig = _inverse_powers(mu + nu, e_sig)
-    fact = [math.factorial(i) for i in range(max(e_nu, e_sig) + 1)]
-    total = 0
-    for pg, cg in ig:
-        m = pg + k
-        mm = pg - k - 1
-        acc = 0
-        for q, cp in ip:
-            # lower piece: full moment minus the exponential tail at r1
-            whole = fact[m] * fact[q] * inv_nu[m + 1] * inv_mu[q + 1]
-            tail = sum(fact[m] // fact[i] * fact[q + i]
-                       * inv_nu[m + 1 - i] * inv_sig[q + i + 1]
-                       for i in range(m + 1))
-            # upper piece: r1^k times the exponential tail of order mm
-            qk = q + 2 * k + 1
-            upper = sum(fact[mm] // fact[i] * fact[qk + i]
-                        * inv_nu[mm + 1 - i] * inv_sig[qk + i + 1]
-                        for i in range(mm + 1))
-            acc += cp * (whole * inv_sig[0] + (upper - tail) * inv_mu[0])
-        total += cg * acc
-    den = lp * lg * inv_mu[0] * inv_nu[0] * inv_sig[0]
-    return _scaled(a.scale * b.scale * c.scale * d.scale, total, den,
+    inv_mu = _inverse_powers(mu, top_p - k)
+    inv_nu = _inverse_powers(nu, top_g + k + 1)
+    inv_sig = _inverse_powers(mu + nu, top_p + top_g)
+    fact = [math.factorial(i) for i in range(top_p + top_g)]
+    ip = [(pp - k - 1, cp) for pp, cp in p_terms.items()]
+    w = sum(cp * fact[q] * inv_mu[q + 1] for q, cp in ip)
+    s = [sum(cp * fact[q + j] * inv_sig[q + j + 1] for q, cp in ip)
+         for j in range(top_g + k + 1)]
+
+    def tail(n: int, shift: int) -> int:
+        # exponential tail at r1: sum_i (n!/i!) nu^-(n+1-i) S_(i+shift)
+        return sum(fact[n] // fact[i] * inv_nu[n + 1 - i] * s[i + shift]
+                   for i in range(n + 1))
+
+    whole = tails = 0
+    for pg, cg in g_terms.items():
+        # lower piece: full moment minus the tail of order pg + k; upper
+        # piece: r1^k times the tail of order pg - k - 1
+        whole += cg * fact[pg + k] * inv_nu[pg + k + 1]
+        tails += cg * (tail(pg - k - 1, 2 * k + 1) - tail(pg + k, 0))
+    return _scaled(a.scale * b.scale * c.scale * d.scale,
+                   whole * w * inv_sig[0] + tails * inv_mu[0],
+                   lp * lg * inv_mu[0] * inv_nu[0] * inv_sig[0],
                    f"Slater integral R^{k}")

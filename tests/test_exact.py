@@ -322,6 +322,16 @@ def test_huge_b_shooting_ends_quickly(b):
     assert levels[0] / scale == pytest.approx(1.0603620905, rel=1e-8)
 
 
+@pytest.mark.parametrize("b", [1e30, 1e40])
+def test_odd_level_at_tiny_length_scale_matches_diagonalization(b):
+    # psi'(0) = 1 keeps the odd solution of order the step H << 1 here, so
+    # a tolerance floored at 1 instead of H let n = 1 drift by 3.8e-12
+    # relative at b = 1e40
+    spec = spec_at(b)
+    diag = diag_eigenvalues(spec)[1]
+    assert abs(shoot_eigenvalue(spec, 1) - diag) <= 1e-14 * diag
+
+
 def test_energy_tol_below_float_resolution_stops_at_the_floor():
     # no bracket narrower than 8 ulps of E can be split, so the search
     # stops there instead of running out of budget

@@ -7,12 +7,14 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from varpert.helium import _direct_exchange_1s2s, hydrogenic_radial
-from varpert.polyexp import _product, polyexp_moment, slater_radial
+from varpert.polyexp import polyexp_moment, slater_radial
 
 from polyexp_helpers import build, evaluate
 
 ONE_S = build([(2, 0)], 1)  # 2 e^-r, the unit-charge 1s radial
 BARE = build([(1, 0)], 1)
+# 1 - 1 + r^2: the r^0 terms cancel, but the product keeps their power
+CANCELLED = build([(1, 0), (-1, 0), (1, 2)], 1)
 
 
 def test_build_normalizes_to_fractions():
@@ -112,6 +114,10 @@ def test_slater_rejects_singular_kernel():
     with pytest.raises(ValueError,
                        match=r"^kernel power k=2 too high for r2-side power 2$"):
         slater_radial(2, p_leg, BARE, p_leg, BARE)
+    # a power whose coefficient cancels to 0 still counts
+    with pytest.raises(ValueError,
+                       match=r"^kernel power k=2 too high for r1-side power 2$"):
+        slater_radial(2, CANCELLED, p_leg, BARE, p_leg)
 
 
 def test_scale_factors_multiply_through():
@@ -128,12 +134,33 @@ def _fraction_lower_tail(m, nu):
             for i in range(m + 1)]
 
 
+def _fraction_product(f, g, extra_power):
+    """{power: Fraction} of f*g*r^extra_power; a cancelled power keeps its key."""
+    out = {}
+    for cf, pf in f.terms:
+        for cg, pg in g.terms:
+            p = pf + pg + extra_power
+            out[p] = out.get(p, Fraction(0)) + cf * cg
+    return out
+
+
+def _fraction_moment(f, g, p):
+    """Reference: the moment summed term by term in Fractions."""
+    gam = f.gamma + g.gamma
+    total = Fraction(0)
+    for power, coeff in _fraction_product(f, g, p).items():
+        if power < 0:
+            raise ValueError(f"combined power {power} < 0, integral diverges")
+        total += coeff * math.factorial(power) / gam ** (power + 1)
+    return f.scale * g.scale * float(total)
+
+
 def _fraction_slater_radial(k, a, b, c, d):
     """Reference: the same closed form summed term by term in Fractions."""
     if k < 0:
         raise ValueError("multipole order k must be >= 0")
-    p_terms, mu = _product(a, c, 2)
-    g_terms, nu = _product(b, d, 2)
+    p_terms, mu = _fraction_product(a, c, 2), a.gamma + c.gamma
+    g_terms, nu = _fraction_product(b, d, 2), b.gamma + d.gamma
     total = Fraction(0)
     for pg, cg in g_terms.items():
         m = pg + k
@@ -186,6 +213,14 @@ def test_slater_bit_equal_to_fraction_sum_for_j_and_k(z_star):
     assert _direct_exchange_1s2s(z_star) == (j_ref, k_ref)
 
 
+def _outcome(fn, *args):
+    """fn's value, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _generic_slater_cases():
     cases = []
     for k in (0, 1, 2):
@@ -207,10 +242,43 @@ def _generic_slater_cases():
                build([(Fraction(1, 6), 0), (4, 2)], Fraction(2, 9)),
                build([(Fraction(-3, 8), 1)], Fraction(17, 5),
                      scale=2.5))]
+    # kernel orders through 2l + 2, the last one too high for the legs,
+    # each with the legs swapped between r1 and r2
+    for l in (1, 2):
+        a = build([(1, l), (Fraction(-2, 3), l + 1)], Fraction(3, 2))
+        b = build([(Fraction(1, 4), l), (1, l + 2)], Fraction(5, 7))
+        c = build([(2, l)], 1)
+        d = build([(Fraction(-3, 5), l), (1, l + 1)], Fraction(9, 4))
+        for k in range(2 * l + 3):
+            cases += [(k, a, b, c, d), (k, b, a, d, c)]
+    # extreme charges, in both leg orders
+    for z_star in (0.1, 1e5):
+        for n, n_prime, l in ((2, 4, 1), (3, 5, 2)):
+            k, a, b, c, d = _y_legs(n, n_prime, l, z_star)
+            cases += [(k, a, b, c, d), (k, b, a, d, c)]
+    # a power whose coefficient cancels to 0 below k + 1, on either side
+    p2 = build([(1, 2)], 1)
+    cases += [(2, CANCELLED, p2, BARE, p2), (2, p2, CANCELLED, p2, BARE),
+              (1, CANCELLED, p2, BARE, p2)]
     return cases
 
 
 @pytest.mark.parametrize("case", _generic_slater_cases())
 def test_slater_bit_equal_to_fraction_sum_generic(case):
-    assert slater_radial(*case) == _fraction_slater_radial(*case)
+    assert (_outcome(slater_radial, *case)
+            == _outcome(_fraction_slater_radial, *case))
+
+
+@pytest.mark.parametrize("p", [-3, -1, 0, 1, 2, 5])
+def test_moment_bit_equal_to_fraction_sum(p):
+    legs = [build([(Fraction(-7, 3), 1), (Fraction(5, 9), 3)],
+                  Fraction(11, 7), scale=0.3),
+            build([(Fraction(2, 5), 2), (1, 0), (-3, 4)], Fraction(13, 6)),
+            CANCELLED, ONE_S]
+    legs += [hydrogenic_radial(n, l, z_star) for z_star in (0.1, 1.6875, 1e5)
+             for n, l in ((1, 0), (3, 1), (6, 2))]
+    for f in legs:
+        for g in legs:
+            assert (_outcome(polyexp_moment, f, g, p)
+                    == _outcome(_fraction_moment, f, g, p))
 
