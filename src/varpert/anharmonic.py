@@ -19,10 +19,10 @@ hbar omega instead reproduces conventional perturbation theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
-from .oscillator import hprime_element, x4_element
+from .oscillator import _x2, _x4, x4_element
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
 # every n (equivalence enforced by tests at relative 1e-10). The linear
@@ -40,8 +40,7 @@ def _beta(spec: AnharmonicSpec, u: float) -> float:
     return spec.quartic_b * kap * kap / (u * u)
 
 
-@dataclass(frozen=True)
-class OmegaSolution:
+class OmegaSolution(NamedTuple):
     """Optimized basis quantum for one level.
 
     ``residual`` is the cubic's value at the root (eV^3), a diagnostic kept
@@ -64,6 +63,11 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     term overflows, or a result fails the residual check, it raises
     ``ValueError``. For b = 0 the root is hbar omega itself.
     """
+    return OmegaSolution(n, *_omega(spec, n))
+
+
+def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float]:
+    """(hbar Omega_n, residual) as ``solve_omega`` describes them."""
     if n < 0:
         raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
@@ -72,28 +76,24 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     if rhs == math.inf:
         raise ValueError(f"quartic_b={spec.quartic_b!r} overflows the cubic "
                          f"for hbar Omega_{n}")
-
     if rhs == 0.0:
-        u, residual = hw, 0.0
-    else:
-        # seed 1.5x above both scales keeps Newton on the convex branch
-        v, e = math.frexp(1.5 * max(hw, rhs ** (1.0 / 3.0)))
-        w = math.ldexp(hw, -e)
-        r = math.ldexp(rhs, -3 * e)
-
-        def cubic(v: float) -> float:
-            return v * v * v - w * w * v - r
-
-        for _ in range(80):
-            step = cubic(v) / (3.0 * v * v - w * w)
-            v -= step
-            if abs(step) <= 1e-15 * v:
-                break
-        u, residual = math.ldexp(v, e), math.ldexp(cubic(v), 3 * e)
-        if not abs(cubic(v)) <= 1e-10 * v ** 3:
-            raise ValueError(f"Newton iteration for hbar Omega_{n} failed: "
-                             f"u = {u}, residual {residual}")
-    return OmegaSolution(n=n, hbar_Omega_n=u, residual=residual)
+        return hw, 0.0
+    # seed 1.5x above both scales keeps Newton on the convex branch
+    v, e = math.frexp(1.5 * max(hw, rhs ** (1.0 / 3.0)))
+    w = math.ldexp(hw, -e)
+    ww = w * w
+    r = math.ldexp(rhs, -3 * e)
+    for _ in range(80):
+        step = (v * v * v - ww * v - r) / (3.0 * v * v - ww)
+        v -= step
+        if abs(step) <= 1e-15 * v:
+            break
+    cubic = v * v * v - ww * v - r
+    u, residual = math.ldexp(v, e), math.ldexp(cubic, 3 * e)
+    if not abs(cubic) <= 1e-10 * v ** 3:
+        raise ValueError(f"Newton iteration for hbar Omega_{n} failed: "
+                         f"u = {u}, residual {residual}")
+    return u, residual
 
 
 def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
@@ -104,6 +104,8 @@ def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
     at u = hbar omega and as the objective whose stationary point defines
     hbar Omega_n.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     _require_positive("u", u)
     hw = hbar_omega(spec)
     beta = _beta(spec, u)
@@ -121,6 +123,8 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     eliminates u^2 - (hbar omega)^2 through the cubic, so u must solve the
     cubic for this n; the precondition is enforced at relative 1e-8.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     _require_positive("u", u)
     hw = hbar_omega(spec)
     kap = spec.constants.kappa
@@ -141,29 +145,33 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
 
     The perturbation couples |n> only to |n +- 2> and |n +- 4>, so the
     Rayleigh-Schrodinger sum is exact with four terms:
-    sum_k |<k|H'|n>|^2 / (u (n - k)). ``hprime_element`` checks u.
+    sum_k |<k|H'|n>|^2 / (u (n - k)), each term as in ``hprime_element``.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _require_positive("u", u)
+    s2 = spec.constants.kappa / u
+    c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
+    _require_positive("s2", s2)
     total = 0.0
     for k in (n - 4, n - 2, n + 2, n + 4):
         if k < 0:
             continue
-        amp = hprime_element(spec, u, k, n)
+        amp = c2 * _x2(s2, k, n) + spec.quartic_b * _x4(s2, k, n)
         total += amp * amp / (u * (n - k))
     return total
 
 
 def energy_variational(spec: AnharmonicSpec, n: int) -> LevelResult:
     """Variational energy: first order in the optimized basis, no correction."""
-    sol = solve_omega(spec, n)
-    e1 = energy_first_order(spec, n, sol.hbar_Omega_n)
-    return LevelResult(n=n, hbar_omega_n=sol.hbar_Omega_n, e_first=e1,
-                       e_second_corr=0.0)
+    u = _omega(spec, n)[0]
+    e1 = energy_first_order(spec, n, u)
+    return LevelResult(n=n, hbar_omega_n=u, e_first=e1, e_second_corr=0.0)
 
 
 def energy_present(spec: AnharmonicSpec, n: int) -> LevelResult:
     """Optimized-basis energy through second order."""
-    sol = solve_omega(spec, n)
-    u = sol.hbar_Omega_n
+    u = _omega(spec, n)[0]
     e1 = energy_first_order(spec, n, u)
     e2 = second_order_closed_form(spec, n, u)
     return LevelResult(n=n, hbar_omega_n=u, e_first=e1, e_second_corr=e2)

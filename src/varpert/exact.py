@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Sequence
 
-from .anharmonic import solve_omega
+from .anharmonic import _omega
 from .model import AnharmonicSpec, _require_positive, hbar_omega
 from .oscillator import build_hamiltonian
 
@@ -25,6 +25,10 @@ _TINY = sys.float_info.min
 ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to psi's scale
 REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
+# most weight a level may keep on the top 10 states of its parity block in
+# an explicit diagonalization basis: converged levels measure 1e-28 or
+# less, and a far-off basis 1e-5 or more
+TAIL_WEIGHT = 1e-20
 
 
 class ConvergenceError(RuntimeError):
@@ -219,7 +223,9 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
     n = n_levels // 2 by default; results are basis independent once ``dim``
     is converged. Level n is index n // 2 of parity block n % 2. Requires
     dim >= n_levels + 20 so the top of the truncated spectrum cannot
-    contaminate the requested levels.
+    contaminate the requested levels. An explicit ``basis_u`` must also
+    leave each level at most ``TAIL_WEIGHT`` of its weight on the top 10
+    states of its block, or ``ConvergenceError`` is raised.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -227,15 +233,24 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
         raise ValueError(f"dim must be >= n_levels + 20, got {dim}")
     import numpy as np  # only this oracle needs numpy
 
-    u = (solve_omega(spec, n_levels // 2).hbar_Omega_n if basis_u is None
-         else basis_u)
+    u = _omega(spec, n_levels // 2)[0] if basis_u is None else basis_u
     # an infinite or extreme basis_u (or b) overflows the x^2 and x^4 terms
     if not (math.isfinite(u)
             and np.isfinite(h := build_hamiltonian(spec, u, dim)).all()):
         raise ValueError(f"basis_u={u!r} gives a non-finite Hamiltonian")
+    solve = np.linalg.eigvalsh if basis_u is None else np.linalg.eigh
     try:
-        blocks = [np.linalg.eigvalsh(h[p::2, p::2]) for p in (0, 1)]
+        blocks = [solve(h[p::2, p::2]) for p in (0, 1)]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}",
                                dim=dim, basis_u=u) from exc
+    if basis_u is not None:
+        for n in range(n_levels):
+            top = blocks[n % 2].eigenvectors[-10:, n // 2]
+            if (tail := float(top @ top)) > TAIL_WEIGHT:
+                raise ConvergenceError(
+                    f"level n={n} keeps {tail:.1e} of its weight on the top "
+                    f"10 basis states; basis_u={u!r} is not converged at "
+                    f"dim={dim}", n=n, tail_weight=tail, dim=dim, basis_u=u)
+        blocks = [block.eigenvalues for block in blocks]
     return [float(blocks[n % 2][n // 2]) for n in range(n_levels)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # CODATA-derived defaults for an electron, not fit to any published table.
 KAPPA_EV_A2 = 3.8099821      # hbar^2/(2 m_e) in eV Angstrom^2
@@ -78,8 +79,7 @@ class AnharmonicSpec:
                 f"quartic_b must be finite and >= 0, got {self.quartic_b}")
 
 
-@dataclass(frozen=True)
-class LevelResult:
+class LevelResult(NamedTuple):
     """One energy level produced by one method.
 
     The correction is zero for the purely variational and first-order

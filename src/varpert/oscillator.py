@@ -17,6 +17,30 @@ import math
 from .model import AnharmonicSpec, _require_positive
 
 
+# x2_element and x4_element unchecked, for callers that validated s2, k, n
+def _x2(s2: float, k: int, n: int) -> float:
+    d = abs(k - n)
+    if d == 0:
+        return s2 * (2 * n + 1)
+    if d == 2:
+        m = min(k, n)
+        return s2 * math.sqrt((m + 1) * (m + 2))
+    return 0.0
+
+
+def _x4(s2: float, k: int, n: int) -> float:
+    s4 = s2 ** 2
+    d = abs(k - n)
+    m = min(k, n)
+    if d == 0:
+        return s4 * (6 * n * n + 6 * n + 3)
+    if d == 2:
+        return s4 * (4 * m + 6) * math.sqrt((m + 1) * (m + 2))
+    if d == 4:
+        return s4 * math.sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
+    return 0.0
+
+
 def x2_element(s2: float, k: int, n: int) -> float:
     """Matrix element <k| x^2 |n> in A^2, with s2 = kappa / u in A^2.
 
@@ -26,13 +50,7 @@ def x2_element(s2: float, k: int, n: int) -> float:
     _require_positive("s2", s2)
     if k < 0 or n < 0:
         raise ValueError("quantum numbers must be non-negative")
-    d = abs(k - n)
-    if d == 0:
-        return s2 * (2 * n + 1)
-    if d == 2:
-        m = min(k, n)
-        return s2 * math.sqrt((m + 1) * (m + 2))
-    return 0.0
+    return _x2(s2, k, n)
 
 
 def x4_element(s2: float, k: int, n: int) -> float:
@@ -46,16 +64,7 @@ def x4_element(s2: float, k: int, n: int) -> float:
     _require_positive("s2", s2)
     if k < 0 or n < 0:
         raise ValueError("quantum numbers must be non-negative")
-    s4 = s2 ** 2
-    d = abs(k - n)
-    m = min(k, n)
-    if d == 0:
-        return s4 * (6 * n * n + 6 * n + 3)
-    if d == 2:
-        return s4 * (4 * m + 6) * math.sqrt((m + 1) * (m + 2))
-    if d == 4:
-        return s4 * math.sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
-    return 0.0
+    return _x4(s2, k, n)
 
 
 def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:

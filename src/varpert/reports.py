@@ -169,10 +169,12 @@ def _check_oscillator(cfg: RunConfig, constants: Constants, n: int, b: float,
     try:
         shoot = cells["exact"].value
         diag = diag_eigenvalues(spec, dim=cfg.exact_dim, n_levels=n + 1)[n]
-        if abs(shoot - diag) > ref.TOL_CROSS_ORACLE_EV:
+        tol = max(ref.TOL_CROSS_ORACLE_EV,
+                  ref.TOL_CROSS_ORACLE_REL * abs(shoot))
+        if abs(shoot - diag) > tol:
             violations.append(
                 f"n={n} b={b}: shooting {_fmt(shoot)} vs diagonalization "
-                f"{_fmt(diag)} beyond {ref.TOL_CROSS_ORACLE_EV:g} eV")
+                f"{_fmt(diag)} beyond {tol:g} eV")
     except ConvergenceError as exc:
         violations.append(f"n={n} b={b}: diagonalization oracle failed: {exc}")
 

@@ -111,6 +111,18 @@ def test_basis_quantum_must_be_finite_and_positive(func, u):
         func(spec_at(0.05), 0, u)
 
 
+@pytest.mark.parametrize("func", [energy_first_order, second_order_closed_form,
+                                  second_order_sum])
+@pytest.mark.parametrize("n", [-1, -3, -5, -9])
+def test_negative_level_is_refused(func, n):
+    # these returned -3.78 eV (first order at n = -3), 0.0 (the sum at
+    # n <= -5) or an "off shell" error
+    spec = spec_at(0.05)
+    u = solve_omega(spec, 0).hbar_Omega_n
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        func(spec, n, u)
+
+
 @pytest.mark.parametrize("b", B_GRID)
 def test_closed_form_matches_sum_on_shell(b):
     spec = spec_at(b)

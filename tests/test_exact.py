@@ -122,6 +122,16 @@ def test_diag_default_basis_matches_shooting_at_strong_coupling(k, b):
         assert diag[n] == pytest.approx(shoot_eigenvalue(spec, n), rel=1e-8)
 
 
+@pytest.mark.parametrize("b, basis_u", [(0.05, 1e150),
+                                        (1e4, hbar_omega(spec_at(0.0)))])
+def test_diag_refuses_far_off_explicit_basis(b, basis_u):
+    # these returned 5.1e147 eV for the 1.59 eV ground state and 68.65 eV
+    # for 55.74 eV without an error
+    with pytest.raises(ConvergenceError, match="top 10 basis states") as info:
+        diag_eigenvalues(spec_at(b), basis_u=basis_u)
+    assert info.value.diagnostics["tail_weight"] > exact.TAIL_WEIGHT
+
+
 @pytest.mark.parametrize("basis_u", [0.0, -1.0, math.nan])
 def test_diag_rejects_bad_basis_u(basis_u):
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from varpert.anharmonic import OmegaSolution
 from varpert.cli import main
 from varpert.model import (AnharmonicSpec, Constants, LevelResult,
                            hbar_omega, make_anharmonic_spec)
@@ -103,6 +104,17 @@ def test_hbar_omega_scales_with_sqrt_k():
 def test_level_result_consistency():
     r = LevelResult(n=0, hbar_omega_n=3.0, e_first=1.5, e_second_corr=-0.01)
     assert r.e_total == 1.5 + -0.01
+
+
+@pytest.mark.parametrize("record", [
+    LevelResult(n=0, hbar_omega_n=3.0, e_first=1.5, e_second_corr=-0.01),
+    OmegaSolution(n=1, hbar_Omega_n=3.2, residual=0.0)])
+def test_records_are_immutable_hashable_tuples(record):
+    with pytest.raises(AttributeError):
+        record.n = 2
+    assert hash(record) == hash(tuple(record))
+    assert record == tuple(record)
+    assert record._fields[0] == "n"
 
 
 def test_package_exports_resolve():

@@ -130,6 +130,17 @@ def test_cli_table1_check_passes(capsys):
     assert "# table1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--b", "1e10"], ["table1", "--b", "1e30"],
+    ["table1", "--b", "1e300"], ["sweep", "--levels", "7", "--b", "2e269"]])
+def test_cli_check_passes_at_huge_b(argv, capsys):
+    # the oracles agree to a few ulps of E here, more than 1e-5 eV: the
+    # absolute bound alone failed these from b = 1e30 on, and 8 ulps failed
+    # level 6 at 2e269 (17.2 ulps)
+    assert main([*argv, "--check"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_table3_check_fails(capsys):
     assert main(["table3", "--check"]) == 2
     assert "check failed" in capsys.readouterr().err
