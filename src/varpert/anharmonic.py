@@ -170,7 +170,8 @@ def energy_variational(spec: AnharmonicSpec, n: int) -> LevelResult:
 
 
 def energy_present(spec: AnharmonicSpec, n: int) -> LevelResult:
-    """Optimized-basis energy through second order."""
+    """Optimized-basis energy through second order; ``e_first`` is the
+    variational energy, first order in the same basis."""
     u = _omega(spec, n)[0]
     e1 = energy_first_order(spec, n, u)
     e2 = second_order_closed_form(spec, n, u)

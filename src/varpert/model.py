@@ -84,7 +84,10 @@ class LevelResult(NamedTuple):
 
     The correction is zero for the purely variational and first-order
     results. ``hbar_omega_n`` records the basis quantum actually used (the
-    optimized hbar Omega_n, or hbar omega for the conventional rows).
+    optimized hbar Omega_n, or hbar omega for the conventional rows), and
+    ``e_first`` is the first-order energy in that basis: the variational
+    energy for ``energy_present``, the order-1 energy for
+    ``energy_conventional_pt``.
     """
 
     n: int

@@ -1,24 +1,25 @@
 """Report assembly for the command-line front end.
 
-Builds a flat list of cells for each oscillator table and a summary dict
-for helium, renders them as markdown, CSV, or JSON, and optionally checks
-every cell against the embedded reference constants. All rendering is
-order-fixed and timestamp-free so identical configurations produce byte
-identical output.
+Builds each report once as the document its JSON output prints: for the
+oscillator tables, levels of (level, b) columns whose cells map each
+method to its value, percent of exact and note; for helium, a summary
+dict. Markdown and CSV are read off that document, and --check compares
+it with the embedded reference constants. All rendering is order-fixed
+and timestamp-free so identical configurations produce byte identical
+output.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from . import reference as ref
-from .anharmonic import (energy_conventional_pt, energy_present,
-                         energy_variational, pt_divergent)
+from .anharmonic import energy_conventional_pt, energy_present, pt_divergent
 from .exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from .helium import excited_triplet_energy, ground_state, optimal_zstar_excited
-from .model import (Constants, _require_positive, hbar_omega,
+from .model import (AnharmonicSpec, Constants, _require_positive, hbar_omega,
                     make_anharmonic_spec)
 
 COMMANDS = ("table1", "table2", "table3", "helium", "sweep")
@@ -33,7 +34,7 @@ class RunConfig:
     """Validated CLI run description; defaults regenerate the reference tables."""
 
     command: str
-    b_values: tuple[float, ...] = ()
+    b_values: tuple[float, ...] = ()  # a table command's () is DEFAULT_B[command]
     n_levels: int = 1
     n_max_helium: int = 7
     m_range: str = "paper"
@@ -44,9 +45,10 @@ class RunConfig:
     check: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b_values", tuple(self.b_values))
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        object.__setattr__(self, "b_values", tuple(self.b_values)
+                           or DEFAULT_B.get(self.command, ()))
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown format {self.output_format!r}")
         if self.m_range not in ("paper", "full"):
@@ -55,34 +57,15 @@ class RunConfig:
             raise ValueError("n_levels must be >= 1")
         if self.n_max_helium < 2:
             raise ValueError("n_max_helium must be >= 2")
-        if self.exact_dim < 24:
-            raise ValueError("exact_dim must be >= 24")
+        # the diagonalization oracle needs 20 states above the deepest level
+        need = max(24, self.n_levels + (21 if self.command == "table3" else 20))
+        if self.exact_dim < need:
+            raise ValueError(f"exact_dim must be >= {need} for "
+                             f"{self.n_levels} levels, got {self.exact_dim}")
         _require_positive("exact_tol", self.exact_tol)
         bad = [b for b in self.b_values if not (b >= 0.0 and math.isfinite(b))]
         if bad:
             raise ValueError(f"b values must be finite and >= 0, got {bad[0]}")
-
-    def with_default_b(self) -> "RunConfig":
-        if self.b_values or self.command == "helium":
-            return self
-        return replace(self, b_values=DEFAULT_B[self.command])
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One table entry: a method's value at one (level, b) point.
-
-    ``percent`` is the value as a percent of the exact energy, printed to
-    three decimals, or "" where there is none; ``note`` is "divergent",
-    "unconverged: ..." or "".
-    """
-
-    level: int
-    b: float
-    method: str
-    value: float
-    percent: str
-    note: str
 
 
 @dataclass
@@ -98,52 +81,55 @@ def _fmt(v: float) -> str:
     return f"{v:.7g}"
 
 
-def _cell_txt(cell: Cell) -> str:
+def _cell_txt(cell: dict) -> str:
     """Markdown table cell: value, then (percent of exact) and [note] if set."""
-    txt = _fmt(cell.value)
-    if cell.percent:
-        txt += f" ({cell.percent}%)"
-    if cell.note:
-        txt += f" [{cell.note}]"
+    txt = _fmt(cell["value"])
+    if cell["percent"]:
+        txt += f" ({cell['percent']}%)"
+    if cell["note"]:
+        txt += f" [{cell['note']}]"
     return txt
 
 
-def _oscillator_cells(cfg: RunConfig, constants: Constants, n: int,
-                      b: float) -> list[Cell]:
-    """The column of cells for one (level, b) point, conventional_pt1 first.
+def _oscillator_cells(cfg: RunConfig, spec: AnharmonicSpec,
+                      n: int) -> dict[str, dict]:
+    """One (level, b) column: each method's value, percent of exact (three
+    decimals, or "") and note ("divergent", "unconverged: ..." or "").
 
-    The closed forms run before shooting, so that a point they reject
-    fails fast. A shooting convergence failure turns the exact cell into
-    an annotation instead of aborting the table; the other cells then
+    The two closed-form calls run before shooting, so that a point they
+    reject fails fast. A shooting convergence failure turns the exact cell
+    into an annotation instead of aborting the table; the other cells then
     carry no percent.
     """
-    spec = make_anharmonic_spec(STIFFNESS_K, b, constants)
-    variational = energy_variational(spec, n)
-    # stiffness of the optimized parent oscillator, k (Omega_n/omega)^2
-    stiffness = STIFFNESS_K * (variational.hbar_omega_n / hbar_omega(spec)) ** 2
-    estimates = [
-        ("conventional_pt1", energy_conventional_pt(spec, n, 1).e_total, ""),
-        ("conventional_pt2", energy_conventional_pt(spec, n, 2).e_total,
-         "divergent" if pt_divergent(spec, n) else ""),
-        ("variational", variational.e_total, ""),
-        ("present", energy_present(spec, n).e_total, ""),
-    ]
+    present = energy_present(spec, n)
+    conventional = energy_conventional_pt(spec, n, 2)
+    estimates = {
+        "conventional_pt1": (conventional.e_first, ""),
+        "conventional_pt2": (conventional.e_total,
+                             "divergent" if pt_divergent(spec, n) else ""),
+        "variational": (present.e_first, ""),
+        "present": (present.e_total, ""),
+    }
     try:
         exact = shoot_eigenvalue(spec, n, energy_tol=cfg.exact_tol)
         exact_note = ""
     except ConvergenceError as exc:
         exact, exact_note = math.nan, f"unconverged: {exc}"
-    return [Cell(n, b, method, value,
-                 f"{100.0 * value / exact:.3f}" if math.isfinite(exact) else "", note)
-            for method, value, note in estimates] + [
-        Cell(n, b, "exact", exact, "", exact_note),
-        Cell(n, b, "half_m_omega2", stiffness, "", ""),
-    ]
+    cells = {method: {"value": value, "note": note,
+                      "percent": f"{100.0 * value / exact:.3f}"
+                      if math.isfinite(exact) else ""}
+             for method, (value, note) in estimates.items()}
+    # stiffness of the optimized parent oscillator, k (Omega_n/omega)^2
+    stiffness = STIFFNESS_K * (present.hbar_omega_n / hbar_omega(spec)) ** 2
+    cells["exact"] = {"value": exact, "percent": "", "note": exact_note}
+    cells["half_m_omega2"] = {"value": stiffness, "percent": "", "note": ""}
+    return cells
 
 
-def _check_oscillator(cfg: RunConfig, constants: Constants, n: int, b: float,
-                      cells: dict[str, Cell], violations: list[str]) -> None:
+def _check_oscillator(cfg: RunConfig, spec: AnharmonicSpec, n: int,
+                      cells: dict[str, dict], violations: list[str]) -> None:
     """Compare one column against the embedded reference constants."""
+    b = spec.quartic_b
     refs: dict[str, float] = {}
     if n == 0 and b in ref.TABLE1:
         refs = dict(ref.TABLE1[b])
@@ -152,22 +138,21 @@ def _check_oscillator(cfg: RunConfig, constants: Constants, n: int, b: float,
     elif n == 1 and b in (0.05,):
         refs = dict(ref.TABLE3)
     for method, expected in refs.items():
-        got = cells[method].value
+        got = cells[method]["value"]
         if not math.isfinite(got) or abs(got - expected) > ref.TOL_TABLE_EV:
             violations.append(
                 f"n={n} b={b} {method}: {_fmt(got)} vs reference "
                 f"{_fmt(expected)} (tol {ref.TOL_TABLE_EV:g})")
-    if n == 0 and b in ref.PT_DIVERGENT_B and cells["conventional_pt2"].note != "divergent":
+    divergent = cells["conventional_pt2"]["note"] == "divergent"
+    if n == 0 and b in ref.PT_DIVERGENT_B and not divergent:
         violations.append(
             f"n={n} b={b}: order-2 perturbation theory should be flagged divergent")
-    if n == 0 and b in ref.TABLE1 and "conventional_pt2" in refs \
-            and cells["conventional_pt2"].note == "divergent":
+    if n == 0 and b in ref.TABLE1 and "conventional_pt2" in refs and divergent:
         violations.append(
             f"n={n} b={b}: order-2 perturbation theory unexpectedly flagged divergent")
     # cross-validate the two exact oracles in every column, referenced or not
-    spec = make_anharmonic_spec(STIFFNESS_K, b, constants)
     try:
-        shoot = cells["exact"].value
+        shoot = cells["exact"]["value"]
         diag = diag_eigenvalues(spec, dim=cfg.exact_dim, n_levels=n + 1)[n]
         tol = max(ref.TOL_CROSS_ORACLE_EV,
                   ref.TOL_CROSS_ORACLE_REL * abs(shoot))
@@ -181,24 +166,28 @@ def _check_oscillator(cfg: RunConfig, constants: Constants, n: int, b: float,
 
 def run_table(cfg: RunConfig) -> ReportDocument:
     """Build the report for table1, table2, table3, or sweep."""
-    cfg = cfg.with_default_b()
     constants = (Constants() if cfg.constants_path is None
                  else Constants.from_file(cfg.constants_path))
     first = 1 if cfg.command == "table3" else 0
-    cells: list[Cell] = []
+    blocks = []
     violations: list[str] = []
     for n in range(first, first + cfg.n_levels):
+        columns = []
         for b in cfg.b_values:
-            column = _oscillator_cells(cfg, constants, n, b)
+            spec = make_anharmonic_spec(STIFFNESS_K, b, constants)
+            cells = _oscillator_cells(cfg, spec, n)
             if cfg.check:
-                _check_oscillator(cfg, constants, n, b,
-                                  {c.method: c for c in column}, violations)
-            cells += column
+                _check_oscillator(cfg, spec, n, cells, violations)
+            columns.append({"b": b, "cells": cells})
+        blocks.append({"level": n, "columns": columns})
+    doc = {"command": cfg.command, "stiffness_k": STIFFNESS_K,
+           "kappa": constants.kappa, "m_range": None, "blocks": blocks}
     render = {"markdown": _table_markdown, "csv": _table_csv,
-              "json": _table_json}[cfg.output_format]
+              "json": _as_json}[cfg.output_format]
     return ReportDocument(
-        text=render(cfg, constants.kappa, cells), violations=violations,
-        convergence_failed=any(c.note.startswith("unconverged") for c in cells))
+        text=render(cfg, doc), violations=violations,
+        convergence_failed=any(col["cells"]["exact"]["note"]
+                               for block in blocks for col in block["columns"]))
 
 
 # table2's first/second-order grid; its CSV labels each row "scheme,order"
@@ -218,26 +207,17 @@ def _row_label(command: str, method: str, note: str = "") -> str | None:
     return method
 
 
-def _blocks(cells: list[Cell]) -> list[tuple[int, list[dict[str, Cell]]]]:
-    """Group the flat cell list into levels of (level, b) columns. Columns
-    are split by position, so that repeated b values stay separate."""
-    columns: list[dict[str, Cell]] = []
-    for cell in cells:
-        if cell.method == cells[0].method:
-            columns.append({})
-        columns[-1][cell.method] = cell
-    return [(level, list(cols)) for level, cols in itertools.groupby(
-        columns, key=lambda col: col["exact"].level)]
-
-
-def _table_csv(cfg: RunConfig, kappa: float, cells: list[Cell]) -> str:
+def _table_csv(cfg: RunConfig, doc: dict) -> str:
     head = "scheme,order" if cfg.command == "table2" else "method"
     lines = [f"command,level,b,{head},value,percent_of_exact,note"]
-    for c in cells:
-        label = _row_label(cfg.command, c.method, c.note)
-        if label is not None:
-            lines.append(f"{cfg.command},{c.level},{_fmt(c.b)},{label},"
-                         f"{_fmt(c.value)},{c.percent},{c.note}")
+    for block in doc["blocks"]:
+        for col in block["columns"]:
+            for method, c in col["cells"].items():
+                label = _row_label(cfg.command, method, c["note"])
+                if label is not None:
+                    lines.append(
+                        f"{cfg.command},{block['level']},{_fmt(col['b'])},"
+                        f"{label},{_fmt(c['value'])},{c['percent']},{c['note']}")
     return "\n".join(lines) + "\n"
 
 
@@ -249,39 +229,31 @@ def _md_table(heading: str, header: list[str],
                            for row in [header, ["---"] * len(header), *rows]), ""]
 
 
-def _table_markdown(cfg: RunConfig, kappa: float, cells: list[Cell]) -> str:
+def _table_markdown(cfg: RunConfig, doc: dict) -> str:
     k = f"k = {_fmt(STIFFNESS_K)} eV/A^2"
     if cfg.command != "table2":
         out = [f"# {cfg.command}: V(x) = k x^2 + b x^4 at {k} "
-               f"(kappa = {_fmt(kappa)} eV A^2)", ""]
-        for level, columns in _blocks(cells):
+               f"(kappa = {_fmt(doc['kappa'])} eV A^2)", ""]
+        for block in doc["blocks"]:
+            columns = block["columns"]
             out += _md_table(
-                f"## level n = {level} (energies in eV, stiffness row in eV/A^2)",
-                ["method", *(f"b={_fmt(col['exact'].b)}" for col in columns)],
-                [[m, *(_cell_txt(col[m]) for col in columns)]
-                 for m in columns[0] if _row_label(cfg.command, m) is not None])
+                f"## level n = {block['level']} (energies in eV, stiffness "
+                "row in eV/A^2)",
+                ["method", *(f"b={_fmt(col['b'])}" for col in columns)],
+                [[m, *(_cell_txt(col["cells"][m]) for col in columns)]
+                 for m in columns[0]["cells"] if _row_label(cfg.command, m)])
         return "\n".join(out)
     out = [f"# table2: order-by-order comparison at {k}", ""]
-    for level, columns in _blocks(cells):
-        for col in columns:
-            txt = {m: _cell_txt(cell) for m, cell in col.items()}
+    for block in doc["blocks"]:
+        for col in block["columns"]:
+            txt = {m: _cell_txt(cell) for m, cell in col["cells"].items()}
             out += _md_table(
-                f"## level n = {level}, b = {_fmt(col['exact'].b)} (energies in eV)",
+                f"## level n = {block['level']}, b = {_fmt(col['b'])} (energies in eV)",
                 ["scheme", "first order", "second order"],
                 [["conventional", txt["conventional_pt1"], txt["conventional_pt2"]],
                  ["present", txt["variational"], txt["present"]],
                  ["exact", txt["exact"], ""]])
     return "\n".join(out)
-
-
-def _table_json(cfg: RunConfig, kappa: float, cells: list[Cell]) -> str:
-    blocks = [{"level": level, "columns": [
-        {"b": col["exact"].b,
-         "cells": {m: {"value": c.value, "percent": c.percent, "note": c.note}
-                   for m, c in col.items()}} for col in columns]}
-        for level, columns in _blocks(cells)]
-    return _as_json(cfg, {"command": cfg.command, "stiffness_k": STIFFNESS_K,
-                          "kappa": kappa, "m_range": None, "blocks": blocks})
 
 
 def run_helium(cfg: RunConfig) -> ReportDocument:

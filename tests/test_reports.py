@@ -5,18 +5,22 @@ from collections import Counter
 
 import pytest
 
+import varpert.anharmonic as anharmonic
 import varpert.reports as reports
+from varpert.anharmonic import (energy_conventional_pt, energy_present,
+                                energy_variational)
 from varpert.cli import build_parser, main
 from varpert.exact import ConvergenceError
+from varpert.model import make_anharmonic_spec
 from varpert.reports import RunConfig, run_helium, run_table
 
 
 def test_run_config_defaults_per_command():
-    assert RunConfig("table1").with_default_b().b_values == (0.01, 0.05, 0.25)
-    assert RunConfig("table2").with_default_b().b_values == (0.05,)
-    assert RunConfig("table3").with_default_b().b_values == (0.05,)
-    explicit = RunConfig("table1", b_values=(0.1,)).with_default_b()
-    assert explicit.b_values == (0.1,)
+    assert RunConfig("table1").b_values == (0.01, 0.05, 0.25)
+    assert RunConfig("table2").b_values == (0.05,)
+    assert RunConfig("table3").b_values == (0.05,)
+    assert RunConfig("table1", b_values=(0.1,)).b_values == (0.1,)
+    assert RunConfig("helium").b_values == ()
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -28,10 +32,30 @@ def test_run_config_defaults_per_command():
     {"command": "table1", "exact_dim": 10},
     {"command": "table1", "exact_tol": 0.0},
     {"command": "table1", "b_values": (-0.01,)},
+    {"command": "table1", "n_levels": 8, "exact_dim": 27},
+    {"command": "table3", "n_levels": 4, "exact_dim": 24},
 ])
 def test_run_config_validation(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+def test_run_config_exact_dim_covers_the_deepest_level():
+    # diag_eigenvalues needs dim >= n_levels + 20 for levels 0..deepest
+    assert RunConfig("table1", n_levels=8, exact_dim=28).exact_dim == 28
+    assert RunConfig("table3", n_levels=4, exact_dim=25).exact_dim == 25
+
+
+def test_cli_refuses_small_exact_dim_before_solving(monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("the table was solved before the refusal")
+
+    monkeypatch.setattr(reports, "energy_present", solve)
+    monkeypatch.setattr(reports, "shoot_eigenvalue", solve)
+    assert main(["table1", "--levels", "8", "--exact-dim", "24", "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "varpert: exact_dim must be >= 28 for 8 levels, got 24\n"
 
 
 def test_table1_check_is_clean():
@@ -64,6 +88,41 @@ def test_harmonic_column_all_methods_equal():
                    "present"):
         assert values[method] == pytest.approx(e0, abs=5e-9)
     assert values["half_m_omega2"] == 0.5
+
+
+def test_table_cells_equal_the_closed_form_totals():
+    # each column reads all four estimates off energy_present and
+    # energy_conventional_pt(..., 2); their e_first equals the order-1 totals
+    b_values = (0.0, 1e-6, 0.05, 0.25, 1e4, 1e30)
+    doc = run_table(RunConfig("sweep", b_values=b_values, n_levels=4,
+                              output_format="json"))
+    blocks = json.loads(doc.text)["report"]["blocks"]
+    assert [block["level"] for block in blocks] == [0, 1, 2, 3]
+    for block in blocks:
+        n = block["level"]
+        assert [col["b"] for col in block["columns"]] == list(b_values)
+        for col in block["columns"]:
+            spec = make_anharmonic_spec(reports.STIFFNESS_K, col["b"])
+            cells = {m: c["value"] for m, c in col["cells"].items()}
+            assert cells["variational"] == energy_variational(spec, n).e_total
+            assert cells["present"] == energy_present(spec, n).e_total
+            assert cells["conventional_pt1"] == energy_conventional_pt(
+                spec, n, 1).e_total
+            assert cells["conventional_pt2"] == energy_conventional_pt(
+                spec, n, 2).e_total
+
+
+def test_table1_solves_each_cubic_once(monkeypatch, capsys):
+    calls = []
+    omega = anharmonic._omega
+
+    def counted(spec, n):
+        calls.append((spec.quartic_b, n))
+        return omega(spec, n)
+
+    monkeypatch.setattr(anharmonic, "_omega", counted)
+    assert main(["table1"]) == 0
+    assert sorted(calls) == [(0.01, 0), (0.05, 0), (0.25, 0)]
 
 
 def test_csv_output_is_deterministic():
