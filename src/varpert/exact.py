@@ -25,6 +25,7 @@ _TINY = sys.float_info.min
 ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to psi's scale
 REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
+GUESS_WIDTH = 0.02  # half-width of a guided first bracket, relative to guess
 # most weight a level may keep on the top 10 states of its parity block in
 # an explicit diagonalization basis: converged levels measure 1e-28 or
 # less, and a far-off basis 1e-5 or more
@@ -74,17 +75,24 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
         q2 = (6.0 * c4 * s + c2) * h4
         q3 = 4.0 * c4 * x * h4 * big_h
         q4 = c4 * h4 * h2
-        a = [0.0, 0.0, 0.0, 0.0, y0, y1 * big_h]
-        for j, inv in enumerate(_RECURRENCE):
-            a.append((q0 * a[j + 4] + q1 * a[j + 3] + q2 * a[j + 2]
-                      + q3 * a[j + 1] + q4 * a[j]) * inv)
+        # a_j ... a_{j-4} and a_{j+1} slide through locals; a keeps
+        # a_0 ... a_{ORDER-1} and a_ORDER ends in a_next
+        a_j, a_next = y0, y1 * big_h
+        a_1 = a_2 = a_3 = a_4 = 0.0
+        a = [a_j]
+        for inv in _RECURRENCE:
+            a_new = (q0 * a_j + q1 * a_1 + q2 * a_2 + q3 * a_3 + q4 * a_4) * inv
+            # two three-name swaps build no tuple, unlike one six-name swap
+            a_4, a_3, a_2 = a_3, a_2, a_1
+            a_1, a_j, a_next = a_j, a_next, a_new
+            a.append(a_j)
         tol = ABS_TOL * max(scale, abs(y0))
         t = min(1.0, (x_max - x) / big_h,
-                _SAFETY * (tol / max(abs(a[-2]), _TINY)) ** _ROOT_PREV,
-                _SAFETY * (tol / max(abs(a[-1]), _TINY)) ** _ROOT_LAST)
+                _SAFETY * (tol / max(abs(a_j), _TINY)) ** _ROOT_PREV,
+                _SAFETY * (tol / max(abs(a_next), _TINY)) ** _ROOT_LAST)
         # Horner's rule for psi and d psi / dt at t
-        u, v = a[-1], 0.0
-        for c in reversed(a[4:-1]):
+        u, v = a_next, 0.0
+        for c in reversed(a):
             v = v * t + u
             u = u * t + c
         x += t * big_h
@@ -124,17 +132,23 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     return max(x, x_margin)
 
 
-def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
-                     energy_tol: float = 1e-9) -> float:
+def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
+                     *, guess: float | None = None) -> float:
     """n-th eigenvalue by parity shooting: node-count bracket, then refine.
 
     Even n integrates with psi(0)=1, psi'(0)=0, odd n with psi(0)=0,
     psi'(0)=1, so only [0, x_max] is traversed and the target node count on
     the open half line is floor(n/2). The eigenvalue is where a node enters
-    through the far boundary. The first upper end is the larger of
-    hbar omega (n + 3/2) and the pure-quartic scale
-    kappa^(2/3) b^(1/3) (n + 1)^(4/3), grown by 1.4x until it holds more
-    than floor(n/2) nodes. Node counting keeps the search on level n:
+    through the far boundary. The first bracket is [0, hi], hi the larger
+    of hbar omega (n + 3/2) and the pure-quartic scale
+    kappa^(2/3) b^(1/3) (n + 1)^(4/3). A ``guess`` of E_n (finite and > 0,
+    or ``ValueError``), such as the present-scheme energy, is held within
+    [hi / 4, 4 hi] and makes the first bracket guess (1 -+ ``GUESS_WIDTH``).
+    The upper end grows by 1.4x, its old value becoming the lower end,
+    until it holds more than floor(n/2) nodes; a lower end holding more
+    becomes the upper end over a lower end of 0. A guess thus only places
+    the first bracket, and a wrong one costs integrations only. Node
+    counting keeps the search on level n:
     the energy is bisected on the count until the bracket [lo, hi] holds a
     single count change, nodes(lo) = n//2 and nodes(hi) = n//2 + 1. Inside
     that bracket psi(x_max), whose sign is (-1)^nodes, crosses zero once,
@@ -142,10 +156,11 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     trial. Every trial still moves lo or hi by its node count, a trial that
     lands outside the two counts sends the next step back to bisection,
     and the midpoint is returned once hi - lo <= max(min(``energy_tol``,
-    ``REL_WIDTH`` hi), 8 eps hi), hi the first upper end, as a level far
-    below ``energy_tol`` still needs splitting and no narrower bracket can
-    be split: a width, not an accuracy bound. ``MAX_ITER`` trials bound
-    growth and search together.
+    ``REL_WIDTH`` hi), 8 eps hi), hi the upper end the search starts from,
+    as a level far below ``energy_tol`` still needs splitting and no
+    narrower bracket can be split: a width, not an accuracy bound, so a
+    guided result can differ from the unguided one within it. ``MAX_ITER``
+    trials bound growth and search together.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -159,6 +174,12 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     # the pure-quartic scale keeps bracket growth short at huge b
     e_hi = max(hw * (n + 1.5), spec.constants.kappa ** (2.0 / 3.0)
                * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
+    if guess is not None:
+        _require_positive("guess", guess)
+        # E_n / e_hi measures 1/3 (b = 0) to 2.2, and a guess far outside
+        # would size an endless box or step count
+        guess = min(max(guess, 0.25 * e_hi), 4.0 * e_hi)
+        e_lo, e_hi = guess * (1.0 - GUESS_WIDTH), guess * (1.0 + GUESS_WIDTH)
     x_max = _default_x_max(spec, e_hi)
 
     def shoot(e: float) -> tuple[float, int]:
@@ -177,8 +198,12 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
         x_max = _default_x_max(spec, e_hi)
         psi_hi, nodes_hi = shoot(e_hi)
     if e_lo > 0.0:
-        # the grown bracket's lower end, integrated on the final x_max
+        # the guided or grown bracket's lower end, on the final x_max
         psi_lo, nodes_lo = shoot(e_lo)
+        if nodes_lo > target:
+            # the lower end lies above level n, as a too-high guess's does
+            e_hi, psi_hi, nodes_hi = e_lo, psi_lo, nodes_lo
+            e_lo, psi_lo, nodes_lo = 0.0, 0.0, -1
 
     lo, hi = e_lo, e_hi
     # a bracket narrower than a few ulps of E cannot be split

@@ -97,7 +97,8 @@ def _oscillator_cells(cfg: RunConfig, spec: AnharmonicSpec,
     decimals, or "") and note ("divergent", "unconverged: ..." or "").
 
     The two closed-form calls run before shooting, so that a point they
-    reject fails fast. A shooting convergence failure turns the exact cell
+    reject fails fast, and the present energy places shooting's first
+    bracket. A shooting convergence failure turns the exact cell
     into an annotation instead of aborting the table; the other cells then
     carry no percent.
     """
@@ -111,7 +112,8 @@ def _oscillator_cells(cfg: RunConfig, spec: AnharmonicSpec,
         "present": (present.e_total, ""),
     }
     try:
-        exact = shoot_eigenvalue(spec, n, energy_tol=cfg.exact_tol)
+        exact = shoot_eigenvalue(spec, n, energy_tol=cfg.exact_tol,
+                                 guess=present.e_total)
         exact_note = ""
     except ConvergenceError as exc:
         exact, exact_note = math.nan, f"unconverged: {exc}"

@@ -11,7 +11,7 @@ import pytest
 
 import varpert.exact as exact
 import varpert.reference as ref
-from varpert.anharmonic import solve_omega
+from varpert.anharmonic import energy_present, solve_omega
 from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from varpert.model import hbar_omega, make_anharmonic_spec
 
@@ -214,6 +214,45 @@ def test_shooting_cost_per_level(monkeypatch):
     assert len(calls) / len(TABLE_POINTS) <= 16
 
 
+def test_guided_shooting_cost_per_level(monkeypatch):
+    calls = []
+    integrate = exact._integrate
+
+    def counting(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(exact, "_integrate", counting)
+    for n, b in TABLE_POINTS:
+        spec = spec_at(b)
+        shoot_eigenvalue(spec, n, guess=energy_present(spec, n).e_total)
+    # a 4 % first bracket around the present energy measures 7.25
+    assert len(calls) / len(TABLE_POINTS) <= 8
+
+
+# TABLE_POINTS hold levels 0 and 1 only, with no E_{n-2} to guess
+GUESS_POINTS = TABLE_POINTS + [(2, 0.05), (3, 1e4)]
+
+
+@pytest.mark.parametrize("n, b", GUESS_POINTS)
+def test_wrong_guess_still_finds_level_n(n, b):
+    # node counts, not the guess, pick the level: a guess off by 10x or on
+    # a neighbouring level only costs integrations; one off by 1e300x,
+    # which unclamped would size an endless box or step count, a few more
+    spec = spec_at(b)
+    levels = {m: shoot_eigenvalue(spec, m) for m in range(max(0, n - 2), n + 3)}
+    guesses = [0.1 * levels[n], 10.0 * levels[n], 1e-300, 1e300]
+    guesses += [levels[m] for m in levels if m != n]
+    for guess in guesses:
+        assert abs(shoot_eigenvalue(spec, n, guess=guess) - levels[n]) <= 1e-9
+
+
+@pytest.mark.parametrize("guess", [math.nan, math.inf, 0.0, -1.0])
+def test_shooting_rejects_bad_guess(guess):
+    with pytest.raises(ValueError, match="guess must be finite and > 0"):
+        shoot_eigenvalue(spec_at(0.05), 0, guess=guess)
+
+
 @pytest.mark.parametrize("n, b", TABLE_POINTS)
 def test_shooting_matches_omega_basis_diagonalization(n, b):
     spec = spec_at(b)
@@ -316,6 +355,16 @@ def test_shooting_matches_omega_basis_diagonalization_at_random_points(k, b, n):
     u = solve_omega(spec, n).hbar_Omega_n
     diag = diag_eigenvalues(spec, dim=200, basis_u=u, n_levels=n + 1)[n]
     assert abs(shoot_eigenvalue(spec, n) - diag) <= max(1e-9, 1e-12 * diag)
+
+
+@pytest.mark.parametrize("k, b, n", [(0.5, b, n) for n, b in TABLE_POINTS]
+                         + _random_points(20, seed=20261018))
+def test_guided_shooting_matches_omega_basis_diagonalization(k, b, n):
+    spec = make_anharmonic_spec(k, b)
+    u = solve_omega(spec, n).hbar_Omega_n
+    diag = diag_eigenvalues(spec, dim=200, basis_u=u, n_levels=n + 1)[n]
+    guided = shoot_eigenvalue(spec, n, guess=energy_present(spec, n).e_total)
+    assert abs(guided - diag) <= max(1e-9, 1e-12 * diag)
 
 
 @pytest.mark.parametrize("b", [1e20, 1e40, 1e100])

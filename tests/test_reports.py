@@ -286,7 +286,7 @@ def test_cli_helium_rejects_cache_flag(capsys):
 
 
 def test_cli_convergence_failure_exit_code(monkeypatch, capsys):
-    def explode(spec, n, energy_tol):
+    def explode(spec, n, energy_tol, guess=None):
         raise ConvergenceError("forced failure", n=n)
 
     monkeypatch.setattr(reports, "shoot_eigenvalue", explode)
@@ -309,7 +309,7 @@ def test_cli_levels_flag(capsys):
 def test_table2_markdown_shows_unconverged_note(monkeypatch, capsys):
     # the bracket stops at 8 ulps of E whatever the tolerance, so no
     # --exact-tol exhausts the budget and the failure is forced
-    def exhausted(spec, n, energy_tol):
+    def exhausted(spec, n, energy_tol, guess=None):
         raise ConvergenceError(f"search budget exhausted for level n={n}", n=n)
 
     monkeypatch.setattr(reports, "shoot_eigenvalue", exhausted)
@@ -321,7 +321,7 @@ def test_table2_markdown_shows_unconverged_note(monkeypatch, capsys):
 
 def test_table2_csv_shows_unconverged_note(monkeypatch, capsys):
     # an exact row carries the note that explains the empty percents
-    def exhausted(spec, n, energy_tol):
+    def exhausted(spec, n, energy_tol, guess=None):
         raise ConvergenceError(f"search budget exhausted for level n={n}", n=n)
 
     monkeypatch.setattr(reports, "shoot_eigenvalue", exhausted)
