@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
-from .oscillator import _x2, _x4, x4_element
+from .oscillator import _LADDER, x4_element
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
 # every n (equivalence enforced by tests at relative 1e-10). The linear
@@ -154,11 +154,12 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
     _require_positive("s2", s2)
     total = 0.0
-    for k in (n - 4, n - 2, n + 2, n + 4):
-        if k < 0:
-            continue
-        amp = c2 * _x2(s2, k, n) + spec.quartic_b * _x4(s2, k, n)
-        total += amp * amp / (u * (n - k))
+    # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k
+    for m, d in ((n - 4, 4), (n - 2, 2), (n, -2), (n, -4)):
+        if m >= 0:
+            x2, x4 = _LADDER[abs(d)](s2, m)
+            amp = c2 * x2 + spec.quartic_b * x4
+            total += amp * amp / (u * d)
     return total
 
 

@@ -17,28 +17,31 @@ import math
 from .model import AnharmonicSpec, _require_positive
 
 
-# x2_element and x4_element unchecked, for callers that validated s2, k, n
-def _x2(s2: float, k: int, n: int) -> float:
-    d = abs(k - n)
-    if d == 0:
-        return s2 * (2 * n + 1)
-    if d == 2:
-        m = min(k, n)
-        return s2 * math.sqrt((m + 1) * (m + 2))
-    return 0.0
+# <m + d| x^2 |m> and <m + d| x^4 |m> for d = 0, 2 and 4, each written once
+# for an int m with math.sqrt and for an integer array of m with numpy.sqrt
+def _ladder0(s2, m):
+    return s2 * (2 * m + 1), s2 ** 2 * (6 * m * m + 6 * m + 3)
 
 
-def _x4(s2: float, k: int, n: int) -> float:
-    s4 = s2 ** 2
-    d = abs(k - n)
-    m = min(k, n)
-    if d == 0:
-        return s4 * (6 * n * n + 6 * n + 3)
-    if d == 2:
-        return s4 * (4 * m + 6) * math.sqrt((m + 1) * (m + 2))
-    if d == 4:
-        return s4 * math.sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
-    return 0.0
+def _ladder2(s2, m, sqrt=math.sqrt):
+    root = sqrt((m + 1) * (m + 2))
+    return s2 * root, s2 ** 2 * (4 * m + 6) * root
+
+
+def _ladder4(s2, m, sqrt=math.sqrt):
+    return 0.0, s2 ** 2 * sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
+
+
+_LADDER = {0: _ladder0, 2: _ladder2, 4: _ladder4}
+
+
+def _elements(s2: float, k: int, n: int) -> tuple[float, float]:
+    """(<k| x^2 |n>, <k| x^4 |n>) after checking s2 and the indices."""
+    _require_positive("s2", s2)
+    if k < 0 or n < 0:
+        raise ValueError("quantum numbers must be non-negative")
+    ladder = _LADDER.get(abs(k - n))
+    return (0.0, 0.0) if ladder is None else ladder(s2, min(k, n))
 
 
 def x2_element(s2: float, k: int, n: int) -> float:
@@ -47,10 +50,7 @@ def x2_element(s2: float, k: int, n: int) -> float:
     Diagonal s^2 (2n + 1); two steps away s^2 sqrt((m+1)(m+2)) with
     m = min(k, n); zero otherwise.
     """
-    _require_positive("s2", s2)
-    if k < 0 or n < 0:
-        raise ValueError("quantum numbers must be non-negative")
-    return _x2(s2, k, n)
+    return _elements(s2, k, n)[0]
 
 
 def x4_element(s2: float, k: int, n: int) -> float:
@@ -61,10 +61,7 @@ def x4_element(s2: float, k: int, n: int) -> float:
     s^4 (4m + 6) sqrt((m+1)(m+2)), fourth off-diagonal
     s^4 sqrt((m+1)(m+2)(m+3)(m+4)).
     """
-    _require_positive("s2", s2)
-    if k < 0 or n < 0:
-        raise ValueError("quantum numbers must be non-negative")
-    return _x4(s2, k, n)
+    return _elements(s2, k, n)[1]
 
 
 def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
@@ -76,7 +73,8 @@ def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
     _require_positive("u", u)
     s2 = spec.constants.kappa / u
     c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
-    return c2 * x2_element(s2, k, n) + spec.quartic_b * x4_element(s2, k, n)
+    x2, x4 = _elements(s2, k, n)
+    return c2 * x2 + spec.quartic_b * x4
 
 
 def build_hamiltonian(spec: AnharmonicSpec, u: float,
@@ -92,15 +90,20 @@ def build_hamiltonian(spec: AnharmonicSpec, u: float,
     _require_positive("u", u)
     if dim < 8:
         raise ValueError(f"dim must be >= 8, got {dim}")
-    s2 = spec.constants.kappa / u
-    c2 = spec.stiffness_k - u * u / (4.0 * spec.constants.kappa)
-    bs4 = spec.quartic_b * s2 * s2
-    ns = np.arange(dim, dtype=float)
-    h = np.diag(u * (ns + 0.5) + c2 * s2 * (2.0 * ns + 1.0)
-                + bs4 * (6.0 * ns * ns + 6.0 * ns + 3.0))
-    root2 = np.sqrt((ns + 1.0) * (ns + 2.0))
-    for d, band in ((2, (c2 * s2 + bs4 * (4.0 * ns + 6.0)) * root2),
-                    (4, bs4 * root2 * np.sqrt((ns + 3.0) * (ns + 4.0)))):
+    b = spec.quartic_b
+    m = np.arange(dim)
+    # numpy scalars overflow to inf where Python floats raise, and the
+    # caller sees a non-finite H
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.float64(u)
+        s2 = spec.constants.kappa / u
+        c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
+        x2, x4 = _ladder0(s2, m)
+        h = np.diag(c2 * x2 + b * x4 + u * (m + 0.5))
+        x2, x4 = _ladder2(s2, m[:-2], np.sqrt)
+        band2 = c2 * x2 + b * x4
+        band4 = b * _ladder4(s2, m[:-4], np.sqrt)[1]
+    for d, band in ((2, band2), (4, band4)):
         np.fill_diagonal(h[d:], band)  # entries (j + d, j), then (j, j + d)
         np.fill_diagonal(h[:, d:], band)
     return h

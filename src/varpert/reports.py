@@ -81,6 +81,12 @@ def _fmt(v: float) -> str:
     return f"{v:.7g}"
 
 
+def _percent(p: float) -> str:
+    """A percent to three decimals below 1e12; from there up those would
+    run past float precision into noise digits, so %.7g as for values."""
+    return f"{p:.3f}" if abs(p) < 1e12 else _fmt(p)
+
+
 def _cell_txt(cell: dict) -> str:
     """Markdown table cell: value, then (percent of exact) and [note] if set."""
     txt = _fmt(cell["value"])
@@ -93,8 +99,8 @@ def _cell_txt(cell: dict) -> str:
 
 def _oscillator_cells(cfg: RunConfig, spec: AnharmonicSpec,
                       n: int) -> dict[str, dict]:
-    """One (level, b) column: each method's value, percent of exact (three
-    decimals, or "") and note ("divergent", "unconverged: ..." or "").
+    """One (level, b) column: each method's value, percent of exact (see
+    ``_percent``, or "") and note ("divergent", "unconverged: ..." or "").
 
     The two closed-form calls run before shooting, so that a point they
     reject fails fast, and the present energy places shooting's first
@@ -118,7 +124,7 @@ def _oscillator_cells(cfg: RunConfig, spec: AnharmonicSpec,
     except ConvergenceError as exc:
         exact, exact_note = math.nan, f"unconverged: {exc}"
     cells = {method: {"value": value, "note": note,
-                      "percent": f"{100.0 * value / exact:.3f}"
+                      "percent": _percent(100.0 * value / exact)
                       if math.isfinite(exact) else ""}
              for method, (value, note) in estimates.items()}
     # stiffness of the optimized parent oscillator, k (Omega_n/omega)^2

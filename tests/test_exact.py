@@ -14,6 +14,7 @@ import varpert.reference as ref
 from varpert.anharmonic import energy_present, solve_omega
 from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from varpert.model import hbar_omega, make_anharmonic_spec
+from varpert.oscillator import build_hamiltonian
 
 # the (level, b) points of the published Tables 1 and 3
 TABLE_POINTS = [(0, b) for b in ref.TABLE1] + [(1, 0.05)]
@@ -136,6 +137,71 @@ def test_diag_refuses_far_off_explicit_basis(b, basis_u):
 def test_diag_rejects_bad_basis_u(basis_u):
     with pytest.raises(ValueError):
         diag_eigenvalues(spec_at(0.05), basis_u=basis_u)
+
+
+def _eigh_refuses(spec, dim, basis_u, n_levels):
+    """The per-level rule the explicit-basis check stands for: whether some
+    requested level keeps more than TAIL_WEIGHT of its weight on the top 10
+    states of its parity block, read off numpy.linalg.eigh's eigenvectors."""
+    import numpy as np
+
+    h = build_hamiltonian(spec, basis_u, dim)
+    for p in (0, 1):
+        vectors = np.linalg.eigh(h[p::2, p::2]).eigenvectors
+        tails = (vectors[-10:, :(n_levels - p + 1) // 2] ** 2).sum(axis=0)
+        if (tails > exact.TAIL_WEIGHT).any():
+            return True
+    return False
+
+
+def _explicit_basis_points(count, seed):
+    """(k, b, basis_u, n_levels, dim): both former silent faults, two
+    points where only level n_levels - 2 keeps more than TAIL_WEIGHT
+    (1.06e-20 and 1.24e-20 against 7.0e-21 and 9.5e-21 for n_levels - 1),
+    then seeded points, every third at the dim = n_levels + 20 floor."""
+    points = [(0.5, 0.05, 1e150, 4, 120),
+              (0.5, 1e4, hbar_omega(spec_at(0.0)), 4, 120),
+              (685.2376120510112, 1351.475975531256, 417.324846999666, 41, 115),
+              (27.265695663482365, 0.17043129051236738, 26.698421906521833,
+               30, 78)]
+    rng = random.Random(seed)
+    for i in range(count):
+        k = 10.0 ** rng.uniform(-4.0, 3.0)
+        b = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-3.0, 8.0)
+        n_levels = rng.randint(1, 60)
+        dim = n_levels + 20 + (0 if i % 3 == 0 else rng.randint(1, 200))
+        u = solve_omega(make_anharmonic_spec(k, b), n_levels // 2).hbar_Omega_n
+        points.append((k, b, u * 10.0 ** rng.uniform(-0.3, 0.3), n_levels,
+                       dim))
+    return points
+
+
+def test_explicit_basis_check_refuses_where_eigh_tails_exceed_bound():
+    outcomes = []
+    for k, b, basis_u, n_levels, dim in _explicit_basis_points(200, seed=16):
+        spec = make_anharmonic_spec(k, b)
+        try:
+            diag_eigenvalues(spec, dim=dim, basis_u=basis_u, n_levels=n_levels)
+            refused = False
+        except ConvergenceError:
+            refused = True
+        outcomes.append(refused)
+        assert refused == _eigh_refuses(spec, dim, basis_u, n_levels), (
+            k, b, basis_u, n_levels, dim)
+    assert outcomes[:4] == [True] * 4
+    assert 20 <= sum(outcomes) <= len(outcomes) - 20  # both sides sampled
+
+
+@pytest.mark.xfail(strict=True, reason="the default basis is unchecked: at "
+                   "dim 120 level 99 reads 936.0576 eV for 935.9035 eV")
+def test_default_basis_refuses_or_matches_unconverged_level():
+    spec = spec_at(0.05)
+    reference = diag_eigenvalues(spec, dim=600, n_levels=100)[99]
+    try:
+        level = diag_eigenvalues(spec, dim=120, n_levels=100)[99]
+    except ConvergenceError:
+        return
+    assert level == pytest.approx(reference, rel=1e-9)
 
 
 def test_shooting_tolerance_halving():

@@ -426,3 +426,23 @@ def test_formats_carry_the_same_cells(command, extra, capsys):
     md_methods = csv_methods | {"exact"}
     assert _csv_cells(command, outputs["csv"]) == shown(csv_methods)
     assert _markdown_cells(command, outputs["markdown"]) == shown(md_methods)
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_huge_percent_prints_without_noise_digits(fmt, capsys):
+    # the divergent conventional_pt2 cell at b = 1e100 is -9.9e169 % of
+    # exact, which three decimals printed as 175 characters
+    assert main(["table1", "--b", "1e100", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert "-9.908074e+169" in out
+    assert "99.177" in out and "102.011" in out
+    assert not re.search(r"\d{18}", out)
+
+
+def test_percent_keeps_three_decimals_below_1e12():
+    # the oscillator-table benchmark prints percents up to about 4.1e10
+    # and parses them as -?[\d.]+
+    assert reports._percent(4.1e10) == "41000000000.000"
+    assert reports._percent(-999999999999.0) == "-999999999999.000"
+    assert reports._percent(1e12) == "1e+12"
+    assert reports._percent(-2.5e15) == "-2.5e+15"
