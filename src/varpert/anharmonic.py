@@ -102,17 +102,23 @@ def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
     Evaluated in the literal three-term form (not the on-shell
     simplification), so it doubles as the conventional first-order energy
     at u = hbar omega and as the objective whose stationary point defines
-    hbar Omega_n.
+    hbar Omega_n. A u that takes u^2 or the energy past the float range
+    raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
     hw = hbar_omega(spec)
-    beta = _beta(spec, u)
     poly = 2 * n * n + 2 * n + 1
-    return (u * (n + 0.5)
-            - (u * u - hw * hw) / (4.0 * u) * (2 * n + 1)
-            + 3.0 * beta * poly)
+    try:
+        e1 = (u * (n + 0.5)
+              - (u * u - hw * hw) / (4.0 * u) * (2 * n + 1)
+              + 3.0 * _beta(spec, u) * poly)
+    except ZeroDivisionError:  # u * u underflows in beta
+        e1 = math.inf
+    if not math.isfinite(e1):
+        raise ValueError(f"u={u!r} overflows E1 for n={n}")
+    return e1
 
 
 def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
@@ -130,7 +136,11 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     kap = spec.constants.kappa
     rhs = 24.0 * spec.quartic_b * kap * kap * _g(n)
     residual = u * u * u - hw * hw * u - rhs
-    if abs(residual) > 1e-8 * u ** 3:
+    try:
+        off_shell = abs(residual) > 1e-8 * u ** 3
+    except OverflowError:  # no root of the cubic has an infinite u^3
+        off_shell = True
+    if off_shell:
         raise ValueError(
             f"u={u!r} is off shell for n={n} (residual {residual:.3e}); "
             "the closed form is invalid away from the cubic's root")
@@ -146,20 +156,27 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     The perturbation couples |n> only to |n +- 2> and |n +- 4>, so the
     Rayleigh-Schrodinger sum is exact with four terms:
     sum_k |<k|H'|n>|^2 / (u (n - k)), each term as in ``hprime_element``.
+    A u at which u^2 or (kappa/u)^2 overflows raises ``ValueError``; an
+    amplitude whose square overflows, as from b = 8.3e152 in the hbar omega
+    basis at k = 0.5, makes the sum -inf or nan.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
     s2 = spec.constants.kappa / u
-    c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
     _require_positive("s2", s2)
     total = 0.0
-    # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k
-    for m, d in ((n - 4, 4), (n - 2, 2), (n, -2), (n, -4)):
-        if m >= 0:
-            x2, x4 = _LADDER[abs(d)](s2, m)
-            amp = c2 * x2 + spec.quartic_b * x4
-            total += amp * amp / (u * d)
+    try:
+        c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
+        # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k
+        for m, d in ((n - 4, 4), (n - 2, 2), (n, -2), (n, -4)):
+            if m >= 0:
+                x2, x4 = _LADDER[abs(d)](s2, m)
+                amp = c2 * x2 + spec.quartic_b * x4
+                total += amp * amp / (u * d)
+    except OverflowError:  # u ** 2 or s2 ** 2
+        raise ValueError(f"u={u!r} overflows the second-order "
+                         f"sum for n={n}") from None
     return total
 
 

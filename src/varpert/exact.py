@@ -27,8 +27,8 @@ REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
 GUESS_WIDTH = 0.02  # half-width of a guided first bracket, relative to guess
 # most weight a level may keep on the top 10 states of its parity block in
-# an explicit diagonalization basis: converged levels measure 1e-28 or
-# less, and a far-off basis 1e-5 or more
+# any diagonalization basis: converged levels measure 1e-28 or less, and a
+# far-off basis 1e-5 or more
 TAIL_WEIGHT = 1e-20
 
 
@@ -62,6 +62,9 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     big_h = 0.5 * math.pi / math.sqrt(ce)
     h2 = big_h * big_h
     h4 = h2 * h2
+    if h4 == math.inf:  # q2 to q4 would be inf, or nan at b = 0 or x = 0
+        raise ValueError(f"energy={energy!r} eV is too small to shoot: the "
+                         f"step scale H^4 = (pi/2)^4 (kappa/E)^2 overflows")
 
     y0, y1, scale = (1.0, 0.0, 1.0) if parity == 0 else (0.0, 1.0, big_h)
     x = 0.0
@@ -160,7 +163,9 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     as a level far below ``energy_tol`` still needs splitting and no
     narrower bracket can be split: a width, not an accuracy bound, so a
     guided result can differ from the unguided one within it. ``MAX_ITER``
-    trials bound growth and search together.
+    trials bound growth and search together. A trial energy whose step
+    scale H^4 = (pi/2)^4 (kappa/E)^2 overflows (E below 7.0e-154 eV at the
+    electron kappa) raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -239,7 +244,7 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     return 0.5 * (lo + hi)
 
 
-def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
+def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
                      basis_u: float | None = None,
                      n_levels: int = 4) -> Sequence[float]:
     """Lowest eigenvalues from diagonalization in an oscillator basis.
@@ -247,13 +252,11 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
     ``basis_u`` selects the basis quantum, hbar Omega_n of the middle level
     n = n_levels // 2 by default; results are basis independent once ``dim``
     is converged. Level n is index n // 2 of parity block n % 2, each block
-    diagonalized by ``numpy.linalg.eigvalsh``. ``dim`` must be at least
-    n_levels + 20, a floor and not a convergence guarantee: at k = 0.5,
-    b = 0.05 and n_levels = 100 that floor puts level 99 1.6e-4 relative
-    high. An explicit ``basis_u`` is checked: the top requested level of
-    each block, which keeps the block's largest weight on its top 10
-    states, must keep at most ``TAIL_WEIGHT`` there, or
-    ``ConvergenceError`` is raised. The default basis is not checked.
+    diagonalized by ``numpy.linalg.eigvalsh``. ``dim``, 100 by default,
+    must be at least n_levels + 20. Every basis, default or explicit, is
+    checked: the top requested level of each block, which keeps the
+    block's largest weight on its top 10 states, must keep at most
+    ``TAIL_WEIGHT`` there, or ``ConvergenceError`` is raised.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -269,12 +272,11 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 120,
     blocks = [h[p::2, p::2] for p in (0, 1)]
     try:
         levels = [np.linalg.eigvalsh(block) for block in blocks]
-        # an explicit basis is checked on the top requested level of each
-        # block, which keeps the block's largest weight on its top states:
-        # one inverse-iteration step from its eigenvalue lam gives its
-        # vector, whose size the right side lam holds near 1 / (64 eps)
-        top = () if basis_u is None else range(max(n_levels - 2, 0), n_levels)
-        for n in top:
+        # the top requested level of each block keeps the block's largest
+        # weight on its top states: one inverse-iteration step from its
+        # eigenvalue lam gives its vector, whose size the right side lam
+        # holds near 1 / (64 eps)
+        for n in range(max(n_levels - 2, 0), n_levels):
             lam = levels[n % 2][n // 2] * (1.0 + 64.0 * sys.float_info.epsilon)
             a = blocks[n % 2] - lam * np.eye(len(blocks[n % 2]))
             x = np.linalg.solve(a, np.full(len(a), lam))

@@ -36,12 +36,19 @@ _LADDER = {0: _ladder0, 2: _ladder2, 4: _ladder4}
 
 
 def _elements(s2: float, k: int, n: int) -> tuple[float, float]:
-    """(<k| x^2 |n>, <k| x^4 |n>) after checking s2 and the indices."""
+    """(<k| x^2 |n>, <k| x^4 |n>) after checking s2 and the indices; an x^4
+    element past the float range raises ``ValueError``."""
     _require_positive("s2", s2)
     if k < 0 or n < 0:
         raise ValueError("quantum numbers must be non-negative")
     ladder = _LADDER.get(abs(k - n))
-    return (0.0, 0.0) if ladder is None else ladder(s2, min(k, n))
+    try:
+        x2, x4 = (0.0, 0.0) if ladder is None else ladder(s2, min(k, n))
+    except OverflowError:  # s2 ** 2
+        x2 = x4 = math.inf
+    if x4 == math.inf:  # a finite x^4 element bounds the x^2 one
+        raise ValueError(f"s2={s2!r} overflows <{k}| x^4 |{n}>")
+    return x2, x4
 
 
 def x2_element(s2: float, k: int, n: int) -> float:
@@ -72,9 +79,15 @@ def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
     """
     _require_positive("u", u)
     s2 = spec.constants.kappa / u
-    c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
     x2, x4 = _elements(s2, k, n)
-    return c2 * x2 + spec.quartic_b * x4
+    try:
+        c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
+    except OverflowError:
+        raise ValueError(f"u={u!r} overflows u^2") from None
+    element = c2 * x2 + spec.quartic_b * x4
+    if not math.isfinite(element):
+        raise ValueError(f"u={u!r} overflows <{k}| H' |{n}>")
+    return element
 
 
 def build_hamiltonian(spec: AnharmonicSpec, u: float,

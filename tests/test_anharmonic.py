@@ -10,7 +10,7 @@ from varpert.anharmonic import (P_COEFFS, energy_conventional_pt,
                                 second_order_closed_form, second_order_sum,
                                 solve_omega)
 from varpert.model import hbar_omega, make_anharmonic_spec
-from varpert.oscillator import x4_element
+from varpert.oscillator import hprime_element, x2_element, x4_element
 
 B_GRID = (0.001, 0.01, 0.05, 0.25, 1.0)
 
@@ -109,6 +109,30 @@ def test_basis_quantum_must_be_finite_and_positive(func, u):
     # nan used to pass the u <= 0 test and come back as a nan energy
     with pytest.raises(ValueError, match=r"^u must be finite and > 0"):
         func(spec_at(0.05), 0, u)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: x4_element(1e155, 0, 0), lambda: x2_element(1e155, 0, 0),
+    lambda: hprime_element(spec_at(0.05), 1e-160, 0, 0),
+    lambda: hprime_element(spec_at(0.05), 1e200, 0, 0),
+    lambda: hprime_element(spec_at(1e300), 1e-10, 0, 0),
+    lambda: energy_conventional_pt(make_anharmonic_spec(1e-310, 0.0), 0, 1),
+    lambda: second_order_sum(spec_at(0.05), 0, 1e200),
+    lambda: second_order_sum(spec_at(0.05), 0, 1e-200),
+    lambda: second_order_closed_form(spec_at(0.05), 0, 1e200),
+    lambda: energy_first_order(spec_at(0.05), 0, 1e-200),
+    lambda: energy_first_order(spec_at(0.05), 0, 1e200)],
+    ids=["x4", "x2", "hprime_1e-160", "hprime_1e200", "hprime_b1e300",
+         "conventional_pt", "sum_1e200", "sum_1e-200",
+         "closed_form_1e200", "first_order_1e-200", "first_order_1e200"])
+def test_extreme_basis_raises_value_error_or_returns_finite(call):
+    # finite u > 0 whose u^2 or (kappa/u)^2 leaves the float range: these
+    # raised OverflowError or ZeroDivisionError, or returned inf or -inf
+    try:
+        value = call()
+    except ValueError:
+        return
+    assert math.isfinite(value)
 
 
 @pytest.mark.parametrize("func", [energy_first_order, second_order_closed_form,

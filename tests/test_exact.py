@@ -13,7 +13,7 @@ import varpert.exact as exact
 import varpert.reference as ref
 from varpert.anharmonic import energy_present, solve_omega
 from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
-from varpert.model import hbar_omega, make_anharmonic_spec
+from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
 from varpert.oscillator import build_hamiltonian
 
 # the (level, b) points of the published Tables 1 and 3
@@ -32,7 +32,7 @@ def test_harmonic_limit_shooting():
         assert e == pytest.approx((n + 0.5) * hw, abs=5e-9)
 
 
-@pytest.mark.parametrize("k", [1e-300, 1e-100, 1e-12])
+@pytest.mark.parametrize("k", [1e-306, 1e-305, 1e-300, 1e-100, 1e-12])
 def test_shooting_resolves_levels_far_below_energy_tol(k):
     # hbar omega is 4e-150 eV at k = 1e-300, far below the 1e-9 eV
     # energy_tol, and the bracket must still narrow past its first midpoint
@@ -41,6 +41,14 @@ def test_shooting_resolves_levels_far_below_energy_tol(k):
     for n in (0, 1):
         assert shoot_eigenvalue(spec, n) == pytest.approx((n + 0.5) * hw,
                                                           rel=2e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [1e-307, 1e-308, 2e-308, 1e-309, 1e-310])
+def test_shooting_refuses_energies_whose_step_scale_overflows(k):
+    # (pi/2)^4 (kappa/E)^2 overflows on the way to the ground state: these
+    # returned nan, or 7.01e-154 eV for 6.2e-155 and 1.95e-155 eV
+    with pytest.raises(ValueError, match="too small to shoot"):
+        shoot_eigenvalue(make_anharmonic_spec(k, 0.0), 0)
 
 
 def test_harmonic_limit_diagonalization():
@@ -79,6 +87,12 @@ def test_diag_eigenvalues_sorted_and_sized():
 def test_diag_dimension_guard():
     with pytest.raises(ValueError, match="dim"):
         diag_eigenvalues(spec_at(0.05), dim=23, n_levels=4)
+    # the default dim 100 admits up to 80 levels, and at b = 0.05 the check
+    # refuses 80 (level 78 keeps 0.6 of its weight on the top 10 states)
+    with pytest.raises(ConvergenceError):
+        diag_eigenvalues(spec_at(0.05), n_levels=80)
+    with pytest.raises(ValueError, match="^dim must be >= n_levels"):
+        diag_eigenvalues(spec_at(0.05), n_levels=81)
 
 
 @pytest.mark.parametrize("n_levels", [0, -1])
@@ -140,11 +154,14 @@ def test_diag_rejects_bad_basis_u(basis_u):
 
 
 def _eigh_refuses(spec, dim, basis_u, n_levels):
-    """The per-level rule the explicit-basis check stands for: whether some
+    """The per-level rule the diagonalization check stands for: whether some
     requested level keeps more than TAIL_WEIGHT of its weight on the top 10
-    states of its parity block, read off numpy.linalg.eigh's eigenvectors."""
+    states of its parity block, read off numpy.linalg.eigh's eigenvectors.
+    A ``basis_u`` of None is the default hbar Omega_{n_levels // 2}."""
     import numpy as np
 
+    if basis_u is None:
+        basis_u = solve_omega(spec, n_levels // 2).hbar_Omega_n
     h = build_hamiltonian(spec, basis_u, dim)
     for p in (0, 1):
         vectors = np.linalg.eigh(h[p::2, p::2]).eigenvectors
@@ -176,9 +193,25 @@ def _explicit_basis_points(count, seed):
     return points
 
 
-def test_explicit_basis_check_refuses_where_eigh_tails_exceed_bound():
+def _default_basis_points(count, seed):
+    """(k, b, None, n_levels, dim): seeded points in the default basis with
+    up to 100 levels, every third at the dim = n_levels + 20 floor."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        k = 10.0 ** rng.uniform(-4.0, 3.0)
+        b = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-3.0, 8.0)
+        n_levels = rng.randint(1, 100)
+        dim = n_levels + 20 + (0 if i % 3 == 0 else rng.randint(1, 200))
+        points.append((k, b, None, n_levels, dim))
+    return points
+
+
+def _check_outcomes(points):
+    """Whether diag_eigenvalues refused each point, asserting that it did
+    exactly where _eigh_refuses does."""
     outcomes = []
-    for k, b, basis_u, n_levels, dim in _explicit_basis_points(200, seed=16):
+    for k, b, basis_u, n_levels, dim in points:
         spec = make_anharmonic_spec(k, b)
         try:
             diag_eigenvalues(spec, dim=dim, basis_u=basis_u, n_levels=n_levels)
@@ -188,12 +221,30 @@ def test_explicit_basis_check_refuses_where_eigh_tails_exceed_bound():
         outcomes.append(refused)
         assert refused == _eigh_refuses(spec, dim, basis_u, n_levels), (
             k, b, basis_u, n_levels, dim)
+    return outcomes
+
+
+def test_explicit_basis_check_refuses_where_eigh_tails_exceed_bound():
+    outcomes = _check_outcomes(_explicit_basis_points(200, seed=16))
     assert outcomes[:4] == [True] * 4
     assert 20 <= sum(outcomes) <= len(outcomes) - 20  # both sides sampled
+    # the default basis runs the same check
+    outcomes = _check_outcomes(_default_basis_points(150, seed=17))
+    assert 20 <= sum(outcomes) <= len(outcomes) - 20
 
 
-@pytest.mark.xfail(strict=True, reason="the default basis is unchecked: at "
-                   "dim 120 level 99 reads 936.0576 eV for 935.9035 eV")
+@pytest.mark.parametrize("k", [1e-4, 0.5, 1e3])
+def test_default_dim_holds_21_levels_at_any_coupling(k):
+    # the coupling b sqrt(kappa) / (8 k^1.5) from 1e-7 to 1e15 by half
+    # decades: dim 100 is never refused, and matches dim 200
+    for j in range(-14, 31):
+        b = 10.0 ** (j / 2) * 8.0 * k ** 1.5 / math.sqrt(KAPPA_EV_A2)
+        spec = make_anharmonic_spec(k, b)
+        levels = diag_eigenvalues(spec, n_levels=21)
+        wider = diag_eigenvalues(spec, dim=200, n_levels=21)
+        assert levels == pytest.approx(wider, rel=1e-14, abs=0.0), b
+
+
 def test_default_basis_refuses_or_matches_unconverged_level():
     spec = spec_at(0.05)
     reference = diag_eigenvalues(spec, dim=600, n_levels=100)[99]

@@ -271,6 +271,20 @@ def test_cli_check_cross_checks_unreferenced_columns(monkeypatch, capsys):
     assert "b=10000.0" in err
 
 
+def test_cli_check_names_an_unconverged_diagonalization(capsys):
+    # 24 states hold the hbar Omega_0 basis at b = 1e4 to a tail weight of
+    # 1.4e-3: the check now refuses it, where this used to exit 0
+    argv = ["table1", "--levels", "1", "--exact-dim", "24", "--b", "1e4"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == plain
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "diagonalization oracle failed: level n=0 keeps" in lines[0]
+
+
 @pytest.mark.parametrize("bad", ["inf", "nan"])
 def test_cli_rejects_non_finite_exact_tol(bad, capsys):
     # an infinite tolerance used to return the first bracket's midpoint
