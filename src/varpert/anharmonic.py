@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
-from .oscillator import _LADDER, x4_element
+from .oscillator import _hprime, x4_element
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
 # every n (equivalence enforced by tests at relative 1e-10). The linear
@@ -127,22 +127,19 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     Returns beta^2/(4u) * P(n)/(2n+1)^2 with
     P(n) = 64n^5 + 160n^4 - 336n^3 - 664n^2 - 280n - 24. The derivation
     eliminates u^2 - (hbar omega)^2 through the cubic, so u must solve the
-    cubic for this n; the precondition is enforced at relative 1e-8.
+    cubic for this n; the precondition is enforced at relative 1e-8 on the
+    cubic divided by u^3, which cannot overflow.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    hw = hbar_omega(spec)
     kap = spec.constants.kappa
     rhs = 24.0 * spec.quartic_b * kap * kap * _g(n)
-    residual = u * u * u - hw * hw * u - rhs
-    try:
-        off_shell = abs(residual) > 1e-8 * u ** 3
-    except OverflowError:  # no root of the cubic has an infinite u^3
-        off_shell = True
-    if off_shell:
+    w = hbar_omega(spec) / u
+    residual = 1.0 - w * w - rhs / u / u / u
+    if not abs(residual) <= 1e-8:
         raise ValueError(
-            f"u={u!r} is off shell for n={n} (residual {residual:.3e}); "
+            f"u={u!r} is off shell for n={n} (residual {residual:.3e} u^3); "
             "the closed form is invalid away from the cubic's root")
     c5, c4, c3, c2, c1, c0 = P_COEFFS
     p = ((((c5 * n + c4) * n + c3) * n + c2) * n + c1) * n + c0
@@ -163,18 +160,17 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    s2 = spec.constants.kappa / u
-    _require_positive("s2", s2)
+    _require_positive("s2", spec.constants.kappa / u)
+    if u * u == math.inf:  # and with it the x^2 coefficient of H'
+        raise ValueError(f"u={u!r} overflows u^2")
     total = 0.0
     try:
-        c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
         # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k
         for m, d in ((n - 4, 4), (n - 2, 2), (n, -2), (n, -4)):
             if m >= 0:
-                x2, x4 = _LADDER[abs(d)](s2, m)
-                amp = c2 * x2 + spec.quartic_b * x4
+                amp = _hprime(spec, u, abs(d), m)
                 total += amp * amp / (u * d)
-    except OverflowError:  # u ** 2 or s2 ** 2
+    except OverflowError:  # s2 ** 2
         raise ValueError(f"u={u!r} overflows the second-order "
                          f"sum for n={n}") from None
     return total
@@ -201,8 +197,8 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
 
     Order 1 is hbar omega (n + 1/2) + b <n|x^4|n>; order 2 adds the exact
     second-order sum. Large-b divergence of the series is a property the
-    caller may flag (see ``pt_divergent``), not an error: the truncated
-    values are always computable.
+    caller may flag (see ``pt_divergent``), not an error; at huge b the
+    second-order sum overflows to -inf or nan, which that flag counts too.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -218,10 +214,9 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
 
     Flags the level when the magnitude of the second-order correction
     exceeds the first-order quartic shift b <n|x^4|n>, the scale at which
-    successive terms of the frozen-basis series stop shrinking.
+    successive terms of the frozen-basis series stop shrinking, or is not
+    finite. At b = 0 both are exactly 0 and the level is not flagged.
     """
-    if spec.quartic_b == 0.0:
-        return False
     hw = hbar_omega(spec)
     first_b_term = spec.quartic_b * x4_element(spec.constants.kappa / hw, n, n)
-    return abs(second_order_sum(spec, n, hw)) > abs(first_b_term)
+    return not abs(second_order_sum(spec, n, hw)) <= abs(first_b_term)

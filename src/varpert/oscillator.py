@@ -5,7 +5,8 @@ oscillator with quantum u = hbar Omega, the perturbation operator
 
     H' = (k - m Omega^2 / 2) x^2 + b x^4,
 
-and assembly of the full Hamiltonian as a dense symmetric matrix. With
+whose x^2 coefficient is exactly 0 in the basis u = hbar omega, and
+assembly of the full Hamiltonian as a dense symmetric matrix. With
 s^2 = hbar/(2 m Omega) = kappa / u, the ladder expansion
 x = s (a + a^dagger) gives every element in closed form; the only nonzero
 off-diagonals are |k - n| in {2} for x^2 and {2, 4} for x^4.
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import math
 
-from .model import AnharmonicSpec, _require_positive
+from .model import AnharmonicSpec, _require_positive, hbar_omega
 
 
 # <m + d| x^2 |m> and <m + d| x^4 |m> for d = 0, 2 and 4, each written once
 # for an int m with math.sqrt and for an integer array of m with numpy.sqrt
-def _ladder0(s2, m):
+def _ladder0(s2, m, sqrt=None):
     return s2 * (2 * m + 1), s2 ** 2 * (6 * m * m + 6 * m + 3)
 
 
@@ -33,6 +34,17 @@ def _ladder4(s2, m, sqrt=math.sqrt):
 
 
 _LADDER = {0: _ladder0, 2: _ladder2, 4: _ladder4}
+
+
+def _hprime(spec: AnharmonicSpec, u, d: int, m, sqrt=math.sqrt):
+    """<m + d| H' |m> in basis u for d in ``_LADDER``, with m an int or, with
+    ``numpy.sqrt``, an integer array. The x^2 coefficient k - u^2/(4 kappa)
+    is written (hbar omega - u)(hbar omega + u)/(4 kappa): exactly 0 at
+    u = hbar_omega(spec), and -inf where u^2 overflows."""
+    kap = spec.constants.kappa
+    hw = hbar_omega(spec)
+    x2, x4 = _LADDER[d](kap / u, m, sqrt)
+    return (hw - u) * (hw + u) / (4.0 * kap) * x2 + spec.quartic_b * x4
 
 
 def _elements(s2: float, k: int, n: int) -> tuple[float, float]:
@@ -75,16 +87,14 @@ def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
     """Matrix element <k| H' |n> of the residual perturbation in basis u, in eV.
 
     H' = c2 x^2 + b x^4 where c2 = k_spec - u^2 / (4 kappa) is the
-    coefficient m (omega^2 - Omega^2)/2 written without materializing m.
+    coefficient m (omega^2 - Omega^2)/2 written without materializing m. A
+    u that takes an x^4 element or the result past the float range raises
+    ``ValueError``.
     """
     _require_positive("u", u)
-    s2 = spec.constants.kappa / u
-    x2, x4 = _elements(s2, k, n)
-    try:
-        c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
-    except OverflowError:
-        raise ValueError(f"u={u!r} overflows u^2") from None
-    element = c2 * x2 + spec.quartic_b * x4
+    _elements(spec.constants.kappa / u, k, n)  # checks s2, k, n and x^4
+    d = abs(k - n)
+    element = _hprime(spec, u, d, min(k, n)) if d in _LADDER else 0.0
     if not math.isfinite(element):
         raise ValueError(f"u={u!r} overflows <{k}| H' |{n}>")
     return element
@@ -103,20 +113,14 @@ def build_hamiltonian(spec: AnharmonicSpec, u: float,
     _require_positive("u", u)
     if dim < 8:
         raise ValueError(f"dim must be >= 8, got {dim}")
-    b = spec.quartic_b
     m = np.arange(dim)
     # numpy scalars overflow to inf where Python floats raise, and the
     # caller sees a non-finite H
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.float64(u)
-        s2 = spec.constants.kappa / u
-        c2 = spec.stiffness_k - u ** 2 / (4.0 * spec.constants.kappa)
-        x2, x4 = _ladder0(s2, m)
-        h = np.diag(c2 * x2 + b * x4 + u * (m + 0.5))
-        x2, x4 = _ladder2(s2, m[:-2], np.sqrt)
-        band2 = c2 * x2 + b * x4
-        band4 = b * _ladder4(s2, m[:-4], np.sqrt)[1]
-    for d, band in ((2, band2), (4, band4)):
-        np.fill_diagonal(h[d:], band)  # entries (j + d, j), then (j, j + d)
-        np.fill_diagonal(h[:, d:], band)
+        h = np.diag(_hprime(spec, u, 0, m, np.sqrt) + u * (m + 0.5))
+        for d in (2, 4):
+            band = _hprime(spec, u, d, m[:-d], np.sqrt)
+            np.fill_diagonal(h[d:], band)  # entries (j + d, j), then (j, j + d)
+            np.fill_diagonal(h[:, d:], band)
     return h

@@ -1,5 +1,6 @@
 """Optimized-basis perturbation scheme: cubic root, energies, equivalence."""
 import math
+import random
 import re
 
 import pytest
@@ -174,6 +175,16 @@ def test_variant_linear_coefficient_disagrees_with_sum():
         assert abs(variant - brute) > 0.05 * abs(brute)
 
 
+@pytest.mark.parametrize("k", [1e300, 1e306])
+def test_present_scheme_at_huge_k_is_the_variational_energy(k):
+    # u^3 overflowed in the on-shell check, which then called the exact
+    # root u = hbar omega "off shell (residual nan)"
+    spec = make_anharmonic_spec(k, 0.0)
+    present = energy_present(spec, 0)
+    assert math.isfinite(present.e_total)
+    assert present.e_total == energy_variational(spec, 0).e_total
+
+
 def test_closed_form_rejects_off_shell_u():
     spec = spec_at(0.05)
     u = solve_omega(spec, 0).hbar_Omega_n
@@ -255,6 +266,27 @@ def test_pt_divergence_flag():
     assert not pt_divergent(spec_at(0.01), 0)
     assert not pt_divergent(spec_at(0.05), 0)
     assert pt_divergent(spec_at(0.25), 0)
+
+
+@pytest.mark.parametrize("k", [1e-4, 0.09467647314591257, 0.5, 3.7, 1e3])
+def test_conventional_second_order_is_zero_at_b_zero(k):
+    # k - u^2/(4 kappa) at u = hbar omega was rounding noise, not 0
+    spec = make_anharmonic_spec(k, 0.0)
+    for n in range(21):
+        assert energy_conventional_pt(spec, n, 2).e_second_corr == 0.0
+        assert not pt_divergent(spec, n)
+
+
+def test_pt_divergence_flag_is_off_at_tiny_b():
+    # that noise, squared, outgrew b <n|x^4|n> and flagged n = 0 at 57 of
+    # the 200 seeded points; b = 1e-40 at k = 0.5 read e2 = -2.1e-33
+    rng = random.Random(18)
+    points = [(0.5, 1e-40)] + [(10.0 ** rng.uniform(-4.0, 3.0),
+                                10.0 ** rng.uniform(-60.0, -20.0))
+                               for _ in range(200)]
+    for k, b in points:
+        spec = make_anharmonic_spec(k, b)
+        assert not any(pt_divergent(spec, n) for n in range(21)), (k, b)
 
 
 def test_divergence_threshold_is_first_order_term():

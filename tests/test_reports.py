@@ -453,6 +453,18 @@ def test_huge_percent_prints_without_noise_digits(fmt, capsys):
     assert not re.search(r"\d{18}", out)
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+@pytest.mark.parametrize("argv, flagged", [
+    (["table1", "--b", "1e-40", "0"], 0),
+    (["sweep", "--levels", "3", "--b", "2e269"], 3)])
+def test_divergence_notes_follow_the_second_order_sum(argv, flagged, fmt,
+                                                     capsys):
+    # rounding noise in the x^2 coefficient flagged n = 0 at b = 1e-40, and
+    # the nan sum at n = 2 for b = 2e269 went unflagged
+    assert main([*argv, "--format", fmt]) == 0
+    assert capsys.readouterr().out.count("divergent") == flagged
+
+
 def test_percent_keeps_three_decimals_below_1e12():
     # the oscillator-table benchmark prints percents up to about 4.1e10
     # and parses them as -?[\d.]+
