@@ -160,19 +160,16 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    _require_positive("s2", spec.constants.kappa / u)
-    if u * u == math.inf:  # and with it the x^2 coefficient of H'
-        raise ValueError(f"u={u!r} overflows u^2")
+    s2 = spec.constants.kappa / u
+    _require_positive("s2", s2)
+    if u * u == math.inf or s2 * s2 == math.inf:  # the x^2 or x^4 scale of H'
+        raise ValueError(f"u={u!r} overflows u^2 or (kappa/u)^2")
     total = 0.0
-    try:
-        # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k
-        for m, d in ((n - 4, 4), (n - 2, 2), (n, -2), (n, -4)):
-            if m >= 0:
-                amp = _hprime(spec, u, abs(d), m)
-                total += amp * amp / (u * d)
-    except OverflowError:  # s2 ** 2
-        raise ValueError(f"u={u!r} overflows the second-order "
-                         f"sum for n={n}") from None
+    # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k
+    for m, d in ((n - 4, 4), (n - 2, 2), (n, -2), (n, -4)):
+        if m >= 0:
+            amp = _hprime(spec, u, abs(d), m)
+            total += amp * amp / (u * d)
     return total
 
 
@@ -195,16 +192,21 @@ def energy_present(spec: AnharmonicSpec, n: int) -> LevelResult:
 def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelResult:
     """Conventional perturbation theory with the basis frozen at hbar omega.
 
-    Order 1 is hbar omega (n + 1/2) + b <n|x^4|n>; order 2 adds the exact
+    Order 1 is hbar omega (n + 1/2) + b <n|x^4|n>, and a b that takes it
+    past the float range raises ``ValueError``; order 2 adds the exact
     second-order sum. Large-b divergence of the series is a property the
     caller may flag (see ``pt_divergent``), not an error; at huge b the
     second-order sum overflows to -inf or nan, which that flag counts too.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     hw = hbar_omega(spec)
     s2 = spec.constants.kappa / hw
     e1 = hw * (n + 0.5) + spec.quartic_b * x4_element(s2, n, n)
+    if not math.isfinite(e1):
+        raise ValueError(f"quartic_b={spec.quartic_b!r} overflows E1 for n={n}")
     e2 = 0.0 if order == 1 else second_order_sum(spec, n, hw)
     return LevelResult(n=n, hbar_omega_n=hw, e_first=e1, e_second_corr=e2)
 
@@ -217,6 +219,8 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
     successive terms of the frozen-basis series stop shrinking, or is not
     finite. At b = 0 both are exactly 0 and the level is not flagged.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
     first_b_term = spec.quartic_b * x4_element(spec.constants.kappa / hw, n, n)
     return not abs(second_order_sum(spec, n, hw)) <= abs(first_b_term)

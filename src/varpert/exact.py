@@ -108,21 +108,15 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
 
 
 def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
-    """Box half-width: the wall clears E by 25 quanta and 25 decay lengths."""
+    """Box half-width: the wall clears E by 25 decay lengths."""
     k = spec.stiffness_k
     b = spec.quartic_b
     kappa = spec.constants.kappa
-    hw = hbar_omega(spec)
-
-    def wall(v: float) -> float:
-        # outer root of k x^2 + b x^4 = v, in a form that needs no b = 0
-        # branch and cannot overflow at huge b
-        root = math.hypot(k, 2.0 * math.sqrt(b) * math.sqrt(v))
-        return math.sqrt(2.0 * v / (k + root))
-
-    x_margin = wall(energy + 25.0 * hw)
+    # the turning point, the outer root of k x^2 + b x^4 = E, in a form that
+    # needs no b = 0 branch and cannot overflow at huge b
+    root = math.hypot(k, 2.0 * math.sqrt(b) * math.sqrt(energy))
+    x = math.sqrt(2.0 * energy / (k + root))
     # march the decay integral int sqrt((V-E)/kappa) dx to 25
-    x = wall(energy)
     dx = 0.01 * x  # sized by the turning point, whatever its scale
     s = 0.0
     f_here = 0.0
@@ -132,7 +126,7 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
         f_next = math.sqrt(max(v_next, 0.0) / kappa)
         s += 0.5 * (f_here + f_next) * dx
         x, f_here = x_next, f_next
-    return max(x, x_margin)
+    return x
 
 
 def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,

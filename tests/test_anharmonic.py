@@ -148,6 +148,30 @@ def test_negative_level_is_refused(func, n):
         func(spec, n, u)
 
 
+@pytest.mark.parametrize("call", [
+    solve_omega, energy_variational, energy_present, pt_divergent,
+    lambda spec, n: energy_conventional_pt(spec, n, 1),
+    lambda spec, n: energy_conventional_pt(spec, n, 2)],
+    ids=["solve_omega", "variational", "present", "pt_divergent",
+         "conventional_pt1", "conventional_pt2"])
+@pytest.mark.parametrize("n", [-1, -2, -5])
+def test_negative_level_is_refused_by_every_level_function(call, n):
+    # the conventional pair raised "quantum numbers must be non-negative"
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        call(spec_at(0.05), n)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [7, 20])
+def test_conventional_pt_refuses_an_overflowing_first_order(order, n):
+    # b <n|x^4|n> overflows from n = 7 at this b; this returned inf (order
+    # 1) or a nan correction (order 2), while pt_divergent flags the level
+    spec = make_anharmonic_spec(0.5, 3e305)
+    with pytest.raises(ValueError, match=rf"overflows E1 for n={n}$"):
+        energy_conventional_pt(spec, n, order)
+    assert pt_divergent(spec, n)
+
+
 @pytest.mark.parametrize("b", B_GRID)
 def test_closed_form_matches_sum_on_shell(b):
     spec = spec_at(b)

@@ -47,7 +47,7 @@ def pin_points():
 def _call(fn):
     try:
         return repr(fn())
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

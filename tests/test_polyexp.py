@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from varpert.helium import _direct_exchange_1s2s, hydrogenic_radial
-from varpert.polyexp import polyexp_moment, slater_radial
+from varpert.polyexp import PolyExp, polyexp_moment, slater_radial
 
 from polyexp_helpers import build, evaluate
 
@@ -118,6 +118,13 @@ def test_slater_rejects_singular_kernel():
     with pytest.raises(ValueError,
                        match=r"^kernel power k=2 too high for r1-side power 2$"):
         slater_radial(2, CANCELLED, p_leg, BARE, p_leg)
+
+
+def test_slater_with_an_empty_leg_is_zero():
+    # no terms on either side leaves nothing to integrate
+    empty = PolyExp((), Fraction(1))
+    assert slater_radial(0, empty, ONE_S, ONE_S, ONE_S) == 0.0
+    assert slater_radial(3, ONE_S, empty, ONE_S, BARE) == 0.0
 
 
 def test_scale_factors_multiply_through():

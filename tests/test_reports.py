@@ -271,6 +271,21 @@ def test_cli_check_cross_checks_unreferenced_columns(monkeypatch, capsys):
     assert "b=10000.0" in err
 
 
+def test_cli_check_names_each_wrong_divergence_flag(monkeypatch, capsys):
+    # with every flag flipped, b = 0.25 loses the flag it must carry and
+    # the two referenced order-2 columns gain one they must not carry
+    flag = reports.pt_divergent
+    monkeypatch.setattr(reports, "pt_divergent",
+                        lambda spec, n: not flag(spec, n))
+    assert main(["table1", "--check"]) == 2
+    err = capsys.readouterr().err
+    assert ("n=0 b=0.25: order-2 perturbation theory should be flagged "
+            "divergent") in err
+    for b in (0.01, 0.05):
+        assert (f"n=0 b={b}: order-2 perturbation theory unexpectedly "
+                "flagged divergent") in err
+
+
 def test_cli_check_names_an_unconverged_diagonalization(capsys):
     # 24 states hold the hbar Omega_0 basis at b = 1e4 to a tail weight of
     # 1.4e-3: the check now refuses it, where this used to exit 0
