@@ -18,8 +18,7 @@ from .helium import (HeliumResult, excited_triplet_energy, ground_state,
                      hydrogenic_radial, optimal_zstar_excited,
                      optimal_zstar_ground, second_order_correction,
                      variational_ground_energy)
-from .model import (AnharmonicSpec, Constants, LevelResult, hbar_omega,
-                    make_anharmonic_spec)
+from .model import AnharmonicSpec, LevelResult, hbar_omega, make_anharmonic_spec
 from .oscillator import (build_hamiltonian, hprime_element, x2_element,
                          x4_element)
 from .polyexp import PolyExp, polyexp_moment, slater_radial
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnharmonicSpec",
-    "Constants",
     "ConvergenceError",
     "HeliumResult",
     "LevelResult",

@@ -31,20 +31,23 @@ from .oscillator import _hprime, x4_element
 P_COEFFS = (64, 160, -336, -664, -280, -24)
 
 
-def _g(n: int) -> float:
-    return (2 * n * n + 2 * n + 1) / (2 * n + 1)
+def _cubic_term(spec: AnharmonicSpec, n: int) -> float:
+    """The cubic's constant term 24 b kappa^2 g(n), for n >= 0."""
+    g = (2 * n * n + 2 * n + 1) / (2 * n + 1)
+    return 24.0 * spec.quartic_b * spec.kappa * spec.kappa * g
 
 
 def _beta(spec: AnharmonicSpec, u: float) -> float:
-    kap = spec.constants.kappa
-    return spec.quartic_b * kap * kap / (u * u)
+    return spec.quartic_b * spec.kappa * spec.kappa / (u * u)
 
 
 class OmegaSolution(NamedTuple):
     """Optimized basis quantum for one level.
 
     ``residual`` is the cubic's value at the root (eV^3), a diagnostic kept
-    small by construction.
+    within 1e-10 u^3 by construction. Where it leaves the float range, as it
+    can for a root above about 1e108 eV, ``solve_omega`` raises
+    ``ValueError``; the energies, which never read it, still return.
     """
 
     n: int
@@ -61,23 +64,29 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     to a power of two: every scaled step is the unscaled one exactly, and
     the cube cannot overflow while 24 b kappa^2 g(n) is finite. Where that
     term overflows, or a result fails the residual check, it raises
-    ``ValueError``. For b = 0 the root is hbar omega itself.
+    ``ValueError``, as it does for a residual past the float range. For
+    b = 0 the root is hbar omega itself.
     """
-    return OmegaSolution(n, *_omega(spec, n))
+    u, cubic, e = _omega(spec, n)
+    try:
+        return OmegaSolution(n, u, math.ldexp(cubic, 3 * e))
+    except OverflowError:
+        raise ValueError(f"the residual at hbar Omega_{n} = {u!r} eV "
+                         "overflows eV^3") from None
 
 
-def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float]:
-    """(hbar Omega_n, residual) as ``solve_omega`` describes them."""
+def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
+    """(hbar Omega_n, residual / 2^(3 e), e) as ``solve_omega`` describes
+    them; the residual itself can leave the float range."""
     if n < 0:
         raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
-    kap = spec.constants.kappa
-    rhs = 24.0 * spec.quartic_b * kap * kap * _g(n)
+    rhs = _cubic_term(spec, n)
     if rhs == math.inf:
         raise ValueError(f"quartic_b={spec.quartic_b!r} overflows the cubic "
                          f"for hbar Omega_{n}")
     if rhs == 0.0:
-        return hw, 0.0
+        return hw, 0.0, 0
     # seed 1.5x above both scales keeps Newton on the convex branch
     v, e = math.frexp(1.5 * max(hw, rhs ** (1.0 / 3.0)))
     w = math.ldexp(hw, -e)
@@ -89,11 +98,11 @@ def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float]:
         if abs(step) <= 1e-15 * v:
             break
     cubic = v * v * v - ww * v - r
-    u, residual = math.ldexp(v, e), math.ldexp(cubic, 3 * e)
+    u = math.ldexp(v, e)
     if not abs(cubic) <= 1e-10 * v ** 3:
         raise ValueError(f"Newton iteration for hbar Omega_{n} failed: "
-                         f"u = {u}, residual {residual}")
-    return u, residual
+                         f"u = {u}, residual {cubic / v ** 3:.3e} u^3")
+    return u, cubic, e
 
 
 def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
@@ -133,10 +142,8 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    kap = spec.constants.kappa
-    rhs = 24.0 * spec.quartic_b * kap * kap * _g(n)
     w = hbar_omega(spec) / u
-    residual = 1.0 - w * w - rhs / u / u / u
+    residual = 1.0 - w * w - _cubic_term(spec, n) / u / u / u
     if not abs(residual) <= 1e-8:
         raise ValueError(
             f"u={u!r} is off shell for n={n} (residual {residual:.3e} u^3); "
@@ -160,7 +167,7 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    s2 = spec.constants.kappa / u
+    s2 = spec.kappa / u
     _require_positive("s2", s2)
     if u * u == math.inf or s2 * s2 == math.inf:  # the x^2 or x^4 scale of H'
         raise ValueError(f"u={u!r} overflows u^2 or (kappa/u)^2")
@@ -203,7 +210,7 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     hw = hbar_omega(spec)
-    s2 = spec.constants.kappa / hw
+    s2 = spec.kappa / hw
     e1 = hw * (n + 0.5) + spec.quartic_b * x4_element(s2, n, n)
     if not math.isfinite(e1):
         raise ValueError(f"quartic_b={spec.quartic_b!r} overflows E1 for n={n}")
@@ -222,5 +229,5 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
     if n < 0:
         raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
-    first_b_term = spec.quartic_b * x4_element(spec.constants.kappa / hw, n, n)
+    first_b_term = spec.quartic_b * x4_element(spec.kappa / hw, n, n)
     return not abs(second_order_sum(spec, n, hw)) <= abs(first_b_term)

@@ -55,7 +55,7 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     comparison with the free wave at energy E), so a step of at most H
     holds at most one of them and a sign change counts it exactly.
     """
-    inv_kappa = 1.0 / spec.constants.kappa
+    inv_kappa = 1.0 / spec.kappa
     c2 = spec.stiffness_k * inv_kappa
     c4 = spec.quartic_b * inv_kappa
     ce = energy * inv_kappa
@@ -111,7 +111,7 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     """Box half-width: the wall clears E by 25 decay lengths."""
     k = spec.stiffness_k
     b = spec.quartic_b
-    kappa = spec.constants.kappa
+    kappa = spec.kappa
     # the turning point, the outer root of k x^2 + b x^4 = E, in a form that
     # needs no b = 0 branch and cannot overflow at huge b
     root = math.hypot(k, 2.0 * math.sqrt(b) * math.sqrt(energy))
@@ -171,7 +171,7 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
 
     e_lo = 0.0
     # the pure-quartic scale keeps bracket growth short at huge b
-    e_hi = max(hw * (n + 1.5), spec.constants.kappa ** (2.0 / 3.0)
+    e_hi = max(hw * (n + 1.5), spec.kappa ** (2.0 / 3.0)
                * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
     if guess is not None:
         _require_positive("guess", guess)

@@ -7,9 +7,8 @@ e^2/a0 = 2 ryd.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 # CODATA-derived defaults for an electron, not fit to any published table.
@@ -23,60 +22,28 @@ def _require_positive(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class Constants:
-    """Physical constants in (eV, Angstrom) units.
-
-    Attributes
-    ----------
-    kappa : float
-        Kinetic scale hbar^2/2m in eV A^2. The default is the electron value.
-    """
-
-    kappa: float = KAPPA_EV_A2
-
-    def __post_init__(self) -> None:
-        _require_positive("kappa", self.kappa)
-
-    @classmethod
-    def from_file(cls, path: str) -> "Constants":
-        """Load overrides from a flat JSON file.
-
-        The file holds one JSON object whose one recognized key is
-        ``kappa_eV_A2``, a number; when it is missing the default holds,
-        and any other key is rejected.
-        """
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: constants must be a JSON object")
-        unknown = set(raw) - {"kappa_eV_A2"}
-        if unknown:
-            raise ValueError(f"unknown constants keys: {sorted(unknown)}")
-        kappa = raw.get("kappa_eV_A2", KAPPA_EV_A2)
-        if type(kappa) not in (int, float):  # neither bool nor string
-            raise ValueError(f"kappa_eV_A2 must be a number, got {kappa!r}")
-        return cls(float(kappa))
-
-
-@dataclass(frozen=True)
 class AnharmonicSpec:
     """Definition of the potential V(x) = k x^2 + b x^4.
 
-    ``stiffness_k`` is m omega^2 / 2 in eV A^-2 and ``quartic_b`` is the
-    quartic coefficient in eV A^-4, so the harmonic quantum is
-    hbar omega = 2 sqrt(kappa k). k must be finite and > 0, and b finite
-    and >= 0; anything else raises ``ValueError``.
+    ``stiffness_k`` is m omega^2 / 2 in eV A^-2, ``quartic_b`` is the
+    quartic coefficient in eV A^-4 and ``kappa`` is the kinetic scale
+    hbar^2/2m in eV A^2, the electron value by default, so the harmonic
+    quantum is hbar omega = 2 sqrt(kappa k). k and kappa must be finite
+    and > 0, b finite and >= 0, and kappa k finite and > 0, so that
+    hbar omega is too; anything else raises ``ValueError``.
     """
 
     stiffness_k: float
     quartic_b: float
-    constants: Constants = field(default_factory=Constants)
+    kappa: float = KAPPA_EV_A2
 
     def __post_init__(self) -> None:
         _require_positive("stiffness_k", self.stiffness_k)
         if not (self.quartic_b >= 0.0 and math.isfinite(self.quartic_b)):
             raise ValueError(
                 f"quartic_b must be finite and >= 0, got {self.quartic_b}")
+        _require_positive("kappa", self.kappa)
+        _require_positive("kappa * stiffness_k", self.kappa * self.stiffness_k)
 
 
 class LevelResult(NamedTuple):
@@ -102,7 +69,7 @@ class LevelResult(NamedTuple):
 
 
 def make_anharmonic_spec(k: float, b: float,
-                         constants: Constants | None = None) -> AnharmonicSpec:
+                         kappa: float = KAPPA_EV_A2) -> AnharmonicSpec:
     """Build an oscillator problem definition; ``AnharmonicSpec`` checks it.
 
     Parameters
@@ -112,13 +79,13 @@ def make_anharmonic_spec(k: float, b: float,
         positive.
     b : float
         Quartic coefficient in eV A^-4, finite and non-negative.
-    constants : Constants, optional
-        Unit constants; electron defaults when omitted.
+    kappa : float, optional
+        Kinetic scale hbar^2/2m in eV A^2, finite and strictly positive;
+        the electron value when omitted.
     """
-    return AnharmonicSpec(float(k), float(b),
-                          Constants() if constants is None else constants)
+    return AnharmonicSpec(float(k), float(b), float(kappa))
 
 
 def hbar_omega(spec: AnharmonicSpec) -> float:
     """Harmonic quantum hbar omega = 2 sqrt(kappa k) in eV."""
-    return 2.0 * math.sqrt(spec.constants.kappa * spec.stiffness_k)
+    return 2.0 * math.sqrt(spec.kappa * spec.stiffness_k)

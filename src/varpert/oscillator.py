@@ -41,10 +41,9 @@ def _hprime(spec: AnharmonicSpec, u, d: int, m, sqrt=math.sqrt):
     ``numpy.sqrt``, an integer array. The x^2 coefficient k - u^2/(4 kappa)
     is written (hbar omega - u)(hbar omega + u)/(4 kappa): exactly 0 at
     u = hbar_omega(spec), and -inf where u^2 overflows."""
-    kap = spec.constants.kappa
     hw = hbar_omega(spec)
-    x2, x4 = _LADDER[d](kap / u, m, sqrt)
-    return (hw - u) * (hw + u) / (4.0 * kap) * x2 + spec.quartic_b * x4
+    x2, x4 = _LADDER[d](spec.kappa / u, m, sqrt)
+    return (hw - u) * (hw + u) / (4.0 * spec.kappa) * x2 + spec.quartic_b * x4
 
 
 def _elements(s2: float, k: int, n: int) -> tuple[float, float]:
@@ -89,7 +88,7 @@ def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
     ``ValueError``.
     """
     _require_positive("u", u)
-    _elements(spec.constants.kappa / u, k, n)  # checks s2, k, n and x^4
+    _elements(spec.kappa / u, k, n)  # checks s2, k, n and x^4
     d = abs(k - n)
     element = _hprime(spec, u, d, min(k, n)) if d in _LADDER else 0.0
     if not math.isfinite(element):

@@ -19,8 +19,8 @@ from . import reference as ref
 from .anharmonic import energy_conventional_pt, energy_present, pt_divergent
 from .exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from .helium import excited_triplet_energy, ground_state, optimal_zstar_excited
-from .model import (AnharmonicSpec, Constants, _require_positive, hbar_omega,
-                    make_anharmonic_spec)
+from .model import (KAPPA_EV_A2, AnharmonicSpec, _require_positive,
+                    hbar_omega, make_anharmonic_spec)
 
 COMMANDS = ("table1", "table2", "table3", "helium", "sweep")
 FORMATS = ("markdown", "csv", "json")
@@ -172,24 +172,44 @@ def _check_oscillator(cfg: RunConfig, spec: AnharmonicSpec, n: int,
         violations.append(f"n={n} b={b}: diagonalization oracle failed: {exc}")
 
 
+def _load_kappa(path: str) -> float:
+    """kappa in eV A^2 from a flat JSON constants file.
+
+    The file holds one JSON object whose one recognized key is
+    ``kappa_eV_A2``, a number; when it is missing the default holds, and
+    any other key is rejected.
+    """
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: constants must be a JSON object")
+    unknown = set(raw) - {"kappa_eV_A2"}
+    if unknown:
+        raise ValueError(f"unknown constants keys: {sorted(unknown)}")
+    kappa = raw.get("kappa_eV_A2", KAPPA_EV_A2)
+    if type(kappa) not in (int, float):  # neither bool nor string
+        raise ValueError(f"kappa_eV_A2 must be a number, got {kappa!r}")
+    return float(kappa)
+
+
 def run_table(cfg: RunConfig) -> ReportDocument:
     """Build the report for table1, table2, table3, or sweep."""
-    constants = (Constants() if cfg.constants_path is None
-                 else Constants.from_file(cfg.constants_path))
+    kappa = (KAPPA_EV_A2 if cfg.constants_path is None
+             else _load_kappa(cfg.constants_path))
     first = 1 if cfg.command == "table3" else 0
     blocks = []
     violations: list[str] = []
     for n in range(first, first + cfg.n_levels):
         columns = []
         for b in cfg.b_values:
-            spec = make_anharmonic_spec(STIFFNESS_K, b, constants)
+            spec = make_anharmonic_spec(STIFFNESS_K, b, kappa)
             cells = _oscillator_cells(cfg, spec, n)
             if cfg.check:
                 _check_oscillator(cfg, spec, n, cells, violations)
             columns.append({"b": b, "cells": cells})
         blocks.append({"level": n, "columns": columns})
     doc = {"command": cfg.command, "stiffness_k": STIFFNESS_K,
-           "kappa": constants.kappa, "m_range": None, "blocks": blocks}
+           "kappa": kappa, "m_range": None, "blocks": blocks}
     render = {"markdown": _table_markdown, "csv": _table_csv,
               "json": _as_json}[cfg.output_format]
     return ReportDocument(

@@ -10,6 +10,7 @@ from varpert.anharmonic import (P_COEFFS, energy_conventional_pt,
                                 energy_variational, pt_divergent,
                                 second_order_closed_form, second_order_sum,
                                 solve_omega)
+from varpert.exact import diag_eigenvalues
 from varpert.model import hbar_omega, make_anharmonic_spec
 from varpert.oscillator import hprime_element, x2_element, x4_element
 
@@ -54,10 +55,29 @@ def test_solve_omega_root_past_cube_overflow_of_the_seed():
     e = math.frexp(u)[1]
     v = math.ldexp(u, -e)
     w = math.ldexp(hbar_omega(spec), -e)
-    kap = spec.constants.kappa
+    kap = spec.kappa
     r = math.ldexp(24.0 * 3e305 * kap * kap, -3 * e)
     assert abs(v ** 3 - w * w * v - r) <= 1e-10 * v ** 3
     assert math.isfinite(sol.residual)
+
+
+@pytest.mark.parametrize("k, b, n", [
+    (5.620243426657635e235, 9.167071783033064e-258, 38),
+    (8.421505865854919e265, 6.805663057718813e181, 27)])
+def test_residual_past_the_float_range_refuses_only_solve_omega(k, b, n):
+    # the residual in eV^3 used to raise a bare OverflowError from every
+    # caller of the cubic, though only solve_omega reports it
+    spec = make_anharmonic_spec(k, b)
+    with pytest.raises(ValueError, match=f"^the residual at hbar Omega_{n} "
+                                         r"= .* eV overflows eV\^3$"):
+        solve_omega(spec, n)
+    variational = energy_variational(spec, n)
+    present = energy_present(spec, n)
+    assert variational.hbar_omega_n == present.hbar_omega_n
+    assert math.isfinite(variational.e_total)
+    assert math.isfinite(present.e_total)
+    level = diag_eigenvalues(spec, n_levels=n + 1)[n]
+    assert level == pytest.approx(present.e_total, rel=1e-12)
 
 
 def test_harmonic_limit_root_is_bare_quantum():
@@ -194,7 +214,7 @@ def test_variant_linear_coefficient_disagrees_with_sum():
         u = sol.hbar_Omega_n
         brute = second_order_sum(spec, n, u)
         good = second_order_closed_form(spec, n, u)
-        variant = good + (spec.quartic_b * spec.constants.kappa ** 2 / u ** 2) ** 2 \
+        variant = good + (spec.quartic_b * spec.kappa ** 2 / u ** 2) ** 2 \
             / (4.0 * u) * (280 - 28) * n / (2 * n + 1) ** 2
         assert abs(variant - brute) > 0.05 * abs(brute)
 
@@ -220,7 +240,7 @@ def test_second_order_sum_ground_state_closed_form():
     # at u = hbar omega only x^4 couples, giving -42 b^2 s^8 / hbar omega
     spec = spec_at(0.05)
     hw = hbar_omega(spec)
-    s2 = spec.constants.kappa / hw
+    s2 = spec.kappa / hw
     expected = -42.0 * spec.quartic_b ** 2 * s2 ** 4 / hw
     assert second_order_sum(spec, 0, hw) == pytest.approx(expected, rel=1e-12)
 
@@ -317,10 +337,10 @@ def test_divergence_threshold_is_first_order_term():
     # the flag trips exactly when |E2| outgrows b <n|x^4|n>
     spec = spec_at(0.25)
     hw = hbar_omega(spec)
-    first = spec.quartic_b * x4_element(spec.constants.kappa / hw, 0, 0)
+    first = spec.quartic_b * x4_element(spec.kappa / hw, 0, 0)
     second = second_order_sum(spec, 0, hw)
     assert abs(second) > first
     spec_small = spec_at(0.01)
     hw_small = hbar_omega(spec_small)
     assert abs(second_order_sum(spec_small, 0, hw_small)) < \
-        spec_small.quartic_b * x4_element(spec.constants.kappa / hw_small, 0, 0)
+        spec_small.quartic_b * x4_element(spec.kappa / hw_small, 0, 0)

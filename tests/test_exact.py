@@ -440,7 +440,7 @@ def test_integrate_reproduces_hermite_gaussian(n):
     # H_n(xi) exp(-xi^2 / 2) with xi = sqrt(alpha) x, alpha = sqrt(k / kappa),
     # scaled to psi(0) = 1 (even n) or psi'(0) = 1 (odd n)
     spec = spec_at(0.0)
-    root_alpha = (spec.stiffness_k / spec.constants.kappa) ** 0.25
+    root_alpha = (spec.stiffness_k / spec.kappa) ** 0.25
     if n % 2 == 0:
         norm = _hermite(n, 0.0)
     else:
@@ -494,7 +494,7 @@ def test_huge_b_shooting_ends_quickly(b):
     assert time.perf_counter() - start < 10.0
     assert all(lo < hi for lo, hi in zip(levels, levels[1:]))
     # pure-quartic limit E_0 = kappa^(2/3) b^(1/3) e_0 (Hioe & Montroll)
-    scale = spec.constants.kappa ** (2.0 / 3.0) * b ** (1.0 / 3.0)
+    scale = spec.kappa ** (2.0 / 3.0) * b ** (1.0 / 3.0)
     assert levels[0] / scale == pytest.approx(1.0603620905, rel=1e-8)
 
 

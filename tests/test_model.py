@@ -1,36 +1,41 @@
-"""Constants, problem specs, and result-record validation."""
+"""Problem specs, the constants file, and result-record validation."""
 import json
 import math
+import re
 
 import pytest
 
 from varpert.anharmonic import OmegaSolution
 from varpert.cli import main
-from varpert.model import (AnharmonicSpec, Constants, LevelResult,
+from varpert.model import (KAPPA_EV_A2, AnharmonicSpec, LevelResult,
                            hbar_omega, make_anharmonic_spec)
+from varpert.reports import _load_kappa
 
 
 def test_default_constants():
-    c = Constants()
-    assert c.kappa == pytest.approx(3.8099821, abs=1e-7)
+    assert KAPPA_EV_A2 == pytest.approx(3.8099821, abs=1e-7)
+    assert AnharmonicSpec(0.5, 0.05).kappa == KAPPA_EV_A2
+    assert make_anharmonic_spec(0.5, 0.05).kappa == KAPPA_EV_A2
 
 
 @pytest.mark.parametrize("field", ["kappa"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_constants_must_be_positive(field, bad):
-    with pytest.raises(ValueError,
-                       match=f"^{field} must be finite and > 0, got {bad}$"):
-        Constants(**{field: bad})
+    for build in (AnharmonicSpec, make_anharmonic_spec):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be finite and > 0, got {bad}$"):
+            build(0.5, 0.05, **{field: bad})
 
 
 def test_constants_from_file(tmp_path):
     path = tmp_path / "const.json"
     path.write_text(json.dumps({"kappa_eV_A2": 3.81}))
-    assert Constants.from_file(str(path)).kappa == 3.81
+    assert _load_kappa(str(path)) == 3.81
     path.write_text('{"kappa_eV_A2": 4}')  # a JSON integer is a number too
-    assert Constants.from_file(str(path)).kappa == 4.0
+    kappa = _load_kappa(str(path))
+    assert kappa == 4.0 and type(kappa) is float
     path.write_text("{}")
-    assert Constants.from_file(str(path)) == Constants()  # untouched default
+    assert _load_kappa(str(path)) == KAPPA_EV_A2  # untouched default
 
 
 def test_constants_from_file_rejects_unknown_keys(tmp_path):
@@ -39,7 +44,7 @@ def test_constants_from_file_rejects_unknown_keys(tmp_path):
     for key in ("planck", "rydberg_eV", "bohr_A"):
         path.write_text(json.dumps({"kappa_eV_A2": 3.81, key: 1.0}))
         with pytest.raises(ValueError, match=key):
-            Constants.from_file(str(path))
+            _load_kappa(str(path))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -87,18 +92,31 @@ def test_make_spec_rejects_non_finite(bad):
         make_anharmonic_spec(0.5, bad)
 
 
+@pytest.mark.parametrize("k, kappa, product", [
+    (4.8e307, KAPPA_EV_A2, "inf"),
+    (4.506569500031525e-209, 2.89641838206859e-194, "0.0")],
+    ids=["overflow", "underflow"])
+def test_spec_refuses_kappa_k_outside_the_float_range(k, kappa, product):
+    # hbar omega = 2 sqrt(kappa k) used to read inf (solve_omega returned it,
+    # and shooting blamed the bracket), or 0, which every energy divided by
+    message = f"kappa * stiffness_k must be finite and > 0, got {product}"
+    for build in (AnharmonicSpec, make_anharmonic_spec):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(k, 0.05, kappa)
+
+
 def test_hbar_omega_closed_form():
     spec = make_anharmonic_spec(0.5, 0.05)
-    expected = 2.0 * math.sqrt(spec.constants.kappa * 0.5)
+    expected = 2.0 * math.sqrt(spec.kappa * 0.5)
     assert hbar_omega(spec) == expected
     assert hbar_omega(spec) == pytest.approx(2.7604282638750095, rel=1e-12)
 
 
 def test_hbar_omega_scales_with_sqrt_k():
-    c = Constants()
-    e1 = hbar_omega(make_anharmonic_spec(0.5, 0.0, c))
-    e4 = hbar_omega(make_anharmonic_spec(2.0, 0.0, c))
-    assert e4 == pytest.approx(2.0 * e1, rel=1e-14)
+    for kappa in (KAPPA_EV_A2, 7.62):
+        e1 = hbar_omega(make_anharmonic_spec(0.5, 0.0, kappa))
+        e4 = hbar_omega(make_anharmonic_spec(2.0, 0.0, kappa))
+        assert e4 == pytest.approx(2.0 * e1, rel=1e-14)
 
 
 def test_level_result_consistency():

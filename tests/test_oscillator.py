@@ -110,8 +110,8 @@ def test_against_quadrature(k, n, power):
 
 def test_hprime_element_composition():
     spec = make_anharmonic_spec(0.5, 0.05)
-    s2 = spec.constants.kappa / 3.5
-    c2 = 0.5 - 3.5 ** 2 / (4.0 * spec.constants.kappa)
+    s2 = spec.kappa / 3.5
+    c2 = 0.5 - 3.5 ** 2 / (4.0 * spec.kappa)
     for k in range(6):
         for n in range(6):
             expected = (c2 * x2_element(s2, k, n)
