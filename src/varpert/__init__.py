@@ -19,8 +19,7 @@ from .helium import (HeliumResult, excited_triplet_energy, ground_state,
                      optimal_zstar_ground, second_order_correction,
                      variational_ground_energy)
 from .model import AnharmonicSpec, LevelResult, hbar_omega, make_anharmonic_spec
-from .oscillator import (build_hamiltonian, hprime_element, x2_element,
-                         x4_element)
+from .oscillator import build_hamiltonian, hprime_element
 from .polyexp import PolyExp, polyexp_moment, slater_radial
 from .reports import ReportDocument, RunConfig, run_helium, run_table
 
@@ -60,7 +59,5 @@ __all__ = [
     "slater_radial",
     "solve_omega",
     "variational_ground_energy",
-    "x2_element",
-    "x4_element",
     "__version__",
 ]

@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
-from .oscillator import _hprime, x4_element
+from .oscillator import _hprime
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
 # every n (equivalence enforced by tests at relative 1e-10). The linear
@@ -109,10 +109,10 @@ def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
     """First-order energy E1(u) in eV, valid for any basis quantum u > 0.
 
     Evaluated in the literal three-term form (not the on-shell
-    simplification), so it doubles as the conventional first-order energy
-    at u = hbar omega and as the objective whose stationary point defines
-    hbar Omega_n. A u that takes u^2 or the energy past the float range
-    raises ``ValueError``.
+    simplification) as the objective whose stationary point defines
+    hbar Omega_n; at u = hbar omega it matches ``energy_conventional_pt``'s
+    order 1 only to the last bits. A u that takes u^2 or the energy past
+    the float range raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -210,8 +210,7 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     hw = hbar_omega(spec)
-    s2 = spec.kappa / hw
-    e1 = hw * (n + 0.5) + spec.quartic_b * x4_element(s2, n, n)
+    e1 = hw * (n + 0.5) + _hprime(spec, hw, 0, n)  # b <n|x^4|n> at u = hw
     if not math.isfinite(e1):
         raise ValueError(f"quartic_b={spec.quartic_b!r} overflows E1 for n={n}")
     e2 = 0.0 if order == 1 else second_order_sum(spec, n, hw)
@@ -223,11 +222,11 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
 
     Flags the level when the magnitude of the second-order correction
     exceeds the first-order quartic shift b <n|x^4|n>, the scale at which
-    successive terms of the frozen-basis series stop shrinking, or is not
-    finite. At b = 0 both are exactly 0 and the level is not flagged.
+    successive terms of the frozen-basis series stop shrinking, or either
+    is not finite. At b = 0 both are exactly 0 and the level is not flagged.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
-    first_b_term = spec.quartic_b * x4_element(spec.kappa / hw, n, n)
-    return not abs(second_order_sum(spec, n, hw)) <= abs(first_b_term)
+    first = _hprime(spec, hw, 0, n)  # b <n|x^4|n>, >= 0, at u = hw
+    return not abs(second_order_sum(spec, n, hw)) <= first < math.inf

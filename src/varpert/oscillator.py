@@ -1,7 +1,7 @@
 """Harmonic-oscillator basis algebra.
 
-Matrix elements of x^2 and x^4 between number states |n> of a basis
-oscillator with quantum u = hbar Omega, the perturbation operator
+Matrix elements, between number states |n> of a basis oscillator with
+quantum u = hbar Omega, of the perturbation operator
 
     H' = (k - m Omega^2 / 2) x^2 + b x^4,
 
@@ -40,55 +40,27 @@ def _hprime(spec: AnharmonicSpec, u, d: int, m, sqrt=math.sqrt):
     """<m + d| H' |m> in basis u for d in ``_LADDER``, with m an int or, with
     ``numpy.sqrt``, an integer array. The x^2 coefficient k - u^2/(4 kappa)
     is written (hbar omega - u)(hbar omega + u)/(4 kappa): exactly 0 at
-    u = hbar_omega(spec), and -inf where u^2 overflows."""
+    u = hbar_omega(spec), and -inf where u^2 overflows. A b = 0 spec adds
+    no x^4 term, so an x^4 past the float range never forms 0 * inf."""
     hw = hbar_omega(spec)
     x2, x4 = _LADDER[d](spec.kappa / u, m, sqrt)
-    return (hw - u) * (hw + u) / (4.0 * spec.kappa) * x2 + spec.quartic_b * x4
-
-
-def _elements(s2: float, k: int, n: int) -> tuple[float, float]:
-    """(<k| x^2 |n>, <k| x^4 |n>) after checking s2 and the indices; an x^4
-    element past the float range raises ``ValueError``."""
-    _require_positive("s2", s2)
-    if k < 0 or n < 0:
-        raise ValueError("quantum numbers must be non-negative")
-    ladder = _LADDER.get(abs(k - n))
-    x2, x4 = (0.0, 0.0) if ladder is None else ladder(s2, min(k, n))
-    if x4 == math.inf:  # a finite x^4 element bounds the x^2 one
-        raise ValueError(f"s2={s2!r} overflows <{k}| x^4 |{n}>")
-    return x2, x4
-
-
-def x2_element(s2: float, k: int, n: int) -> float:
-    """Matrix element <k| x^2 |n> in A^2, with s2 = kappa / u in A^2.
-
-    Diagonal s^2 (2n + 1); two steps away s^2 sqrt((m+1)(m+2)) with
-    m = min(k, n); zero otherwise.
-    """
-    return _elements(s2, k, n)[0]
-
-
-def x4_element(s2: float, k: int, n: int) -> float:
-    """Matrix element <k| x^4 |n> in A^4, with s2 = kappa / u in A^2.
-
-    Ladder algebra gives, with m = min(k, n) and s^4 = (kappa/u)^2:
-    diagonal s^4 (6n^2 + 6n + 3), second off-diagonal
-    s^4 (4m + 6) sqrt((m+1)(m+2)), fourth off-diagonal
-    s^4 sqrt((m+1)(m+2)(m+3)(m+4)).
-    """
-    return _elements(s2, k, n)[1]
+    x4_term = spec.quartic_b * x4 if spec.quartic_b else 0.0
+    return (hw - u) * (hw + u) / (4.0 * spec.kappa) * x2 + x4_term
 
 
 def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
     """Matrix element <k| H' |n> of the residual perturbation in basis u, in eV.
 
     H' = c2 x^2 + b x^4 where c2 = k_spec - u^2 / (4 kappa) is the
-    coefficient m (omega^2 - Omega^2)/2 written without materializing m. A
-    u that takes an x^4 element or the result past the float range raises
-    ``ValueError``.
+    coefficient m (omega^2 - Omega^2)/2 written without materializing m;
+    pairs with |k - n| not in {0, 2, 4} give 0.0. A u or s2 = kappa / u
+    not finite and > 0, a negative index or a result past the float range
+    raises ``ValueError``.
     """
     _require_positive("u", u)
-    _elements(spec.kappa / u, k, n)  # checks s2, k, n and x^4
+    _require_positive("s2", spec.kappa / u)
+    if k < 0 or n < 0:
+        raise ValueError("quantum numbers must be non-negative")
     d = abs(k - n)
     element = _hprime(spec, u, d, min(k, n)) if d in _LADDER else 0.0
     if not math.isfinite(element):

@@ -11,8 +11,8 @@ from varpert.anharmonic import (P_COEFFS, energy_conventional_pt,
                                 second_order_closed_form, second_order_sum,
                                 solve_omega)
 from varpert.exact import diag_eigenvalues
-from varpert.model import hbar_omega, make_anharmonic_spec
-from varpert.oscillator import hprime_element, x2_element, x4_element
+from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
+from varpert.oscillator import hprime_element
 
 B_GRID = (0.001, 0.01, 0.05, 0.25, 1.0)
 
@@ -133,11 +133,14 @@ def test_basis_quantum_must_be_finite_and_positive(func, u):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: x4_element(1e155, 0, 0), lambda: x2_element(1e155, 0, 0),
+    # s2 = 1e155: <0|x^4|0> overflows at b > 0 and is not formed at b = 0
+    lambda: hprime_element(spec_at(1.0), KAPPA_EV_A2 / 1e155, 0, 0),
+    lambda: hprime_element(spec_at(0.0), KAPPA_EV_A2 / 1e155, 0, 0),
     lambda: hprime_element(spec_at(0.05), 1e-160, 0, 0),
     lambda: hprime_element(spec_at(0.05), 1e200, 0, 0),
     lambda: hprime_element(spec_at(1e300), 1e-10, 0, 0),
-    lambda: energy_conventional_pt(make_anharmonic_spec(1e-310, 0.0), 0, 1),
+    lambda: energy_conventional_pt(make_anharmonic_spec(1e-310, 0.0), 0,
+                                   1).e_total,
     lambda: second_order_sum(spec_at(0.05), 0, 1e200),
     lambda: second_order_sum(spec_at(0.05), 0, 1e-200),
     lambda: second_order_closed_form(spec_at(0.05), 0, 1e200),
@@ -321,6 +324,41 @@ def test_conventional_second_order_is_zero_at_b_zero(k):
         assert not pt_divergent(spec, n)
 
 
+@pytest.mark.parametrize("k", [6e-309, 1e-308, 1.5e-308])
+def test_harmonic_limit_answers_where_s4_overflows(k):
+    # <0|x^4|0> = 3 s^4 overflows while s^4 does not; b = 0 then formed
+    # 0 * inf and every call raised (below k = 5.3e-309 s^4 itself
+    # overflows and the second-order sum still refuses)
+    spec = make_anharmonic_spec(k, 0.0)
+    hw = hbar_omega(spec)
+    assert hprime_element(spec, hw, 0, 0) == 0.0
+    for order in (1, 2):
+        level = energy_conventional_pt(spec, 0, order)
+        assert (level.e_first, level.e_second_corr) == (hw / 2.0, 0.0)
+    assert pt_divergent(spec, 0) is False
+
+
+@pytest.mark.parametrize("k, b", [(1e-308, 1e-300), (1e-310, 1.0)])
+def test_overflowing_s4_at_b_above_zero_still_refuses(k, b):
+    spec = make_anharmonic_spec(k, b)
+    hw = hbar_omega(spec)
+    with pytest.raises(ValueError, match="overflows"):
+        hprime_element(spec, hw, 0, 0)
+    with pytest.raises(ValueError, match="overflows"):
+        energy_conventional_pt(spec, 0, 1)
+    with pytest.raises(ValueError, match="gives a non-finite Hamiltonian$"):
+        diag_eigenvalues(spec, basis_u=hw)
+
+
+@pytest.mark.parametrize("k, b", [(0.5, 1e308), (9.5e-309, 1.0)])
+def test_pt_divergence_flag_is_on_where_the_first_order_overflows(k, b):
+    # b <0|x^4|0> and the sum both overflow: inf <= inf read "convergent"
+    # at (0.5, 1e308), and (9.5e-309, 1.0) would too once b = 0 is answered
+    spec = make_anharmonic_spec(k, b)
+    assert second_order_sum(spec, 0, hbar_omega(spec)) == -math.inf
+    assert pt_divergent(spec, 0) is True
+
+
 def test_pt_divergence_flag_is_off_at_tiny_b():
     # that noise, squared, outgrew b <n|x^4|n> and flagged n = 0 at 57 of
     # the 200 seeded points; b = 1e-40 at k = 0.5 read e2 = -2.1e-33
@@ -337,10 +375,10 @@ def test_divergence_threshold_is_first_order_term():
     # the flag trips exactly when |E2| outgrows b <n|x^4|n>
     spec = spec_at(0.25)
     hw = hbar_omega(spec)
-    first = spec.quartic_b * x4_element(spec.kappa / hw, 0, 0)
+    first = hprime_element(spec, hw, 0, 0)  # b <0|x^4|0> at u = hw
     second = second_order_sum(spec, 0, hw)
     assert abs(second) > first
     spec_small = spec_at(0.01)
     hw_small = hbar_omega(spec_small)
     assert abs(second_order_sum(spec_small, 0, hw_small)) < \
-        spec_small.quartic_b * x4_element(spec.kappa / hw_small, 0, 0)
+        hprime_element(spec_small, hw_small, 0, 0)

@@ -1,19 +1,24 @@
-"""Return-or-raise contract of the oscillator closed forms over the whole
-float domain: finite k, kappa > 0, finite b >= 0 and n from 0 to 100.
+"""Return-or-raise contract of the oscillator entry points over the whole
+float domain: finite k, kappa > 0, finite b >= 0, n from 0 to 100 and, for
+the functions that take one, any basis quantum u > 0.
 
 Every entry point either returns finite numbers, with hbar omega > 0, or
-raises ``ValueError``. The one documented exception is the conventional
-second-order sum, which may read -inf or nan where its amplitudes' squares
-overflow; ``pt_divergent`` must then flag the level.
+raises ``ValueError``; ``diag_eigenvalues`` may also raise
+``ConvergenceError``. The one documented exception is the second-order sum,
+which may read -inf or nan where its amplitudes' squares overflow; in the
+hbar omega basis ``pt_divergent`` must then flag the level.
 """
 import math
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from varpert.anharmonic import (energy_conventional_pt, energy_present,
-                                energy_variational, pt_divergent, solve_omega)
+from varpert.anharmonic import (energy_conventional_pt, energy_first_order,
+                                energy_present, energy_variational,
+                                pt_divergent, second_order_sum, solve_omega)
+from varpert.exact import ConvergenceError, diag_eigenvalues
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
+from varpert.oscillator import hprime_element
 
 # log-uniform over every positive float, subnormals included
 POSITIVE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
@@ -57,3 +62,33 @@ def test_closed_forms_return_finite_numbers_or_refuse(k, b, kappa, n):
         assert math.isfinite(second.e_first)
         if not math.isfinite(second.e_second_corr):
             assert divergent is True
+
+
+@given(k=POSITIVE, b=st.one_of(st.just(0.0), POSITIVE),
+       kappa=st.one_of(st.just(KAPPA_EV_A2), POSITIVE), u=POSITIVE,
+       n=st.integers(0, 100), step=st.integers(-6, 6),
+       n_levels=st.integers(1, 21), explicit_basis=st.booleans())
+def test_basis_functions_return_finite_numbers_or_refuse(
+        k, b, kappa, u, n, step, n_levels, explicit_basis):
+    spec = _unless_refused(make_anharmonic_spec, k, b, kappa)
+    if spec is None:
+        return
+    # a row n + step below 0 must be refused, any other pair answered
+    element = _unless_refused(hprime_element, spec, u, n + step, n)
+    if element is not None:
+        assert math.isfinite(element)
+    e1 = _unless_refused(energy_first_order, spec, n, u)
+    if e1 is not None:
+        assert math.isfinite(e1)
+    e2 = _unless_refused(second_order_sum, spec, n, u)
+    if e2 is not None:  # -inf or nan where an amplitude's square overflows
+        assert e2 < math.inf or math.isnan(e2)
+    # the diagonalization, in basis u or in its default basis
+    try:
+        levels = diag_eigenvalues(spec, basis_u=u if explicit_basis else None,
+                                  n_levels=n_levels)
+    except (ValueError, ConvergenceError):
+        return
+    assert len(levels) == n_levels
+    assert all(math.isfinite(e) for e in levels)
+    assert all(lo < hi for lo, hi in zip(levels, levels[1:]))

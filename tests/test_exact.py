@@ -58,6 +58,16 @@ def test_harmonic_limit_diagonalization():
         assert e == pytest.approx((n + 0.5) * hw, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1e-305, 1e-307, 1e-308, 1e-310])
+def test_harmonic_limit_diagonalization_where_s4_overflows(k):
+    # the x^4 entries of the default basis overflow; at b = 0 they formed
+    # 0 * inf and the Hamiltonian was refused as non-finite
+    spec = make_anharmonic_spec(k, 0.0)
+    hw = hbar_omega(spec)
+    for n, e in enumerate(diag_eigenvalues(spec)):
+        assert e == pytest.approx((n + 0.5) * hw, rel=1e-12)
+
+
 @pytest.mark.parametrize("b", [0.01, 0.05, 0.25])
 def test_oracles_agree(b):
     spec = spec_at(b)

@@ -6,12 +6,27 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
-from varpert.model import make_anharmonic_spec
-from varpert.oscillator import (build_hamiltonian, hprime_element, x2_element,
-                                x4_element)
+from varpert.model import hbar_omega, make_anharmonic_spec
+from varpert.oscillator import build_hamiltonian, hprime_element
 
-S2 = 3.8099821 / 2.76  # kappa / u in A^2
 SPEC = make_anharmonic_spec(0.5, 0.05)
+# at u = hbar omega with b = 1, H' is x^4 exactly; a b = 0 spec with
+# k' = k + 1 gives H' = c2 x^2 in the same basis, with c2 = 1 to rounding
+X4_SPEC = make_anharmonic_spec(0.5, 1.0)
+X2_SPEC = make_anharmonic_spec(1.5, 0.0)
+U = hbar_omega(X4_SPEC)
+S2 = SPEC.kappa / U  # s^2 = kappa / u in A^2
+C2 = 1.5 - U * U / (4.0 * SPEC.kappa)
+
+
+def x2_element(k, n):
+    """<k| x^2 |n> in A^2 in basis U, read through ``hprime_element``."""
+    return hprime_element(X2_SPEC, U, k, n) / C2
+
+
+def x4_element(k, n):
+    """<k| x^4 |n> in A^4 in basis U, read through ``hprime_element``."""
+    return hprime_element(X4_SPEC, U, k, n)
 
 
 def position_matrix(s2, dim):
@@ -25,13 +40,18 @@ def position_matrix(s2, dim):
 
 def test_basis_validation():
     # u and s2 alike must be finite and > 0; nan and inf are no exception
-    calls = [lambda v: x2_element(v, 0, 0), lambda v: x4_element(v, 0, 0),
-             lambda v: hprime_element(SPEC, v, 0, 2),
+    calls = [lambda v: hprime_element(SPEC, v, 0, 2),
+             lambda v: hprime_element(SPEC, v, 0, 7),
              lambda v: build_hamiltonian(SPEC, v, 16)]
     for call in calls:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite and > 0"):
                 call(bad)
+    # a finite u > 0 whose s2 = kappa / u underflows to 0 or overflows
+    tiny_kappa = make_anharmonic_spec(1e-10, 0.05, kappa=1e-300)
+    for spec, u in ((tiny_kappa, 1e100), (SPEC, 1e-320)):
+        with pytest.raises(ValueError, match=r"^s2 must be finite and > 0"):
+            hprime_element(spec, u, 0, 0)
 
 
 def test_s2_is_kappa_over_quantum():
@@ -47,7 +67,7 @@ def test_s2_is_kappa_over_quantum():
 def test_selection_rules(element, allowed):
     for k in range(10):
         for n in range(10):
-            v = element(S2, k, n)
+            v = element(k, n)
             if abs(k - n) in allowed:
                 assert v > 0.0
             else:
@@ -57,15 +77,16 @@ def test_selection_rules(element, allowed):
 def test_elements_symmetric():
     for k in range(8):
         for n in range(8):
-            assert x2_element(S2, k, n) == x2_element(S2, n, k)
-            assert x4_element(S2, k, n) == x4_element(S2, n, k)
+            assert x2_element(k, n) == x2_element(n, k)
+            assert x4_element(k, n) == x4_element(n, k)
+            assert (hprime_element(SPEC, 3.5, k, n)
+                    == hprime_element(SPEC, 3.5, n, k))
 
 
 def test_elements_reject_negative_indices():
-    with pytest.raises(ValueError):
-        x2_element(S2, -1, 0)
-    with pytest.raises(ValueError):
-        x4_element(S2, 0, -2)
+    for k, n in ((-1, 0), (0, -2), (-3, -3), (-1, 1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            hprime_element(SPEC, 3.5, k, n)
 
 
 def test_against_matrix_powers():
@@ -76,9 +97,9 @@ def test_against_matrix_powers():
     x4 = x2 @ x2
     for k in range(21):
         for n in range(21):
-            assert x2_element(S2, k, n) == pytest.approx(
+            assert x2_element(k, n) == pytest.approx(
                 x2[k, n], rel=1e-12, abs=1e-15)
-            assert x4_element(S2, k, n) == pytest.approx(
+            assert x4_element(k, n) == pytest.approx(
                 x4[k, n], rel=1e-12, abs=1e-15)
 
 
@@ -86,9 +107,9 @@ def test_x4_is_x2_resolved():
     # sum_j <k|x^2|j><j|x^2|n> = <k|x^4|n>, exact once j covers k, n +- 2
     for k in range(12):
         for n in range(12):
-            acc = sum(x2_element(S2, k, j) * x2_element(S2, j, n)
+            acc = sum(x2_element(k, j) * x2_element(j, n)
                       for j in range(max(0, min(k, n) - 2), max(k, n) + 3))
-            assert acc == pytest.approx(x4_element(S2, k, n),
+            assert acc == pytest.approx(x4_element(k, n),
                                         rel=1e-13, abs=1e-15)
 
 
@@ -105,18 +126,17 @@ def test_against_quadrature(k, n, power):
     val, err = quad(lambda x: psi(k, x, ell) * x ** power * psi(n, x, ell),
                     -14.0 * ell, 14.0 * ell, limit=200)
     element = x2_element if power == 2 else x4_element
-    assert element(S2, k, n) == pytest.approx(val, rel=1e-9)
+    assert element(k, n) == pytest.approx(val, rel=1e-9)
 
 
 def test_hprime_element_composition():
-    spec = make_anharmonic_spec(0.5, 0.05)
-    s2 = spec.kappa / 3.5
-    c2 = 0.5 - 3.5 ** 2 / (4.0 * spec.kappa)
+    # H' = c2 x^2 + b x^4 in the basis U, built from the two readers
+    spec = make_anharmonic_spec(2.0, 0.05)
+    c2 = 2.0 - U * U / (4.0 * spec.kappa)
     for k in range(6):
         for n in range(6):
-            expected = (c2 * x2_element(s2, k, n)
-                        + 0.05 * x4_element(s2, k, n))
-            assert hprime_element(spec, 3.5, k, n) == pytest.approx(
+            expected = c2 * x2_element(k, n) + 0.05 * x4_element(k, n)
+            assert hprime_element(spec, U, k, n) == pytest.approx(
                 expected, rel=1e-14, abs=1e-18)
 
 
