@@ -160,16 +160,16 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     The perturbation couples |n> only to |n +- 2> and |n +- 4>, so the
     Rayleigh-Schrodinger sum is exact with four terms:
     sum_k |<k|H'|n>|^2 / (u (n - k)), each term as in ``hprime_element``.
-    A u at which u^2 or (kappa/u)^2 overflows raises ``ValueError``; an
-    amplitude whose square overflows, as from b = 8.3e152 in the hbar omega
-    basis at k = 0.5, makes the sum -inf or nan.
+    A u at which u^2, or at b != 0 (kappa/u)^2, overflows raises
+    ``ValueError``; an amplitude whose square overflows, as from b = 8.3e152
+    in the hbar omega basis at k = 0.5, makes the sum -inf or nan.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
     s2 = spec.kappa / u
     _require_positive("s2", s2)
-    if u * u == math.inf or s2 * s2 == math.inf:  # the x^2 or x^4 scale of H'
+    if u * u == math.inf or (spec.quartic_b and s2 * s2 == math.inf):
         raise ValueError(f"u={u!r} overflows u^2 or (kappa/u)^2")
     total = 0.0
     # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k

@@ -62,8 +62,9 @@ def hydrogenic_radial(n: int, l: int, z_star: float) -> PolyExp:
 
     R_nl(r) = N (2 z r / n)^l L^(2l+1)_(n-l-1)(2 z r / n) exp(-z r / n)
     with N^2 = (2z/n)^3 (n-l-1)! / (2n (n+l)!). The Laguerre expansion
-    L^a_k(x) = sum_j (-1)^j C(k+a, k-j) x^j / j! keeps every polynomial
-    coefficient an exact rational; only the square root in N is floating.
+    L^a_k(x) = sum_j (-1)^j C(k+a, k-j) x^j / j! gives each coefficient as
+    one exact ratio of integers, from powers of 2 num(z) and n den(z), and
+    N^2 as one correctly rounded int / int division; only sqrt is floating.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -71,18 +72,17 @@ def hydrogenic_radial(n: int, l: int, z_star: float) -> PolyExp:
         raise ValueError(f"need 0 <= l <= n-1, got l={l}, n={n}")
     _require_positive("z_star", z_star)
     zs = Fraction(z_star)
-    two_g = 2 * zs / n                       # argument scale 2 z / n
-    norm_sq = (two_g ** 3 * math.factorial(n - l - 1)
-               / (2 * n * math.factorial(n + l)))
+    top, bottom = 2 * zs.numerator, n * zs.denominator  # 2 z / n = top/bottom
     k = n - l - 1
-    alpha = 2 * l + 1
+    num, den = top ** l, bottom ** l
     terms = []
     for j in range(k + 1):
-        coeff = (Fraction((-1) ** j * math.comb(k + alpha, k - j),
-                          math.factorial(j)) * two_g ** (l + j))
-        terms.append((coeff, l + j))
+        terms.append((Fraction((-1) ** j * math.comb(n + l, k - j) * num,
+                               math.factorial(j) * den), l + j))
+        num, den = num * top, den * bottom
     try:
-        scale = math.sqrt(float(norm_sq))
+        scale = math.sqrt(top ** 3 * math.factorial(k)
+                          / (bottom ** 3 * 2 * n * math.factorial(n + l)))
     except OverflowError:
         raise ValueError(f"z_star={z_star!r} overflows R_{n}{l}") from None
     return PolyExp(terms=tuple(terms), gamma=zs / n, scale=scale)

@@ -9,12 +9,13 @@ rounding at the final conversion. Orthogonality integrals in particular
 come out exactly zero. Products are taken in integers over each factor's
 common denominator, and a moment or Slater integral is one exact integer
 sum turned into a float by one correctly rounded int / int division; no
-``Fraction`` arithmetic runs inside either. A Slater integral shares its
-r1-side sums among all r2 terms, so it costs O((P + G) M) for P and G
-terms on the two sides with powers up to M.
+``Fraction`` arithmetic runs inside either. A Slater integral forms every
+exponential tail of one shift in a single pass, so it costs O(P M + G)
+big-integer operations for P and G terms with powers up to M.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,15 @@ class PolyExp:
             if not isinstance(power, int) or power < 0:
                 raise ValueError(f"powers must be integers >= 0, got {power}")
 
+    @functools.cached_property
+    def _integer_form(self) -> tuple[list[tuple[int, int]], int]:
+        """(integer numerator, power) pairs over the common denominator."""
+        # a list, not a generator, for math.lcm: CPython grows its small-tuple
+        # free lists by one tuple per generator unpacked, up to about half a MB
+        den = math.lcm(*[c.denominator for c, _ in self.terms])
+        return [(c.numerator * (den // c.denominator), p)
+                for c, p in self.terms], den
+
 
 def _product(f: PolyExp, g: PolyExp, extra_power: int = 0
              ) -> tuple[dict[int, int], int, Fraction]:
@@ -48,16 +58,10 @@ def _product(f: PolyExp, g: PolyExp, extra_power: int = 0
 
     A power whose integer coefficients cancel keeps its key, with 0.
     """
-    # lists, not generators, as math.lcm's arguments: CPython unpacks a
-    # generator into a 10-slot tuple shrunk to size, which grows its
-    # small-tuple free lists by one tuple per call, up to about half a MB
-    den_f = math.lcm(*[cf.denominator for cf, _ in f.terms])
-    den_g = math.lcm(*[cg.denominator for cg, _ in g.terms])
-    ints_g = [(cg.numerator * (den_g // cg.denominator), pg)
-              for cg, pg in g.terms]
+    ints_f, den_f = f._integer_form
+    ints_g, den_g = g._integer_form
     out: dict[int, int] = {}
-    for cf, pf in f.terms:
-        nf = cf.numerator * (den_f // cf.denominator)
+    for nf, pf in ints_f:
         for ng, pg in ints_g:
             p = pf + pg + extra_power
             out[p] = out.get(p, 0) + nf * ng
@@ -97,7 +101,10 @@ def _scaled(scale: float, num: int, den: int, what: str) -> float:
 def _inverse_powers(rate: Fraction, top: int) -> list[int]:
     """Numerators of rate^-e over the denominator num(rate)^top, e = 0..top."""
     num, den = rate.numerator, rate.denominator
-    return [den ** e * num ** (top - e) for e in range(top + 1)]
+    out = [num ** top]
+    for _ in range(top):
+        out.append(out[-1] // num * den)  # exact: num^(top-e+1) divides it
+    return out
 
 
 def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> float:
@@ -115,13 +122,14 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
     With mu, nu and sigma = mu + nu the decay rates of the r1 side, the r2
     side and their sum, and c_q the r1-side coefficient of r1^(q+k+1),
     the r1 integrals enter only through W = sum_q c_q q!/mu^(q+1) and
-    S_j = sum_q c_q (q+j)!/sigma^(q+j+1), formed once per call. An r2 term
-    of power p then needs one sum over S for its lower tail and one over S
-    shifted by 2k + 1 for its upper piece: O((P + G) M) for P and G terms
-    with powers up to M. The sum runs in Python ints over one common
-    denominator, and one int / int division rounds the exact value
-    correctly before the four scales multiply it. Where that leaves the
-    normal float range, it raises ``ValueError``.
+    S_j = sum_q c_q (q+j)!/sigma^(q+j+1), formed once per call. The
+    exponential tails T_n = (n T_(n-1) + S_(n+shift)) / nu of every order
+    follow in one pass over S for the lower piece (shift 0) and one over S
+    shifted by 2k + 1 for the upper, and an r2 term reads two of them:
+    O(P M + G) for P and G terms with powers up to M. The sum runs in
+    Python ints over one common denominator, and one int / int division
+    rounds the exact value correctly before the four scales multiply it.
+    Where that leaves the normal float range, it raises ``ValueError``.
 
     Symmetry: swapping (a, b) together with (c, d) relabels r1 and r2 and
     leaves the value unchanged.
@@ -142,23 +150,28 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
     inv_nu = _inverse_powers(nu, top_g + k + 1)
     inv_sig = _inverse_powers(mu + nu, top_p + top_g)
     fact = [math.factorial(i) for i in range(top_p + top_g)]
+    fact_sig = [f * inv_sig[e + 1] for e, f in enumerate(fact)]
     ip = [(pp - k - 1, cp) for pp, cp in p_terms.items()]
     w = sum(cp * fact[q] * inv_mu[q + 1] for q, cp in ip)
-    s = [sum(cp * fact[q + j] * inv_sig[q + j + 1] for q, cp in ip)
-         for j in range(top_g + k + 1)]
-
-    def tail(n: int, shift: int) -> int:
-        # exponential tail at r1: sum_i (n!/i!) nu^-(n+1-i) S_(i+shift)
-        return sum(fact[n] // fact[i] * inv_nu[n + 1 - i] * s[i + shift]
-                   for i in range(n + 1))
-
+    num_nu = [nu.numerator ** j for j in range(top_g + k + 1)]
+    # ns_j = num(nu)^j S_j. Over inv_nu's denominator the tail of order n
+    # is den(nu) num(nu)^(top_g+k-n-shift) t_n, where
+    # t_n = n den(nu) t_(n-1) + ns_(n+shift)
+    ns = [num_nu[j] * sum(cp * fact_sig[q + j] for q, cp in ip)
+          for j in range(top_g + k + 1)]
+    t, den_nu = {}, nu.denominator
+    for shift in 0, 2 * k + 1:
+        t_n = 0
+        for n, ns_n in enumerate(ns[shift:]):
+            t_n = t[shift, n] = n * den_nu * t_n + ns_n
     whole = tails = 0
     for pg, cg in g_terms.items():
         # lower piece: full moment minus the tail of order pg + k; upper
         # piece: r1^k times the tail of order pg - k - 1
         whole += cg * fact[pg + k] * inv_nu[pg + k + 1]
-        tails += cg * (tail(pg - k - 1, 2 * k + 1) - tail(pg + k, 0))
+        tails += (cg * num_nu[top_g - pg]
+                  * (t[2 * k + 1, pg - k - 1] - t[0, pg + k]))
     return _scaled(a.scale * b.scale * c.scale * d.scale,
-                   whole * w * inv_sig[0] + tails * inv_mu[0],
+                   whole * w * inv_sig[0] + den_nu * tails * inv_mu[0],
                    lp * lg * inv_mu[0] * inv_nu[0] * inv_sig[0],
                    f"Slater integral R^{k}")

@@ -324,14 +324,15 @@ def test_conventional_second_order_is_zero_at_b_zero(k):
         assert not pt_divergent(spec, n)
 
 
-@pytest.mark.parametrize("k", [6e-309, 1e-308, 1.5e-308])
+@pytest.mark.parametrize("k", [1e-310, 5e-309, 6e-309, 1e-308, 1.5e-308])
 def test_harmonic_limit_answers_where_s4_overflows(k):
     # <0|x^4|0> = 3 s^4 overflows while s^4 does not; b = 0 then formed
-    # 0 * inf and every call raised (below k = 5.3e-309 s^4 itself
-    # overflows and the second-order sum still refuses)
+    # 0 * inf and every call raised. Below k = 5.3e-309 s^4 itself
+    # overflows, and the second-order sum refused that too
     spec = make_anharmonic_spec(k, 0.0)
     hw = hbar_omega(spec)
     assert hprime_element(spec, hw, 0, 0) == 0.0
+    assert second_order_sum(spec, 0, hw) == 0.0
     for order in (1, 2):
         level = energy_conventional_pt(spec, 0, order)
         assert (level.e_first, level.e_second_corr) == (hw / 2.0, 0.0)

@@ -1,6 +1,8 @@
 """Helium: hydrogenic algebra, channel bookkeeping, energies."""
 import itertools
 import math
+import re
+from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
@@ -33,6 +35,41 @@ def test_radial_orthogonality_is_exact():
                 overlap = polyexp_moment(hydrogenic_radial(n, l, ZS),
                                          hydrogenic_radial(n2, l, ZS), 2)
                 assert overlap == 0.0
+
+
+def _fraction_hydrogenic_radial(n, l, z_star):
+    """Reference: (terms, gamma, scale) of R_nl from Fraction products."""
+    zs = Fraction(z_star)
+    two_g = 2 * zs / n
+    norm_sq = (two_g ** 3 * math.factorial(n - l - 1)
+               / (2 * n * math.factorial(n + l)))
+    k = n - l - 1
+    terms = tuple((Fraction((-1) ** j * math.comb(n + l, k - j),
+                            math.factorial(j)) * two_g ** (l + j), l + j)
+                  for j in range(k + 1))
+    try:
+        scale = math.sqrt(float(norm_sq))
+    except OverflowError:
+        raise ValueError(f"z_star={z_star!r} overflows R_{n}{l}") from None
+    return terms, zs / n, scale
+
+
+@pytest.mark.parametrize("z_star", [1e-3, 0.1, 1.0, 27 / 16, 2.3, 3.7e5,
+                                    1e103, 1e300])
+def test_radial_equal_to_fraction_formula(z_star):
+    # every coefficient and the normalization exactly as Fraction algebra
+    # gives them, and the same refusal where N^2 overflows (from 1e103)
+    for n in range(1, 13):
+        for l in range(n):
+            try:
+                expected = _fraction_hydrogenic_radial(n, l, z_star)
+            except ValueError as exc:
+                message = re.escape(str(exc))
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    hydrogenic_radial(n, l, z_star)
+                continue
+            r = hydrogenic_radial(n, l, z_star)
+            assert (r.terms, r.gamma, r.scale) == expected
 
 
 def test_radial_validation():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from varpert.helium import _direct_exchange_1s2s, hydrogenic_radial
@@ -289,3 +291,22 @@ def test_moment_bit_equal_to_fraction_sum(p):
             assert (_outcome(polyexp_moment, f, g, p)
                     == _outcome(_fraction_moment, f, g, p))
 
+
+RATIONAL = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
+LEG = st.builds(PolyExp,
+                st.lists(st.tuples(RATIONAL, st.integers(0, 8)),
+                         min_size=1, max_size=5).map(tuple),
+                st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+                st.sampled_from([1.0, -0.3, 2.5e-3, 7e4]))
+
+
+@settings(max_examples=150)
+@given(k=st.integers(0, 5), legs=st.tuples(LEG, LEG, LEG, LEG),
+       p=st.integers(-3, 5))
+def test_random_legs_bit_equal_to_fraction_sums(k, legs, p):
+    # the same exact rational, rounded once: equal floats, or the same
+    # refusal, on legs no hydrogenic orbital has
+    assert (_outcome(slater_radial, k, *legs)
+            == _outcome(_fraction_slater_radial, k, *legs))
+    assert (_outcome(polyexp_moment, legs[0], legs[1], p)
+            == _outcome(_fraction_moment, legs[0], legs[1], p))
