@@ -104,7 +104,8 @@ def y_integral(n: int, n_prime: int, l: int, z_star: float,
     Y = R^l(R_nl, R_n'l; R_10, R_10): the multipole-l kernel between the
     excited orbital product on one side and the 1s^2 product on the other.
     ``orbital(n, l, z_star)`` builds the legs, ``hydrogenic_radial`` when
-    omitted; a caller taking many Y at one charge passes a memoized one.
+    omitted; a caller taking many Y at one charge passes a memoized one,
+    whose orbitals keep their transition densities r^2 R_nl R_10.
     """
     orbital = orbital or hydrogenic_radial
     r1s = orbital(1, 0, z_star)
@@ -148,8 +149,8 @@ def second_order_by_n_prime(z_star: float, z: float, n_max: int,
     for n = n' the two pairings coincide.
 
     Each Y_nn'l is taken once per call, shared by the channels that differ
-    only in m, and each orbital R_nl is built once per call; nothing is
-    kept between calls.
+    only in m. Each orbital R_nl is built, and each transition density
+    r^2 R_nl R_10 formed, once per call; nothing is kept between calls.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")

@@ -6,12 +6,13 @@ decay rates are exact rationals; the single float ``scale`` absorbs the
 irrational normalization, so one-dimensional moments and two-dimensional
 Slater kernels reduce to exact factorial sums with at most a few ulp of
 rounding at the final conversion. Orthogonality integrals in particular
-come out exactly zero. Products are taken in integers over each factor's
-common denominator, and a moment or Slater integral is one exact integer
-sum turned into a float by one correctly rounded int / int division; no
-``Fraction`` arithmetic runs inside either. A Slater integral forms every
-exponential tail of one shift in a single pass, so it costs O(P M + G)
-big-integer operations for P and G terms with powers up to M.
+come out exactly zero. Each ``PolyExp`` holds its coefficients as integer
+numerators over one denominator and its decay rate as a reduced integer
+pair, so no ``Fraction`` arithmetic runs inside any moment or Slater
+kernel: each is one exact integer sum and one correctly rounded int / int
+division. A Slater integral combines two sides, r^2 a c and r^2 b d, each
+kept by its first leg; the combination costs O(P M + G) big-integer
+operations for P and G terms with powers up to M.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+Rate = tuple[int, int]  # reduced (numerator, denominator) of a decay rate
 
 
 @dataclass(frozen=True)
@@ -43,29 +46,38 @@ class PolyExp:
                 raise ValueError(f"powers must be integers >= 0, got {power}")
 
     @functools.cached_property
-    def _integer_form(self) -> tuple[list[tuple[int, int]], int]:
-        """(integer numerator, power) pairs over the common denominator."""
+    def _integer_form(self) -> tuple[list[tuple[int, int]], int, Rate]:
+        """(integer numerator, power) pairs over the common denominator,
+        and the decay rate as a reduced (numerator, denominator) pair."""
         # a list, not a generator, for math.lcm: CPython grows its small-tuple
         # free lists by one tuple per generator unpacked, up to about half a MB
         den = math.lcm(*[c.denominator for c, _ in self.terms])
-        return [(c.numerator * (den // c.denominator), p)
-                for c, p in self.terms], den
+        return ([(c.numerator * (den // c.denominator), p)
+                 for c, p in self.terms], den,
+                (self.gamma.numerator, self.gamma.denominator))
+
+
+def _rate_sum(r: Rate, s: Rate) -> Rate:
+    """r + s for decay rates held as reduced (numerator, denominator) pairs."""
+    num, den = r[0] * s[1] + s[0] * r[1], r[1] * s[1]
+    common = math.gcd(num, den)
+    return num // common, den // common
 
 
 def _product(f: PolyExp, g: PolyExp, extra_power: int = 0
-             ) -> tuple[dict[int, int], int, Fraction]:
+             ) -> tuple[dict[int, int], int, Rate]:
     """f*g*r^extra_power as ({power: numerator}, common denominator, decay).
 
     A power whose integer coefficients cancel keeps its key, with 0.
     """
-    ints_f, den_f = f._integer_form
-    ints_g, den_g = g._integer_form
+    ints_f, den_f, rate_f = f._integer_form
+    ints_g, den_g, rate_g = g._integer_form
     out: dict[int, int] = {}
     for nf, pf in ints_f:
         for ng, pg in ints_g:
             p = pf + pg + extra_power
             out[p] = out.get(p, 0) + nf * ng
-    return out, den_f * den_g, f.gamma + g.gamma
+    return out, den_f * den_g, _rate_sum(rate_f, rate_g)
 
 
 def polyexp_moment(f: PolyExp, g: PolyExp, p: int) -> float:
@@ -98,13 +110,40 @@ def _scaled(scale: float, num: int, den: int, what: str) -> float:
     return scale * exact
 
 
-def _inverse_powers(rate: Fraction, top: int) -> list[int]:
+def _inverse_powers(rate: Rate, top: int) -> list[int]:
     """Numerators of rate^-e over the denominator num(rate)^top, e = 0..top."""
-    num, den = rate.numerator, rate.denominator
+    num, den = rate
     out = [num ** top]
     for _ in range(top):
         out.append(out[-1] // num * den)  # exact: num^(top-e+1) divides it
     return out
+
+
+def _side(f: PolyExp, g: PolyExp, k: int) -> tuple:
+    """r^2 f(r) g(r) as one side of the R^k kernel in ``slater_radial``.
+
+    ``_product``'s powers, denominator and rate, and, unless the kernel
+    refuses a power, num(rate)^j and the inverse powers over num(rate)^T,
+    T = top + k + 1, as an r2 side reads them; on r1 the surplus powers of
+    num(rate) cancel in the final ratio. f keeps its last side for the same
+    g and k, so a sum that pairs the same legs throughout forms each side
+    once; the side lives as long as f. It is keyed on g's integer form, made
+    once per g: while the key holds it, its identity stands for g, and
+    holding it instead of g makes no reference cycle.
+    """
+    key = g._integer_form
+    last = f.__dict__.get("_last_side")
+    if last is not None and last[0] is key and last[1] == k:
+        return last[2]
+    terms, den, rate = _product(f, g, 2)
+    top = k + 1 + max(terms, default=0)
+    nums = invs = None
+    if terms and min(terms) > k:
+        nums = [rate[0] ** j for j in range(top)]
+        invs = _inverse_powers(rate, top)
+    side = terms, den, rate, nums, invs
+    f.__dict__["_last_side"] = key, k, side
+    return side
 
 
 def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> float:
@@ -130,14 +169,15 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
     Python ints over one common denominator, and one int / int division
     rounds the exact value correctly before the four scales multiply it.
     Where that leaves the normal float range, it raises ``ValueError``.
+    Each side r^2 a c and r^2 b d comes from ``_side``, which a leg keeps.
 
     Symmetry: swapping (a, b) together with (c, d) relabels r1 and r2 and
     leaves the value unchanged.
     """
     if k < 0:
         raise ValueError("multipole order k must be >= 0")
-    p_terms, lp, mu = _product(a, c, 2)
-    g_terms, lg, nu = _product(b, d, 2)
+    p_terms, lp, mu, _, inv_mu = _side(a, c, k)
+    g_terms, lg, nu, num_nu, inv_nu = _side(b, d, k)
     for side, powers in ("r1", p_terms if g_terms else ()), ("r2", g_terms):
         for power in powers:
             if power < k + 1:
@@ -146,31 +186,28 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
     if not (p_terms and g_terms):
         return a.scale * b.scale * c.scale * d.scale * 0.0
     top_p, top_g = max(p_terms), max(g_terms)
-    inv_mu = _inverse_powers(mu, top_p - k)
-    inv_nu = _inverse_powers(nu, top_g + k + 1)
-    inv_sig = _inverse_powers(mu + nu, top_p + top_g)
+    inv_sig = _inverse_powers(_rate_sum(mu, nu), top_p + top_g)
     fact = [math.factorial(i) for i in range(top_p + top_g)]
     fact_sig = [f * inv_sig[e + 1] for e, f in enumerate(fact)]
     ip = [(pp - k - 1, cp) for pp, cp in p_terms.items()]
     w = sum(cp * fact[q] * inv_mu[q + 1] for q, cp in ip)
-    num_nu = [nu.numerator ** j for j in range(top_g + k + 1)]
     # ns_j = num(nu)^j S_j. Over inv_nu's denominator the tail of order n
     # is den(nu) num(nu)^(top_g+k-n-shift) t_n, where
     # t_n = n den(nu) t_(n-1) + ns_(n+shift)
     ns = [num_nu[j] * sum(cp * fact_sig[q + j] for q, cp in ip)
           for j in range(top_g + k + 1)]
-    t, den_nu = {}, nu.denominator
-    for shift in 0, 2 * k + 1:
+    lower, upper, den_nu = [], [], nu[1]
+    for t, shift in (lower, 0), (upper, 2 * k + 1):
         t_n = 0
         for n, ns_n in enumerate(ns[shift:]):
-            t_n = t[shift, n] = n * den_nu * t_n + ns_n
+            t_n = n * den_nu * t_n + ns_n
+            t.append(t_n)
     whole = tails = 0
     for pg, cg in g_terms.items():
         # lower piece: full moment minus the tail of order pg + k; upper
         # piece: r1^k times the tail of order pg - k - 1
         whole += cg * fact[pg + k] * inv_nu[pg + k + 1]
-        tails += (cg * num_nu[top_g - pg]
-                  * (t[2 * k + 1, pg - k - 1] - t[0, pg + k]))
+        tails += cg * num_nu[top_g - pg] * (upper[pg - k - 1] - lower[pg + k])
     return _scaled(a.scale * b.scale * c.scale * d.scale,
                    whole * w * inv_sig[0] + den_nu * tails * inv_mu[0],
                    lp * lg * inv_mu[0] * inv_nu[0] * inv_sig[0],

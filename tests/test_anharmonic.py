@@ -383,3 +383,94 @@ def test_divergence_threshold_is_first_order_term():
     hw_small = hbar_omega(spec_small)
     assert abs(second_order_sum(spec_small, 0, hw_small)) < \
         hprime_element(spec_small, hw_small, 0, 0)
+
+
+# Hioe & Montroll, J. Math. Phys. 16, 1945 (1975): E_n / (kappa^(2/3) b^(1/3))
+# tends to e_n as b -> inf
+HIOE_MONTROLL = (1.0603620905, 3.7996730298)
+
+
+def _quartic_limits(n):
+    """(variational, present) E_n / (kappa^(2/3) b^(1/3)) as b -> inf.
+
+    There hbar omega / u -> 0, the cubic gives u^3 = 24 b kappa^2 g(n), and
+    E1 = (3/8)(2n + 1) u, beta = u / (24 g(n)) and E2 = u P(n) / (2304
+    g(n)^2 (2n + 1)^2).
+    """
+    g = (2 * n * n + 2 * n + 1) / (2 * n + 1)
+    root = (24.0 * g) ** (1.0 / 3.0)
+    c5, c4, c3, c2, c1, c0 = P_COEFFS
+    p = ((((c5 * n + c4) * n + c3) * n + c2) * n + c1) * n + c0
+    variational = 0.375 * (2 * n + 1) * root
+    return variational, variational + p * root / (2304.0 * g * g
+                                                   * (2 * n + 1) ** 2)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_energies_reach_their_pure_quartic_limits(n):
+    limits = _quartic_limits(n)
+    gaps = []
+    for b in (1e2, 1e8, 1e14, 1e24):
+        spec = make_anharmonic_spec(0.5, b)
+        scale = spec.kappa ** (2.0 / 3.0) * b ** (1.0 / 3.0)
+        energies = (energy_variational(spec, n).e_total,
+                    energy_present(spec, n).e_total)
+        gaps.append(max(abs(e / scale / limit - 1.0)
+                        for e, limit in zip(energies, limits)))
+    # the gap closes as (hbar omega / u)^2, about b^(-2/3), down to rounding
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+    assert gaps[3] <= 1e-14
+
+
+# the README's "Limitations" table: n -> variational and present limits,
+# exact e_n, and the two errors in percent
+LIMITATIONS = {0: (1.081687, 1.051640, 1.060362, 2.0111, -0.8225),
+               1: (3.847446, 3.783322, 3.799673, 1.2573, -0.4303),
+               2: (7.436972, 7.423526, 7.455698, -0.2512, -0.4315),
+               5: (21.060730, 21.203644, 21.238373, -0.8364, -0.1635),
+               10: (49.778901, 50.205522, 50.256255, -0.9498, -0.1009),
+               20: (121.401183, 122.503234, 122.604639, -0.9816, -0.0827)}
+
+
+def test_quartic_limits_are_the_scheme_limitations():
+    errors = [tuple(round(100.0 * (limit / e_n - 1.0), 4)
+                    for limit in _quartic_limits(n))
+              for n, e_n in enumerate(HIOE_MONTROLL)]
+    assert errors == [(2.0111, -0.8225), (1.2573, -0.4303)]
+    # the diagonalization at b = 1e20 stands in for e_n through n = 20
+    spec = make_anharmonic_spec(0.5, 1e20, kappa=1.0)
+    exact = [e / 1e20 ** (1.0 / 3.0)
+             for e in diag_eigenvalues(spec, n_levels=21)]
+    assert exact[:2] == pytest.approx(HIOE_MONTROLL, rel=1e-9)
+    errors = [[100.0 * (limit / e_n - 1.0) for limit in _quartic_limits(n)]
+              for n, e_n in enumerate(exact)]
+    for n, row in LIMITATIONS.items():
+        assert tuple(round(x, 6) for x in (*_quartic_limits(n), exact[n])) \
+            + tuple(round(x, 4) for x in errors[n]) == row
+    # both errors are largest at n = 0, and the second order cuts the
+    # error at every n but 2
+    for method in 0, 1:
+        assert max(range(21), key=lambda n: abs(errors[n][method])) == 0
+    assert [n for n, (v, p) in enumerate(errors) if abs(p) >= abs(v)] == [2]
+
+
+def test_conventional_series_has_no_quartic_limit():
+    # beside those limits: with the basis frozen at hbar omega, order 2
+    # over kappa^(2/3) b^(1/3) falls without bound, about as b^(5/3), and
+    # every level is flagged divergent
+    for n in range(21):
+        ratios = []
+        for b in (1.0, 1e2, 1e4):
+            spec = make_anharmonic_spec(0.5, b)
+            assert pt_divergent(spec, n)
+            ratios.append(energy_conventional_pt(spec, n, 2).e_total
+                          / (spec.kappa ** (2.0 / 3.0) * b ** (1.0 / 3.0)))
+        assert ratios[0] < 0.0
+        assert ratios[1] < 1e3 * ratios[0] and ratios[2] < 1e3 * ratios[1]
+    # the ground state at b = 1 against the present scheme and exact
+    spec = make_anharmonic_spec(0.5, 1.0)
+    scaled = [e / spec.kappa ** (2.0 / 3.0) for e in (
+        energy_conventional_pt(spec, 0, 2).e_total,
+        energy_present(spec, 0).e_total,
+        diag_eigenvalues(spec, n_levels=1)[0])]
+    assert [round(x, 4) for x in scaled] == [-19.7262, 1.1665, 1.1729]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from varpert import helium, reports
+from varpert import helium, polyexp, reports
 from varpert.helium import (HeliumResult, excited_triplet_energy,
                             ground_state, hydrogenic_radial,
                             optimal_zstar_excited, optimal_zstar_ground,
@@ -358,6 +358,33 @@ def test_second_order_builds_each_orbital_once_per_call(monkeypatch):
     assert len(calls) == 10
 
 
+def test_second_order_forms_each_transition_density_once_per_call(
+        monkeypatch):
+    names, formed = {}, []
+    product = polyexp._product
+
+    def named(*args):
+        f = hydrogenic_radial(*args)
+        names[id(f)] = args[:2]
+        return f
+
+    def counted(f, g, extra_power=0):
+        if extra_power == 2:  # a Slater side; the X_n' moments take r^1
+            formed.append((names[id(f)], names[id(g)]))
+        return product(f, g, extra_power)
+
+    monkeypatch.setattr(helium, "hydrogenic_radial", named)
+    monkeypatch.setattr(polyexp, "_product", counted)
+    # the 19 Y through n' = 4 read r^2 R_nl R_10 for the 10 orbitals with
+    # n <= 4, each formed once; an identical call forms them afresh
+    densities = sorted(((n, l), (1, 0)) for n in range(1, 5)
+                       for l in range(n))
+    for _ in range(2):
+        formed.clear()
+        second_order_by_n_prime(ZS, 2.0, 4)
+        assert sorted(formed) == densities
+
+
 def test_run_helium_sums_the_channels_once(monkeypatch):
     sums = []
 
@@ -393,5 +420,32 @@ def test_ground_state_matches_unmemoized_channel_sum():
         denom = -zs * zs * (2.0 - 1.0 / n ** 2 - 1.0 / n_prime ** 2)
         by_n_prime[n_prime] += amp * amp / denom
     result = ground_state(n_max=n_max)
+    assert result.e_second_by_n_prime == tuple(by_n_prime.values())
+    assert result.e_second == math.fsum(by_n_prime.values())
+
+
+def test_full_ground_state_matches_fresh_channel_sum_at_n_max_10():
+    # the reference above through n' = 10, with every m > 0 channel with
+    # n != n' counted twice: the transition densities one call shares give
+    # the bits of every Y and X taken afresh
+    n_max = 10
+    zs = optimal_zstar_ground(2.0)
+    channels = [(n, n_prime, l, m)
+                for n, n_prime, l, m in itertools.product(range(n_max + 1),
+                                                          repeat=4)
+                if 1 <= n <= n_prime and (n, n_prime) != (1, 1)
+                and l < n and m <= l]
+    assert len(channels) == 714
+    by_n_prime = dict.fromkeys(range(2, n_max + 1), 0.0)
+    for n, n_prime, l, m in channels:
+        a = 0.5 if n == n_prime and m == 0 else 1.0 / math.sqrt(2.0)
+        y = y_integral(n, n_prime, l, zs)
+        amp = 2.0 * a * 2.0 * ((-1.0) ** m) * y / (2 * l + 1)
+        if n == 1:
+            amp += -2.0 * a * (2.0 - zs) * 2.0 * x_integral(n_prime, zs)
+        denom = -zs * zs * (2.0 - 1.0 / n ** 2 - 1.0 / n_prime ** 2)
+        weight = 2.0 if m > 0 and n != n_prime else 1.0
+        by_n_prime[n_prime] += weight * (amp * amp) / denom
+    result = ground_state(n_max=n_max, m_range="full")
     assert result.e_second_by_n_prime == tuple(by_n_prime.values())
     assert result.e_second == math.fsum(by_n_prime.values())
