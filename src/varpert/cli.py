@@ -61,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--exact-dim", type=int,
                            help="basis size for the diagonalization oracle "
                                 f"(default {default['exact_dim']})")
-            p.add_argument("--constants", dest="constants_path",
-                           metavar="PATH",
-                           help="JSON file overriding physical constants")
+            p.add_argument("--kappa", type=float,
+                           help="kinetic scale hbar^2/2m in eV A^2 "
+                                f"(default {default['kappa']})")
         else:
             p.add_argument("--n-max", type=int, dest="n_max_helium",
                            metavar="N_MAX",
@@ -86,7 +86,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = RunConfig(**vars(args))
         doc = run_helium(cfg) if cfg.command == "helium" else run_table(cfg)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"varpert: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     sys.stdout.write(doc.text)

@@ -65,6 +65,8 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     if h4 == math.inf:  # q2 to q4 would be inf, or nan at b = 0 or x = 0
         raise ValueError(f"energy={energy!r} eV is too small to shoot: the "
                          f"step scale H^4 = (pi/2)^4 (kappa/E)^2 overflows")
+    if not (big_h > 0.0 and math.isfinite(c2 + c4)):
+        raise ValueError(f"k, b or energy={energy!r} eV over kappa overflows")
 
     y0, y1, scale = (1.0, 0.0, 1.0) if parity == 0 else (0.0, 1.0, big_h)
     x = 0.0
@@ -104,6 +106,8 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
             if (y0 < 0.0) != (last_sign < 0.0):
                 nodes += 1
             last_sign = y0
+    if not math.isfinite(y0):  # a Taylor coefficient overflowed
+        raise ValueError(f"psi(x_max) overflows at energy={energy!r} eV")
     return y0, nodes
 
 
@@ -116,6 +120,8 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     # needs no b = 0 branch and cannot overflow at huge b
     root = math.hypot(k, 2.0 * math.sqrt(b) * math.sqrt(energy))
     x = math.sqrt(2.0 * energy / (k + root))
+    if x == 0.0:  # k + root overflowed, and the march below would not move
+        raise ValueError(f"the turning point at energy={energy!r} eV reads 0")
     # march the decay integral int sqrt((V-E)/kappa) dx to 25
     dx = 0.01 * x  # sized by the turning point, whatever its scale
     s = 0.0
@@ -159,7 +165,8 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     guided result can differ from the unguided one within it. ``MAX_ITER``
     trials bound growth and search together. A trial energy whose step
     scale H^4 = (pi/2)^4 (kappa/E)^2 overflows (E below 7.0e-154 eV at the
-    electron kappa) raises ``ValueError``.
+    electron kappa) raises ``ValueError``, as does one where k, b or E over
+    kappa overflows, psi(x_max) is not finite, or the turning point reads 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

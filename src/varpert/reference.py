@@ -21,7 +21,7 @@ TABLE1 = {
     0.25: {"variational": 2.0664772, "present": 2.0412648,
            "exact": 2.0474629, "half_m_omega2": 1.6423320},
 }
-PT_DIVERGENT_B = (0.25,)
+PT_DIVERGENT = ((0, 0.25),)  # (level, b)
 
 # first/second order comparison at b = 0.05, ground state
 TABLE2 = {
@@ -39,6 +39,12 @@ TABLE3 = {
     "exact": 5.091282,
     "half_m_omega2": 0.990354,
 }
+
+# every published oscillator cell by (level, b); Table 2's order-1 cell
+# joins Table 1's b = 0.05 column
+PUBLISHED = {(0, b): cells for b, cells in TABLE1.items()} | {
+    (0, 0.05): TABLE1[0.05] | {"conventional_pt1": TABLE2["conventional_pt1"]},
+    (1, 0.05): TABLE3}
 
 HELIUM = {
     "z_star": 1.6875,

@@ -41,7 +41,7 @@ class RunConfig:
     exact_dim: int = 120
     exact_tol: float = 1e-9
     output_format: str = "markdown"
-    constants_path: str | None = None
+    kappa: float = KAPPA_EV_A2
     check: bool = False
 
     def __post_init__(self) -> None:
@@ -138,13 +138,7 @@ def _check_oscillator(cfg: RunConfig, spec: AnharmonicSpec, n: int,
                       cells: dict[str, dict], violations: list[str]) -> None:
     """Compare one column against the embedded reference constants."""
     b = spec.quartic_b
-    refs: dict[str, float] = {}
-    if n == 0 and b in ref.TABLE1:
-        refs = dict(ref.TABLE1[b])
-        if b == 0.05:
-            refs["conventional_pt1"] = ref.TABLE2["conventional_pt1"]
-    elif n == 1 and b in (0.05,):
-        refs = dict(ref.TABLE3)
+    refs = ref.PUBLISHED.get((n, b), {})
     for method, expected in refs.items():
         got = cells[method]["value"]
         if not math.isfinite(got) or abs(got - expected) > ref.TOL_TABLE_EV:
@@ -152,10 +146,10 @@ def _check_oscillator(cfg: RunConfig, spec: AnharmonicSpec, n: int,
                 f"n={n} b={b} {method}: {_fmt(got)} vs reference "
                 f"{_fmt(expected)} (tol {ref.TOL_TABLE_EV:g})")
     divergent = cells["conventional_pt2"]["note"] == "divergent"
-    if n == 0 and b in ref.PT_DIVERGENT_B and not divergent:
+    if (n, b) in ref.PT_DIVERGENT and not divergent:
         violations.append(
             f"n={n} b={b}: order-2 perturbation theory should be flagged divergent")
-    if n == 0 and b in ref.TABLE1 and "conventional_pt2" in refs and divergent:
+    if "conventional_pt2" in refs and divergent:
         violations.append(
             f"n={n} b={b}: order-2 perturbation theory unexpectedly flagged divergent")
     # cross-validate the two exact oracles in every column, referenced or not
@@ -172,44 +166,22 @@ def _check_oscillator(cfg: RunConfig, spec: AnharmonicSpec, n: int,
         violations.append(f"n={n} b={b}: diagonalization oracle failed: {exc}")
 
 
-def _load_kappa(path: str) -> float:
-    """kappa in eV A^2 from a flat JSON constants file.
-
-    The file holds one JSON object whose one recognized key is
-    ``kappa_eV_A2``, a number; when it is missing the default holds, and
-    any other key is rejected.
-    """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: constants must be a JSON object")
-    unknown = set(raw) - {"kappa_eV_A2"}
-    if unknown:
-        raise ValueError(f"unknown constants keys: {sorted(unknown)}")
-    kappa = raw.get("kappa_eV_A2", KAPPA_EV_A2)
-    if type(kappa) not in (int, float):  # neither bool nor string
-        raise ValueError(f"kappa_eV_A2 must be a number, got {kappa!r}")
-    return float(kappa)
-
-
 def run_table(cfg: RunConfig) -> ReportDocument:
     """Build the report for table1, table2, table3, or sweep."""
-    kappa = (KAPPA_EV_A2 if cfg.constants_path is None
-             else _load_kappa(cfg.constants_path))
     first = 1 if cfg.command == "table3" else 0
     blocks = []
     violations: list[str] = []
     for n in range(first, first + cfg.n_levels):
         columns = []
         for b in cfg.b_values:
-            spec = make_anharmonic_spec(STIFFNESS_K, b, kappa)
+            spec = make_anharmonic_spec(STIFFNESS_K, b, cfg.kappa)
             cells = _oscillator_cells(cfg, spec, n)
             if cfg.check:
                 _check_oscillator(cfg, spec, n, cells, violations)
             columns.append({"b": b, "cells": cells})
         blocks.append({"level": n, "columns": columns})
     doc = {"command": cfg.command, "stiffness_k": STIFFNESS_K,
-           "kappa": kappa, "m_range": None, "blocks": blocks}
+           "kappa": cfg.kappa, "m_range": None, "blocks": blocks}
     render = {"markdown": _table_markdown, "csv": _table_csv,
               "json": _as_json}[cfg.output_format]
     return ReportDocument(
@@ -378,6 +350,6 @@ def _render_helium(cfg: RunConfig, doc: dict) -> str:
 
 def _as_json(cfg: RunConfig, doc: dict) -> str:
     config = {k: v for k, v in asdict(cfg).items()
-              if k not in ("output_format", "constants_path", "check")}
+              if k not in ("output_format", "kappa", "check")}
     return json.dumps({"config": config, "report": doc},
                       sort_keys=True, indent=2) + "\n"

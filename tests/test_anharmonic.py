@@ -3,6 +3,7 @@ import math
 import random
 import re
 
+import mpmath
 import pytest
 
 from varpert.anharmonic import (P_COEFFS, energy_conventional_pt,
@@ -452,6 +453,50 @@ def test_quartic_limits_are_the_scheme_limitations():
     for method in 0, 1:
         assert max(range(21), key=lambda n: abs(errors[n][method])) == 0
     assert [n for n, (v, p) in enumerate(errors) if abs(p) >= abs(v)] == [2]
+
+
+def test_quartic_limits_fall_short_of_the_wkb_constant_at_large_n():
+    # WKB (Bender & Orszag, ch. 10): E_n -> C (n + 1/2)^(4/3) kappa^(2/3)
+    # b^(1/3) as n -> inf, C = (pi / int_-1^1 sqrt(1 - t^4) dt)^(4/3); the
+    # limits above tend to (3/4) 24^(1/3) and (109/144) 24^(1/3) times that
+    c = float((mpmath.pi / mpmath.quad(lambda t: mpmath.sqrt(1 - t ** 4),
+                                       [-1, 1])) ** (mpmath.mpf(4) / 3))
+    assert round(c, 6) == 2.185069
+    scaled = [x * 24.0 ** (1.0 / 3.0) for x in (0.75, 109.0 / 144.0)]
+    assert [round(x, 6) for x in scaled] == [2.163374, 2.183406]
+    limits = [100.0 * (x / c - 1.0) for x in scaled]
+    assert [round(x, 4) for x in limits] == [-0.9929, -0.0761]
+    spec = make_anharmonic_spec(0.5, 1e24, kappa=1.0)
+    errors = []
+    for n in (10, 100, 1000, 10 ** 4, 10 ** 5):
+        scale = 1e24 ** (1.0 / 3.0) * (n + 0.5) ** (4.0 / 3.0)
+        errors.append([100.0 * (energy(spec, n).e_total / scale / c - 1.0)
+                       for energy in (energy_variational, energy_present)])
+    assert [round(x, 4) for x in errors[0] + errors[1]] == [
+        -0.9181, -0.0689, -0.9921, -0.0761]
+    # each error closes on its limit from above, monotonically in n
+    for method, limit in enumerate(limits):
+        gaps = [row[method] - limit for row in errors]
+        assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-8
+
+
+def test_present_error_grows_with_b_towards_its_limit():
+    # against the diagonalization, one b per decade from 1e-4 to 1e8 at
+    # k = 0.5: the error magnitude grows at every step for n = 0-5, and at
+    # 1e8 it reads the b -> inf limitation above
+    errors = []
+    for b in (10.0 ** e for e in range(-4, 9)):
+        spec = make_anharmonic_spec(0.5, b)
+        exact = diag_eigenvalues(spec, n_levels=6)
+        errors.append([abs(energy_present(spec, n).e_total / exact[n] - 1.0)
+                       for n in range(6)])
+    assert f"{errors[0][0]:.1e}" == "7.0e-11"
+    for n in range(6):
+        column = [row[n] for row in errors]
+        assert all(a < b for a, b in zip(column, column[1:]))
+    assert [round(-100.0 * errors[-1][n], 4) for n in (0, 1, 2, 5)] == [
+        LIMITATIONS[n][4] for n in (0, 1, 2, 5)]
 
 
 def test_conventional_series_has_no_quartic_limit():

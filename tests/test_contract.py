@@ -1,22 +1,22 @@
 """Return-or-raise contract of the oscillator entry points over the whole
-float domain: finite k, kappa > 0, finite b >= 0, n from 0 to 100 and, for
-the functions that take one, any basis quantum u > 0.
+float domain: finite k, kappa > 0, finite b >= 0, n from 0 to 100 (0 to 20
+for shooting) and, for the functions that take one, any basis quantum u > 0.
 
 Every entry point either returns finite numbers, with hbar omega > 0, or
-raises ``ValueError``; ``diag_eigenvalues`` may also raise
-``ConvergenceError``. The one documented exception is the second-order sum,
-which may read -inf or nan where its amplitudes' squares overflow; in the
-hbar omega basis ``pt_divergent`` must then flag the level.
+raises ``ValueError``; ``diag_eigenvalues`` and ``shoot_eigenvalue`` may
+also raise ``ConvergenceError``. The one documented exception is the
+second-order sum, which may read -inf or nan where its amplitudes' squares
+overflow; in the hbar omega basis ``pt_divergent`` must then flag the level.
 """
 import math
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varpert.anharmonic import (energy_conventional_pt, energy_first_order,
                                 energy_present, energy_variational,
                                 pt_divergent, second_order_sum, solve_omega)
-from varpert.exact import ConvergenceError, diag_eigenvalues
+from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
 from varpert.oscillator import hprime_element
 
@@ -92,3 +92,20 @@ def test_basis_functions_return_finite_numbers_or_refuse(
     assert len(levels) == n_levels
     assert all(math.isfinite(e) for e in levels)
     assert all(lo < hi for lo, hi in zip(levels, levels[1:]))
+
+
+# a shooting call takes about 3 ms, so fewer draws than the profile's
+@settings(max_examples=300)
+@given(k=POSITIVE, b=st.one_of(st.just(0.0), POSITIVE),
+       kappa=st.one_of(st.just(KAPPA_EV_A2), POSITIVE), n=st.integers(0, 20))
+def test_shooting_returns_a_finite_level_or_refuses(k, b, kappa, n,
+                                                    time_limit):
+    spec = _unless_refused(make_anharmonic_spec, k, b, kappa)
+    if spec is None:
+        return
+    try:
+        with time_limit(1.0):  # some draws once never returned
+            level = shoot_eigenvalue(spec, n)
+    except (ValueError, ConvergenceError):
+        return
+    assert 0.0 < level < math.inf

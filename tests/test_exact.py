@@ -51,6 +51,39 @@ def test_shooting_refuses_energies_whose_step_scale_overflows(k):
         shoot_eigenvalue(make_anharmonic_spec(k, 0.0), 0)
 
 
+def test_shooting_floor_lies_above_the_ground_state_at_k_1e_307():
+    # E_0 = hbar omega / 2 = 6.17e-154 eV is itself below the 7.0e-154 eV
+    # floor: its own H^4 overflows, so refusing n = 0 is the contract
+    spec = make_anharmonic_spec(1e-307, 0.0)
+    hw = hbar_omega(spec)
+    assert 0.5 * hw == pytest.approx(6.1725e-154, rel=1e-4)
+    h2 = (0.5 * math.pi) ** 2 / (0.5 * hw * (1.0 / spec.kappa))
+    assert h2 * h2 == math.inf
+    with pytest.raises(ValueError, match="too small to shoot: the step scale"):
+        shoot_eigenvalue(spec, 0)
+    # n = 1 answers within the final bracket width, REL_WIDTH of 5 hw / 2
+    assert shoot_eigenvalue(spec, 1) == pytest.approx(
+        1.5 * hw, rel=0.0, abs=exact.REL_WIDTH * 2.5 * hw)
+
+
+@pytest.mark.parametrize("k, b, kappa, n, message", [
+    (1.4776236254218124e308, 0.0, 1.5e-323, 0, "turning point"),
+    (1.7395055034303971e308, 1.2594458873987282e308, 4.802729503191272e-152,
+     13, "turning point"),
+    (5.294289233796205e182, 0.0, 2.4871989182686016e-131, 8,
+     "over kappa overflows"),
+    (1.0, 1.0, 2.0 ** -1022, 0, r"psi\(x_max\) overflows"),
+    (1.1611607223371208, 0.0, 1e-323, 0, "over kappa overflows"),
+], ids=["zero_turning_point", "zero_turning_point_huge_b",
+        "overflowing_k_over_kappa", "overflowing_psi", "zero_step"])
+def test_shooting_refuses_where_its_scales_leave_the_float_range(
+        k, b, kappa, n, message, time_limit):
+    # these never returned (a zero box step, or a bracket grown without end
+    # on a nan psi that counts no node) or raised ZeroDivisionError
+    with time_limit(1.0), pytest.raises(ValueError, match=message):
+        shoot_eigenvalue(make_anharmonic_spec(k, b, kappa), n)
+
+
 def test_harmonic_limit_diagonalization():
     spec = spec_at(0.0)
     hw = hbar_omega(spec)

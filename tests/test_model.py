@@ -1,15 +1,12 @@
-"""Problem specs, the constants file, and result-record validation."""
-import json
+"""Problem specs, the kinetic constant, and result-record validation."""
 import math
 import re
 
 import pytest
 
 from varpert.anharmonic import OmegaSolution
-from varpert.cli import main
 from varpert.model import (KAPPA_EV_A2, AnharmonicSpec, LevelResult,
                            hbar_omega, make_anharmonic_spec)
-from varpert.reports import _load_kappa
 
 
 def test_default_constants():
@@ -25,42 +22,6 @@ def test_constants_must_be_positive(field, bad):
         with pytest.raises(ValueError,
                            match=f"^{field} must be finite and > 0, got {bad}$"):
             build(0.5, 0.05, **{field: bad})
-
-
-def test_constants_from_file(tmp_path):
-    path = tmp_path / "const.json"
-    path.write_text(json.dumps({"kappa_eV_A2": 3.81}))
-    assert _load_kappa(str(path)) == 3.81
-    path.write_text('{"kappa_eV_A2": 4}')  # a JSON integer is a number too
-    kappa = _load_kappa(str(path))
-    assert kappa == 4.0 and type(kappa) is float
-    path.write_text("{}")
-    assert _load_kappa(str(path)) == KAPPA_EV_A2  # untouched default
-
-
-def test_constants_from_file_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "const.json"
-    # rydberg_eV and bohr_A were accepted once but never read
-    for key in ("planck", "rydberg_eV", "bohr_A"):
-        path.write_text(json.dumps({"kappa_eV_A2": 3.81, key: 1.0}))
-        with pytest.raises(ValueError, match=key):
-            _load_kappa(str(path))
-
-
-@pytest.mark.parametrize("text, message", [
-    ("5", "constants must be a JSON object"),
-    ('{"kappa_eV_A2": null}', "kappa_eV_A2 must be a number, got None"),
-    ('{"kappa_eV_A2": true}', "kappa_eV_A2 must be a number, got True"),
-    ('{"kappa_eV_A2": "3.81"}', "kappa_eV_A2 must be a number, got '3.81'"),
-])
-def test_malformed_constants_file_exits_2(tmp_path, capsys, text, message):
-    # these used to raise a bare TypeError, or (true) run with kappa = 1
-    path = tmp_path / "const.json"
-    path.write_text(text)
-    assert main(["table1", "--b", "0.05", "--constants", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("varpert: ") and message in captured.err
-    assert captured.out == ""
 
 
 def test_make_spec_validates_signs():

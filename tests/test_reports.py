@@ -218,27 +218,29 @@ def test_cli_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_constants_override(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"kappa_eV_A2": 4.0}))
-    assert main(["table1", "--b", "0.05", "--constants", str(path)]) == 0
+def test_cli_constants_override(capsys):
+    assert main(["table1", "--b", "0.05", "--kappa", "4"]) == 0
     assert "kappa = 4" in capsys.readouterr().out
 
 
-def test_cli_rejects_bad_constants_file(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"speed_of_light": 3e8}))
-    assert main(["table1", "--constants", str(path)]) == 2
-    assert "speed_of_light" in capsys.readouterr().err
+def test_cli_rejects_infinite_constant(monkeypatch, capsys):
+    # refused by AnharmonicSpec before anything is solved
+    def unsolved(*args, **kwargs):
+        raise AssertionError("solved")
 
-
-def test_cli_rejects_infinite_constant(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text('{"kappa_eV_A2": Infinity}')
-    assert main(["table1", "--b", "0.05", "--constants", str(path)]) == 2
+    monkeypatch.setattr(reports, "energy_present", unsolved)
+    assert main(["table1", "--b", "0.05", "--kappa", "inf"]) == 2
     err = capsys.readouterr().err
     assert "kappa must be finite and > 0, got inf" in err
     assert "e_total" not in err
+
+
+def test_cli_refuses_promptly_where_shooting_leaves_the_float_range(
+        capsys, time_limit):
+    # b / kappa overflows in shooting's scaled potential; this never exited
+    with time_limit(1.0):
+        assert main(["table1", "--b", "1e300", "--kappa", "1e-9"]) == 2
+    assert "over kappa overflows" in capsys.readouterr().err
 
 
 def test_cli_rejects_negative_b(capsys):
@@ -284,6 +286,10 @@ def test_cli_check_names_each_wrong_divergence_flag(monkeypatch, capsys):
     for b in (0.01, 0.05):
         assert (f"n=0 b={b}: order-2 perturbation theory unexpectedly "
                 "flagged divergent") in err
+    # Table 3's order-2 cell is held to the same flag
+    assert main(["table3", "--check"]) == 2
+    assert ("n=1 b=0.05: order-2 perturbation theory unexpectedly flagged "
+            "divergent") in capsys.readouterr().err
 
 
 def test_cli_check_names_an_unconverged_diagonalization(capsys):
@@ -360,7 +366,7 @@ def test_table2_csv_shows_unconverged_note(monkeypatch, capsys):
             "for level n=0\n") in out
 
 
-@pytest.mark.parametrize("flag", [["--constants", "/nonexistent"],
+@pytest.mark.parametrize("flag", [["--kappa", "4"],
                                   ["--exact-dim", "9999"]])
 def test_cli_helium_rejects_table_only_flags(flag, capsys):
     # helium reads neither option, so argparse refuses them
