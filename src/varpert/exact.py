@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .anharmonic import _omega
-from .model import AnharmonicSpec, _require_positive, hbar_omega
+from .model import _TINY, AnharmonicSpec, _require_positive, hbar_omega
 from .oscillator import build_hamiltonian
 
 
@@ -21,11 +21,10 @@ ORDER = 28  # degree of the Taylor polynomial taken per shooting step
 _RECURRENCE = tuple(1.0 / ((j + 1) * (j + 2)) for j in range(ORDER - 1))
 _ROOT_PREV, _ROOT_LAST = 1.0 / (ORDER - 1), 1.0 / ORDER
 _SAFETY = 0.5  # shrinks the last terms by a further 2^-ORDER or so
-_TINY = sys.float_info.min
 ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to psi's scale
 REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
-GUESS_WIDTH = 0.02  # half-width of a guided first bracket, relative to guess
+GUESS_WIDTH = 0.02  # the second guided trial's offset, relative to the guess
 # most weight a level may keep on the top 10 states of its parity block in
 # any diagonalization basis: converged levels measure 1e-28 or less, and a
 # far-off basis 1e-5 or more
@@ -65,6 +64,13 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     if h4 == math.inf:  # q2 to q4 would be inf, or nan at b = 0 or x = 0
         raise ValueError(f"energy={energy!r} eV is too small to shoot: the "
                          f"step scale H^4 = (pi/2)^4 (kappa/E)^2 overflows")
+    # a k or b over kappa below the normal float range has lost digits, and
+    # the level with them; a lost k matters only where b over kappa is not
+    # normal either, as otherwise it moves E by under 1e-77 relative
+    if c4 < _TINY and (spec.quartic_b > 0.0 or c2 < _TINY):
+        name, value = ("b", c4) if spec.quartic_b > 0.0 else ("k", c2)
+        raise ValueError(f"{name} / kappa = {value!r} is too small to shoot: "
+                         f"it lies below the normal float range")
     if not (big_h > 0.0 and math.isfinite(c2 + c4)):
         raise ValueError(f"k, b or energy={energy!r} eV over kappa overflows")
 
@@ -122,8 +128,10 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     x = math.sqrt(2.0 * energy / (k + root))
     if x == 0.0:  # k + root overflowed, and the march below would not move
         raise ValueError(f"the turning point at energy={energy!r} eV reads 0")
-    # march the decay integral int sqrt((V-E)/kappa) dx to 25
-    dx = 0.01 * x  # sized by the turning point, whatever its scale
+    # march the decay integral int f dx, f = sqrt((V-E)/kappa), to 25 by
+    # the trapezoid rule; the step, sized by the turning point whatever its
+    # scale, doubles but never exceeds the local decay length 1 / f
+    dx = 0.01 * x
     s = 0.0
     f_here = 0.0
     while s < 25.0:
@@ -132,6 +140,7 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
         f_next = math.sqrt(max(v_next, 0.0) / kappa)
         s += 0.5 * (f_here + f_next) * dx
         x, f_here = x_next, f_next
+        dx = 2.0 * dx if f_here * dx < 0.5 else 1.0 / f_here
     return x
 
 
@@ -146,18 +155,23 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     of hbar omega (n + 3/2) and the pure-quartic scale
     kappa^(2/3) b^(1/3) (n + 1)^(4/3). A ``guess`` of E_n (finite and > 0,
     or ``ValueError``), such as the present-scheme energy, is held within
-    [hi / 4, 4 hi] and makes the first bracket guess (1 -+ ``GUESS_WIDTH``).
-    The upper end grows by 1.4x, its old value becoming the lower end,
-    until it holds more than floor(n/2) nodes; a lower end holding more
-    becomes the upper end over a lower end of 0. A guess thus only places
-    the first bracket, and a wrong one costs integrations only. Node
-    counting keeps the search on level n:
+    [hi / 4, 4 hi] and is the first trial: its node count says on which
+    side level n lies, and guess (1 -+ ``GUESS_WIDTH``) on that side is the
+    second. The upper end grows by 1.4x, its old value becoming the lower
+    end, until it holds more than floor(n/2) nodes; a guided lower end
+    holding more becomes the upper end over a lower end of 0. A guess only
+    places the first bracket, and a wrong one costs integrations only.
+    Node counting keeps the search on level n:
     the energy is bisected on the count until the bracket [lo, hi] holds a
     single count change, nodes(lo) = n//2 and nodes(hi) = n//2 + 1. Inside
-    that bracket psi(x_max), whose sign is (-1)^nodes, crosses zero once,
-    and Illinois regula falsi on it (x_max held fixed) picks the next
-    trial. Every trial still moves lo or hi by its node count, a trial that
-    lands outside the two counts sends the next step back to bisection,
+    that bracket psi(x_max), whose sign is (-1)^nodes, crosses zero once
+    (x_max held fixed). The next trial is the inverse quadratic
+    interpolation of psi(x_max) through lo, hi and the end the last trial
+    displaced, in Brent's ratio form, or regula falsi where only the two
+    ends lie on that branch or the quadratic leaves (lo, hi); neither
+    multiplies an energy by a psi, which overflowed near E = 1e300. Every
+    trial still moves lo or hi by its node count, a trial that lands
+    outside the two counts sends the next step back to bisection,
     and the midpoint is returned once hi - lo <= max(min(``energy_tol``,
     ``REL_WIDTH`` hi), 8 eps hi), hi the upper end the search starts from,
     as a level far below ``energy_tol`` still needs splitting and no
@@ -165,8 +179,11 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     guided result can differ from the unguided one within it. ``MAX_ITER``
     trials bound growth and search together. A trial energy whose step
     scale H^4 = (pi/2)^4 (kappa/E)^2 overflows (E below 7.0e-154 eV at the
-    electron kappa) raises ``ValueError``, as does one where k, b or E over
-    kappa overflows, psi(x_max) is not finite, or the turning point reads 0.
+    electron kappa) raises ``ValueError``, as does a b > 0 over kappa
+    below the normal float range, or a k over kappa there while b over
+    kappa is not normal either (their lost digits gave levels off by up to
+    70 %), one where k, b or E over kappa overflows, psi(x_max) is not
+    finite, or the turning point reads 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -176,7 +193,6 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     hw = hbar_omega(spec)
     budget = MAX_ITER
 
-    e_lo = 0.0
     # the pure-quartic scale keeps bracket growth short at huge b
     e_hi = max(hw * (n + 1.5), spec.kappa ** (2.0 / 3.0)
                * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
@@ -185,40 +201,54 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
         # E_n / e_hi measures 1/3 (b = 0) to 2.2, and a guess far outside
         # would size an endless box or step count
         guess = min(max(guess, 0.25 * e_hi), 4.0 * e_hi)
-        e_lo, e_hi = guess * (1.0 - GUESS_WIDTH), guess * (1.0 + GUESS_WIDTH)
+        e_hi = guess * (1.0 + GUESS_WIDTH)
     x_max = _default_x_max(spec, e_hi)
 
     def shoot(e: float) -> tuple[float, int]:
         return _integrate(spec, e, parity, x_max)
 
-    psi_hi, nodes_hi = shoot(e_hi)
-    psi_lo, nodes_lo = 0.0, -1  # E = 0 is not integrated: bisect first
+    e_lo, psi_lo, nodes_lo = 0.0, 0.0, -1  # E = 0 is not integrated
+    if guess is None:
+        psi_hi, nodes_hi = shoot(e_hi)
+    else:
+        psi, nodes = shoot(guess)
+        if nodes > target:
+            e_hi, psi_hi, nodes_hi = guess, psi, nodes
+            e = guess * (1.0 - GUESS_WIDTH)
+            psi, nodes = shoot(e)
+            if nodes > target:  # level n lies below the guided bracket
+                e_hi, psi_hi, nodes_hi = e, psi, nodes
+            else:
+                e_lo, psi_lo, nodes_lo = e, psi, nodes
+        else:
+            e_lo, psi_lo, nodes_lo = guess, psi, nodes
+            psi_hi, nodes_hi = shoot(e_hi)
     while nodes_hi <= target:
         budget -= 1
         if budget <= 0:
             raise ConvergenceError(
                 f"no bracket for level n={n} within iteration budget",
                 n=n, e_hi=e_hi, nodes=nodes_hi, target=target)
-        e_lo = e_hi
+        e_lo, nodes_lo = e_hi, -1  # integrated below, on the final x_max
         e_hi *= 1.4
         x_max = _default_x_max(spec, e_hi)
         psi_hi, nodes_hi = shoot(e_hi)
-    if e_lo > 0.0:
-        # the guided or grown bracket's lower end, on the final x_max
+    if nodes_lo < 0 < e_lo:
+        # the grown bracket's lower end; its first box already cleared its
+        # own energy by 25 decay lengths, so the wider one adds a node only
+        # where E rests on a level to within rounding
         psi_lo, nodes_lo = shoot(e_lo)
-        if nodes_lo > target:
-            # the lower end lies above level n, as a too-high guess's does
-            e_hi, psi_hi, nodes_hi = e_lo, psi_lo, nodes_lo
-            e_lo, psi_lo, nodes_lo = 0.0, 0.0, -1
 
     lo, hi = e_lo, e_hi
     # a bracket narrower than a few ulps of E cannot be split
     width = max(min(energy_tol, REL_WIDTH * hi),
                 8.0 * sys.float_info.epsilon * hi)
-    # regula falsi trials stay pad clear of both ends, so the far end also
+    # interpolated trials stay pad clear of both ends, so the far end also
     # moves once the near one has converged
     pad = 0.5 * width
-    kept = 0  # +1 / -1 while trials keep replacing hi / lo
+    # the end the last trial displaced, while it lay on the one-crossing
+    # branch: the third point of the quadratic
+    e_old, psi_old = 0.0, None
     while hi - lo > width:
         budget -= 1
         if budget <= 0:
@@ -229,19 +259,26 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
         trial = 0.5 * (lo + hi)
         if nodes_lo == target and nodes_hi == target + 1:
             # the counts differ by one, so psi_lo and psi_hi differ in sign
-            trial = min(max(lo - psi_lo * (hi - lo) / (psi_hi - psi_lo),
-                            lo + pad), hi - pad)
+            trial = lo + (hi - lo) * (psi_lo / (psi_lo - psi_hi))
+            if psi_old is not None and psi_old not in (psi_lo, psi_hi):
+                # Brent's b = hi, c = lo and a = old, with r = f_b / f_c,
+                # s = f_b / f_a and t = f_a / f_c (an old psi equal to an
+                # end's would divide by zero); an overflowing ratio gives
+                # inf or nan, which fails the range test
+                r, s, t = psi_hi / psi_lo, psi_hi / psi_old, psi_old / psi_lo
+                quad = hi - s * (t * (t - r) * (lo - hi)
+                                 - (r - 1.0) * (hi - e_old)) / (
+                    (t - 1.0) * (r - 1.0) * (s - 1.0))
+                if lo < quad < hi:
+                    trial = quad
+            trial = min(max(trial, lo + pad), hi - pad)
         psi, nodes = shoot(trial)
         if nodes > target:
+            e_old, psi_old = hi, psi_hi if nodes_hi == target + 1 else None
             hi, psi_hi, nodes_hi = trial, psi, nodes
-            if kept > 0:
-                psi_lo *= 0.5  # Illinois: halve the end kept twice
-            kept = 1
         else:
+            e_old, psi_old = lo, psi_lo if nodes_lo == target else None
             lo, psi_lo, nodes_lo = trial, psi, nodes
-            if kept < 0:
-                psi_hi *= 0.5
-            kept = -1
     return 0.5 * (lo + hi)
 
 

@@ -8,11 +8,14 @@ e^2/a0 = 2 ryd.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 # CODATA-derived defaults for an electron, not fit to any published table.
 KAPPA_EV_A2 = 3.8099821      # hbar^2/(2 m_e) in eV Angstrom^2
+
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -88,4 +91,7 @@ def make_anharmonic_spec(k: float, b: float,
 
 def hbar_omega(spec: AnharmonicSpec) -> float:
     """Harmonic quantum hbar omega = 2 sqrt(kappa k) in eV."""
-    return 2.0 * math.sqrt(spec.kappa * spec.stiffness_k)
+    kappa_k = spec.kappa * spec.stiffness_k
+    if kappa_k < _TINY:  # subnormal: the product lost digits
+        return 2.0 * math.sqrt(spec.kappa) * math.sqrt(spec.stiffness_k)
+    return 2.0 * math.sqrt(kappa_k)

@@ -74,14 +74,30 @@ def test_shooting_floor_lies_above_the_ground_state_at_k_1e_307():
      "over kappa overflows"),
     (1.0, 1.0, 2.0 ** -1022, 0, r"psi\(x_max\) overflows"),
     (1.1611607223371208, 0.0, 1e-323, 0, "over kappa overflows"),
+    (5.013766922619659e-172, 1.0551593513654309e-261, 4.8043388479490205e+135,
+     13, "b / kappa = 0.0 is too small to shoot"),
+    (1e-310, 0.0, 1.0, 10, "k / kappa = 1e-310 is too small to shoot"),
 ], ids=["zero_turning_point", "zero_turning_point_huge_b",
-        "overflowing_k_over_kappa", "overflowing_psi", "zero_step"])
+        "overflowing_k_over_kappa", "overflowing_psi", "zero_step",
+        "underflowing_b_over_kappa", "subnormal_k_over_kappa"])
 def test_shooting_refuses_where_its_scales_leave_the_float_range(
         k, b, kappa, n, message, time_limit):
     # these never returned (a zero box step, or a bracket grown without end
-    # on a nan psi that counts no node) or raised ZeroDivisionError
+    # on a nan psi that counts no node), raised ZeroDivisionError, or, where
+    # b / kappa underflows, returned 6.41e4 eV for the 2.04e5 eV level
     with time_limit(1.0), pytest.raises(ValueError, match=message):
         shoot_eigenvalue(make_anharmonic_spec(k, b, kappa), n)
+
+
+def test_shooting_near_1e300_ev_matches_the_pure_quartic_level(time_limit):
+    # regula falsi multiplied psi by an energy difference, which overflowed,
+    # and the search ran out of budget; k is negligible here, so the level
+    # is kappa^(2/3) b^(1/3) e_8, e_8 = 37.923001027 at k = 1e-12, b = 1
+    spec = make_anharmonic_spec(1.0090526088006836e-159, 6.18778683844839e305,
+                                8.910919830770367e295)
+    with time_limit(1.0):
+        level = shoot_eigenvalue(spec, 8)
+    assert level == pytest.approx(6.447076698796116e300, rel=1e-9, abs=0.0)
 
 
 def test_harmonic_limit_diagonalization():
@@ -370,8 +386,9 @@ def test_shooting_cost_per_level(monkeypatch):
     monkeypatch.setattr(exact, "_integrate", counting)
     for n, b in TABLE_POINTS:
         shoot_eigenvalue(spec_at(b), n)
-    # node-count bisection to 1e-9 eV alone takes about 33 per level
-    assert len(calls) / len(TABLE_POINTS) <= 16
+    # node-count bisection to 1e-9 eV alone takes about 33 per level, and
+    # the inverse quadratic search measures 9.25
+    assert len(calls) / len(TABLE_POINTS) <= 10
 
 
 def test_guided_shooting_cost_per_level(monkeypatch):
@@ -386,8 +403,8 @@ def test_guided_shooting_cost_per_level(monkeypatch):
     for n, b in TABLE_POINTS:
         spec = spec_at(b)
         shoot_eigenvalue(spec, n, guess=energy_present(spec, n).e_total)
-    # a 4 % first bracket around the present energy measures 7.25
-    assert len(calls) / len(TABLE_POINTS) <= 8
+    # a first trial at the present energy, 2 % from the second, measures 5.5
+    assert len(calls) / len(TABLE_POINTS) <= 6
 
 
 # TABLE_POINTS hold levels 0 and 1 only, with no E_{n-2} to guess
@@ -525,6 +542,31 @@ def test_guided_shooting_matches_omega_basis_diagonalization(k, b, n):
     diag = diag_eigenvalues(spec, dim=200, basis_u=u, n_levels=n + 1)[n]
     guided = shoot_eigenvalue(spec, n, guess=energy_present(spec, n).e_total)
     assert abs(guided - diag) <= max(1e-9, 1e-12 * diag)
+
+
+def _fine_x_max(spec, energy):
+    """The box at a fixed step of 0.01 x_t: the reference march."""
+    k, b, kappa = spec.stiffness_k, spec.quartic_b, spec.kappa
+    x = math.sqrt(2.0 * energy / (k + math.sqrt(k * k + 4.0 * b * energy)))
+    dx = 0.01 * x
+    s = f_here = 0.0
+    while s < 25.0:
+        x += dx
+        f_next = math.sqrt(max((k + b * x * x) * x * x - energy, 0.0) / kappa)
+        s += 0.5 * (f_here + f_next) * dx
+        f_here = f_next
+    return x
+
+
+def test_box_march_by_decay_lengths_matches_a_fine_march():
+    # steps that double up to one decay length take 27-30 of them here,
+    # where the fine march takes 55-630, and land within -0.5 % to +1.3 %
+    for k, b, n in _random_points(200, seed=20261019):
+        spec = make_anharmonic_spec(k, b)
+        energy = energy_present(spec, n).e_total
+        fine = _fine_x_max(spec, energy)
+        assert exact._default_x_max(spec, energy) == pytest.approx(fine,
+                                                                   rel=0.02)
 
 
 @pytest.mark.parametrize("b", [1e20, 1e40, 1e100])

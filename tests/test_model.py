@@ -73,6 +73,15 @@ def test_hbar_omega_closed_form():
     assert hbar_omega(spec) == pytest.approx(2.7604282638750095, rel=1e-12)
 
 
+def test_hbar_omega_keeps_its_digits_where_kappa_k_is_subnormal():
+    # 2 sqrt(kappa k) read 8.8e-4 relative off here, kappa k = 3.4e-322
+    spec = make_anharmonic_spec(7.299775682539862e-48, 0.0,
+                                4.6618569434247915e-275)
+    assert spec.kappa * spec.stiffness_k < 1e-321
+    expected = 2.0 * math.sqrt(spec.kappa) * math.sqrt(spec.stiffness_k)
+    assert abs(hbar_omega(spec) - expected) <= 4.0 * math.ulp(expected)
+
+
 def test_hbar_omega_scales_with_sqrt_k():
     for kappa in (KAPPA_EV_A2, 7.62):
         e1 = hbar_omega(make_anharmonic_spec(0.5, 0.0, kappa))
