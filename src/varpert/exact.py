@@ -64,13 +64,6 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     if h4 == math.inf:  # q2 to q4 would be inf, or nan at b = 0 or x = 0
         raise ValueError(f"energy={energy!r} eV is too small to shoot: the "
                          f"step scale H^4 = (pi/2)^4 (kappa/E)^2 overflows")
-    # a k or b over kappa below the normal float range has lost digits, and
-    # the level with them; a lost k matters only where b over kappa is not
-    # normal either, as otherwise it moves E by under 1e-77 relative
-    if c4 < _TINY and (spec.quartic_b > 0.0 or c2 < _TINY):
-        name, value = ("b", c4) if spec.quartic_b > 0.0 else ("k", c2)
-        raise ValueError(f"{name} / kappa = {value!r} is too small to shoot: "
-                         f"it lies below the normal float range")
     if not (big_h > 0.0 and math.isfinite(c2 + c4)):
         raise ValueError(f"k, b or energy={energy!r} eV over kappa overflows")
 
@@ -179,11 +172,13 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     guided result can differ from the unguided one within it. ``MAX_ITER``
     trials bound growth and search together. A trial energy whose step
     scale H^4 = (pi/2)^4 (kappa/E)^2 overflows (E below 7.0e-154 eV at the
-    electron kappa) raises ``ValueError``, as does a b > 0 over kappa
-    below the normal float range, or a k over kappa there while b over
-    kappa is not normal either (their lost digits gave levels off by up to
-    70 %), one where k, b or E over kappa overflows, psi(x_max) is not
-    finite, or the turning point reads 0.
+    electron kappa) raises ``ValueError``, as does a k over kappa below the
+    normal float range while b over kappa is not normal either, or a b > 0
+    over kappa below it where the lost b could move the level by more than
+    ``REL_WIDTH``, that is where float_info.min (E/kappa) / (k/kappa)^2
+    passes it at the first upper end E (their lost digits gave levels off
+    by up to 70 %), one where k, b or E over kappa overflows, psi(x_max) is
+    not finite, or the turning point reads 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -196,6 +191,15 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     # the pure-quartic scale keeps bracket growth short at huge b
     e_hi = max(hw * (n + 1.5), spec.kappa ** (2.0 / 3.0)
                * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
+    # a k or b over kappa below the normal float range has lost digits: a
+    # lost k moves E_n by under 1e-77 relative beside a normal b over kappa,
+    # a lost b by under _TINY (E_n / kappa) / (k / kappa)^2, E_n < e_hi
+    c2, c4 = spec.stiffness_k / spec.kappa, spec.quartic_b / spec.kappa
+    if c4 < _TINY and (c2 < _TINY or spec.quartic_b > 0.0 and _TINY / c2
+                       * (e_hi / spec.kappa / c2) > REL_WIDTH):
+        name, value = ("b", c4) if spec.quartic_b > 0.0 else ("k", c2)
+        raise ValueError(f"{name} / kappa = {value!r} is too small to shoot: "
+                         f"it lies below the normal float range")
     if guess is not None:
         _require_positive("guess", guess)
         # E_n / e_hi measures 1/3 (b = 0) to 2.2, and a guess far outside

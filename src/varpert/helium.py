@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .model import _require_positive
@@ -63,29 +62,30 @@ def hydrogenic_radial(n: int, l: int, z_star: float) -> PolyExp:
     R_nl(r) = N (2 z r / n)^l L^(2l+1)_(n-l-1)(2 z r / n) exp(-z r / n)
     with N^2 = (2z/n)^3 (n-l-1)! / (2n (n+l)!). The Laguerre expansion
     L^a_k(x) = sum_j (-1)^j C(k+a, k-j) x^j / j! gives each coefficient as
-    one exact ratio of integers, from powers of 2 num(z) and n den(z), and
-    N^2 as one correctly rounded int / int division; only sqrt is floating.
+    an integer over the common denominator k! bottom^(l+k), from powers of
+    top = 2 num(z) and bottom = n den(z), and N^2 as one correctly rounded
+    int / int division; only sqrt is floating.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= l <= n - 1:
         raise ValueError(f"need 0 <= l <= n-1, got l={l}, n={n}")
     _require_positive("z_star", z_star)
-    zs = Fraction(z_star)
-    top, bottom = 2 * zs.numerator, n * zs.denominator  # 2 z / n = top/bottom
+    z_num, z_den = z_star.as_integer_ratio()
+    top, bottom = 2 * z_num, n * z_den  # 2 z / n = top/bottom
     k = n - l - 1
-    num, den = top ** l, bottom ** l
-    terms = []
-    for j in range(k + 1):
-        terms.append((Fraction((-1) ** j * math.comb(n + l, k - j) * num,
-                               math.factorial(j) * den), l + j))
-        num, den = num * top, den * bottom
+    # a list, not a generator, for the tuple: CPython grows its small-tuple
+    # free lists by one tuple per generator unpacked, up to about half a MB
+    terms = [((-1) ** j * math.comb(n + l, k - j) * top ** (l + j)
+              * bottom ** (k - j) * (math.factorial(k) // math.factorial(j)),
+              l + j) for j in range(k + 1)]
     try:
         scale = math.sqrt(top ** 3 * math.factorial(k)
                           / (bottom ** 3 * 2 * n * math.factorial(n + l)))
     except OverflowError:
         raise ValueError(f"z_star={z_star!r} overflows R_{n}{l}") from None
-    return PolyExp(terms=tuple(terms), gamma=zs / n, scale=scale)
+    return PolyExp(terms=tuple(terms), den=math.factorial(k) * bottom ** (l + k),
+                   rate=(z_num, bottom), scale=scale)
 
 
 def x_integral(n: int, z_star: float, orbital: Orbital | None = None) -> float:
@@ -226,7 +226,13 @@ def _direct_exchange_1s2s(z_star: float) -> tuple[float, float]:
 
 def ground_state(z: float = 2.0, n_max: int = 7,
                  m_range: str = "paper") -> HeliumResult:
-    """Full ground-state pipeline at the optimal effective charge."""
+    """Full ground-state pipeline at the optimal effective charge.
+
+    Returns a finite result with e_second < 0 or raises ``ValueError``: from
+    Z = 2.0e51 "Slater integral R^0 leaves the float range", as the product
+    of the four orbital scales overflows, and from Z = 3.6e102
+    ``hydrogenic_radial`` refuses first.
+    """
     zs = optimal_zstar_ground(z)
     e_var = variational_ground_energy(zs, z)
     by_n_prime = tuple(second_order_by_n_prime(zs, z, n_max, m_range).values())

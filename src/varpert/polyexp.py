@@ -7,58 +7,46 @@ irrational normalization, so one-dimensional moments and two-dimensional
 Slater kernels reduce to exact factorial sums with at most a few ulp of
 rounding at the final conversion. Orthogonality integrals in particular
 come out exactly zero. Each ``PolyExp`` holds its coefficients as integer
-numerators over one denominator and its decay rate as a reduced integer
-pair, so no ``Fraction`` arithmetic runs inside any moment or Slater
-kernel: each is one exact integer sum and one correctly rounded int / int
-division. A Slater integral combines two sides, r^2 a c and r^2 b d, each
-kept by its first leg; the combination costs O(P M + G) big-integer
-operations for P and G terms with powers up to M.
+numerators over one denominator and its decay rate as an integer pair,
+so every moment and Slater kernel is one exact integer sum and one
+correctly rounded int / int division. A Slater integral combines two sides,
+r^2 a c and r^2 b d, each kept by its first leg; the combination costs
+O(P M + G) big-integer operations for P and G terms with powers up to M.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-Rate = tuple[int, int]  # reduced (numerator, denominator) of a decay rate
+Rate = tuple[int, int]  # (numerator, denominator) of a decay rate
 
 
 @dataclass(frozen=True)
 class PolyExp:
-    """Radial function scale * sum_j c_j r^j exp(-gamma r), r in a0.
+    """Radial function scale * sum_j (c_j / den) r^j exp(-gamma r), r in a0.
 
-    ``terms`` holds (coefficient, power) pairs with exact rational
-    coefficients and integer powers >= 0; ``gamma`` is the exact rational
-    decay rate in 1/a0; ``scale`` is a plain float multiplier.
+    ``terms`` holds (integer numerator c_j, power j) pairs, powers >= 0,
+    over the common denominator ``den`` > 0; ``rate`` is the decay rate
+    gamma in 1/a0 as a (numerator, denominator) pair of positive ints;
+    ``scale`` is a plain float multiplier.
     """
 
-    terms: tuple[tuple[Fraction, int], ...]
-    gamma: Fraction
+    terms: tuple[tuple[int, int], ...]
+    den: int
+    rate: Rate
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
+        if not (self.den > 0 and self.rate[0] > 0 and self.rate[1] > 0):
+            raise ValueError("den and rate must be > 0")
         for coeff, power in self.terms:
             if not isinstance(power, int) or power < 0:
                 raise ValueError(f"powers must be integers >= 0, got {power}")
 
-    @functools.cached_property
-    def _integer_form(self) -> tuple[list[tuple[int, int]], int, Rate]:
-        """(integer numerator, power) pairs over the common denominator,
-        and the decay rate as a reduced (numerator, denominator) pair."""
-        # a list, not a generator, for math.lcm: CPython grows its small-tuple
-        # free lists by one tuple per generator unpacked, up to about half a MB
-        den = math.lcm(*[c.denominator for c, _ in self.terms])
-        return ([(c.numerator * (den // c.denominator), p)
-                 for c, p in self.terms], den,
-                (self.gamma.numerator, self.gamma.denominator))
-
 
 def _rate_sum(r: Rate, s: Rate) -> Rate:
-    """r + s for decay rates held as reduced (numerator, denominator) pairs."""
+    """r + s, reduced, for decay rates held as (numerator, denominator) pairs."""
     num, den = r[0] * s[1] + s[0] * r[1], r[1] * s[1]
     common = math.gcd(num, den)
     return num // common, den // common
@@ -70,14 +58,12 @@ def _product(f: PolyExp, g: PolyExp, extra_power: int = 0
 
     A power whose integer coefficients cancel keeps its key, with 0.
     """
-    ints_f, den_f, rate_f = f._integer_form
-    ints_g, den_g, rate_g = g._integer_form
     out: dict[int, int] = {}
-    for nf, pf in ints_f:
-        for ng, pg in ints_g:
+    for nf, pf in f.terms:
+        for ng, pg in g.terms:
             p = pf + pg + extra_power
             out[p] = out.get(p, 0) + nf * ng
-    return out, den_f * den_g, _rate_sum(rate_f, rate_g)
+    return out, f.den * g.den, _rate_sum(f.rate, g.rate)
 
 
 def polyexp_moment(f: PolyExp, g: PolyExp, p: int) -> float:
@@ -127,14 +113,14 @@ def _side(f: PolyExp, g: PolyExp, k: int) -> tuple:
     T = top + k + 1, as an r2 side reads them; on r1 the surplus powers of
     num(rate) cancel in the final ratio. f keeps its last side for the same
     g and k, so a sum that pairs the same legs throughout forms each side
-    once; the side lives as long as f. It is keyed on g's integer form, made
-    once per g: while the key holds it, its identity stands for g, and
-    holding it instead of g makes no reference cycle.
+    once; the side lives as long as f. It is keyed on the values of g's
+    terms, den and rate, and on k: legs may share one terms tuple, and
+    holding g's fields instead of g makes no reference cycle.
     """
-    key = g._integer_form
+    key = g.terms, g.den, g.rate, k
     last = f.__dict__.get("_last_side")
-    if last is not None and last[0] is key and last[1] == k:
-        return last[2]
+    if last is not None and last[0] == key:
+        return last[1]
     terms, den, rate = _product(f, g, 2)
     top = k + 1 + max(terms, default=0)
     nums = invs = None
@@ -142,7 +128,7 @@ def _side(f: PolyExp, g: PolyExp, k: int) -> tuple:
         nums = [rate[0] ** j for j in range(top)]
         invs = _inverse_powers(rate, top)
     side = terms, den, rate, nums, invs
-    f.__dict__["_last_side"] = key, k, side
+    f.__dict__["_last_side"] = key, side
     return side
 
 

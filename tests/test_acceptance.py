@@ -91,8 +91,9 @@ def test_criterion_3_excited_state_table(capsys):
         detail = ("; ".join(bad)
                   + f"; the brute-force ladder sum gives "
                     f"{second_order_sum(spec, 1, u):.7g} eV, matching the "
-                    f"closed form with linear coefficient -280 n, while the "
-                    f"published 5.092412 matches a -28 n variant; "
+                    f"closed form with linear coefficient -280 n, while a "
+                    f"-28 n variant gives 5.0924099, 2.1e-6 from the "
+                    f"published 5.092412; "
                     f"{count - len(bad)} of {count} cells pass")
     announce(capsys, not bad, 3, detail)
 
@@ -125,8 +126,8 @@ def test_criterion_4_helium(capsys):
                   + f"; the unordered channel sum through n' = 7 gives "
                     f"{result.e_second:.7g} ryd ({full:.7g} with full "
                     f"magnetic degeneracy); doubling every n != n' channel "
-                    f"reproduces the published -0.0249, but that counts each "
-                    f"unordered pair twice; "
+                    f"gives -0.0244974, 4.0e-4 from the published -0.0249, "
+                    f"but that counts each unordered pair twice; "
                     f"{len(checks) - len(bad)} of {len(checks)} cells pass")
     announce(capsys, not bad, 4, detail)
 

@@ -6,6 +6,7 @@ import re
 import mpmath
 import pytest
 
+import varpert.reference as ref
 from varpert.anharmonic import (P_COEFFS, energy_conventional_pt,
                                 energy_first_order, energy_present,
                                 energy_variational, pt_divergent,
@@ -221,6 +222,21 @@ def test_variant_linear_coefficient_disagrees_with_sum():
         variant = good + (spec.quartic_b * spec.kappa ** 2 / u ** 2) ** 2 \
             / (4.0 * u) * (280 - 28) * n / (2 * n + 1) ** 2
         assert abs(variant - brute) > 0.05 * abs(brute)
+
+
+def test_variant_linear_coefficient_gives_the_published_excited_cell():
+    # criterion 3's explanation: with -28 n in place of -280 n, the present
+    # energy at n = 1, b = 0.05 is 5.0924099 eV, 2.1e-6 eV from the
+    # printed 5.092412 and inside the criterion's 2e-4 eV
+    spec = spec_at(0.05)
+    level = energy_present(spec, 1)
+    u = level.hbar_omega_n
+    variant = level.e_total + (spec.quartic_b * spec.kappa ** 2 / u ** 2) ** 2 \
+        / (4.0 * u) * (280 - 28) * 1 / 3 ** 2
+    assert variant == pytest.approx(5.0924099, rel=0.0, abs=5e-8)
+    gap = ref.TABLE3["present"] - variant
+    assert gap == pytest.approx(2.1e-6, rel=0.0, abs=5e-8)
+    assert gap < ref.TOL_TABLE_EV
 
 
 @pytest.mark.parametrize("k", [1e300, 1e306])

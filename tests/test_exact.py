@@ -100,6 +100,20 @@ def test_shooting_near_1e300_ev_matches_the_pure_quartic_level(time_limit):
     assert level == pytest.approx(6.447076698796116e300, rel=1e-9, abs=0.0)
 
 
+def test_shooting_answers_where_a_lost_b_cannot_move_the_level(time_limit):
+    # b / kappa reads 0.0 here, but b moves E_18 by under 1e-300 relative:
+    # this was refused as "too small to shoot"
+    spec = make_anharmonic_spec(1.0337335808049247e183,
+                                1.0936469807757944e-267,
+                                2.0777176777135259e77)
+    assert spec.quartic_b / spec.kappa == 0.0
+    with time_limit(1.0):
+        level = shoot_eigenvalue(spec, 18)
+    reference = diag_eigenvalues(spec, n_levels=19)[18]
+    assert reference == pytest.approx(5.42249679230599e131, rel=1e-14)
+    assert level == pytest.approx(reference, rel=1e-9, abs=0.0)
+
+
 def test_harmonic_limit_diagonalization():
     spec = spec_at(0.0)
     hw = hbar_omega(spec)

@@ -11,7 +11,7 @@ from scipy.integrate import dblquad, quad
 from varpert.helium import _direct_exchange_1s2s, hydrogenic_radial
 from varpert.polyexp import PolyExp, polyexp_moment, slater_radial
 
-from polyexp_helpers import build, evaluate
+from polyexp_helpers import build, coefficients, evaluate, gamma
 
 ONE_S = build([(2, 0)], 1)  # 2 e^-r, the unit-charge 1s radial
 BARE = build([(1, 0)], 1)
@@ -20,15 +20,20 @@ CANCELLED = build([(1, 0), (-1, 0), (1, 2)], 1)
 
 
 def test_build_normalizes_to_fractions():
-    f = build([(0.5, 1), (Fraction(1, 3), 0)], Fraction(3, 2), scale=2.0)
-    assert f.terms == ((Fraction(1, 2), 1), (Fraction(1, 3), 0))
-    assert f.gamma == Fraction(3, 2)
+    # rational coefficients become integers over one denominator, and the
+    # rate a reduced integer pair, with the same values as rationals
+    f = build([(0.5, 1), (Fraction(1, 3), 0)], Fraction(6, 4), scale=2.0)
+    assert (f.terms, f.den, f.rate) == (((3, 1), (2, 0)), 6, (3, 2))
+    assert coefficients(f) == ((Fraction(1, 2), 1), (Fraction(1, 3), 0))
+    assert gamma(f) == Fraction(3, 2)
     assert f.scale == 2.0
 
 
 def test_build_validation():
-    with pytest.raises(ValueError, match="gamma"):
+    with pytest.raises(ValueError, match="rate"):
         build([(1, 0)], 0)
+    with pytest.raises(ValueError, match="den"):
+        PolyExp(((1, 0),), 0, (1, 1))
     with pytest.raises(ValueError, match="powers"):
         build([(1, -1)], 1)
 
@@ -124,7 +129,7 @@ def test_slater_rejects_singular_kernel():
 
 def test_slater_with_an_empty_leg_is_zero():
     # no terms on either side leaves nothing to integrate
-    empty = PolyExp((), Fraction(1))
+    empty = build((), 1)
     assert slater_radial(0, empty, ONE_S, ONE_S, ONE_S) == 0.0
     assert slater_radial(3, ONE_S, empty, ONE_S, BARE) == 0.0
 
@@ -137,6 +142,25 @@ def test_scale_factors_multiply_through():
         3.0 * slater_radial(0, BARE, ONE_S, ONE_S, ONE_S), rel=1e-15)
 
 
+def test_side_memo_tells_apart_legs_that_share_terms():
+    # a first leg keeps its last side, keyed on its partner; partners that
+    # share one terms tuple but not the rate or the denominator have other
+    # sides, and each gives the bits of a fresh pair of legs
+    shared = ((2, 1), (-1, 2))
+
+    def first():
+        return build([(1, 0), (1, 1)], Fraction(5, 4), scale=0.7)
+
+    kept = first()
+    values = []
+    for den, rate in ((1, (1, 1)), (1, (3, 1)), (7, (1, 1)), (1, (1, 1))):
+        partner = PolyExp(shared, den, rate)
+        fresh = PolyExp(tuple([*shared]), den, rate)
+        values.append(slater_radial(1, kept, ONE_S, partner, ONE_S))
+        assert values[-1] == slater_radial(1, first(), ONE_S, fresh, ONE_S)
+    assert len(set(values)) == 3
+
+
 def _fraction_lower_tail(m, nu):
     fact_m = math.factorial(m)
     return [(Fraction(fact_m, math.factorial(i)) / nu ** (m + 1 - i), i)
@@ -146,8 +170,8 @@ def _fraction_lower_tail(m, nu):
 def _fraction_product(f, g, extra_power):
     """{power: Fraction} of f*g*r^extra_power; a cancelled power keeps its key."""
     out = {}
-    for cf, pf in f.terms:
-        for cg, pg in g.terms:
+    for cf, pf in coefficients(f):
+        for cg, pg in coefficients(g):
             p = pf + pg + extra_power
             out[p] = out.get(p, Fraction(0)) + cf * cg
     return out
@@ -155,7 +179,7 @@ def _fraction_product(f, g, extra_power):
 
 def _fraction_moment(f, g, p):
     """Reference: the moment summed term by term in Fractions."""
-    gam = f.gamma + g.gamma
+    gam = gamma(f) + gamma(g)
     total = Fraction(0)
     for power, coeff in _fraction_product(f, g, p).items():
         if power < 0:
@@ -168,8 +192,8 @@ def _fraction_slater_radial(k, a, b, c, d):
     """Reference: the same closed form summed term by term in Fractions."""
     if k < 0:
         raise ValueError("multipole order k must be >= 0")
-    p_terms, mu = _fraction_product(a, c, 2), a.gamma + c.gamma
-    g_terms, nu = _fraction_product(b, d, 2), b.gamma + d.gamma
+    p_terms, mu = _fraction_product(a, c, 2), gamma(a) + gamma(c)
+    g_terms, nu = _fraction_product(b, d, 2), gamma(b) + gamma(d)
     total = Fraction(0)
     for pg, cg in g_terms.items():
         m = pg + k
@@ -293,9 +317,9 @@ def test_moment_bit_equal_to_fraction_sum(p):
 
 
 RATIONAL = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
-LEG = st.builds(PolyExp,
+LEG = st.builds(build,
                 st.lists(st.tuples(RATIONAL, st.integers(0, 8)),
-                         min_size=1, max_size=5).map(tuple),
+                         min_size=1, max_size=5),
                 st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
                 st.sampled_from([1.0, -0.3, 2.5e-3, 7e4]))
 
