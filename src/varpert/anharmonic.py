@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
+from .model import (_TINY, AnharmonicSpec, LevelResult, _require_positive,
+                    hbar_omega)
 from .oscillator import _hprime
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
@@ -31,14 +32,13 @@ from .oscillator import _hprime
 P_COEFFS = (64, 160, -336, -664, -280, -24)
 
 
-def _cubic_term(spec: AnharmonicSpec, n: int) -> float:
-    """The cubic's constant term 24 b kappa^2 g(n), for n >= 0."""
-    g = (2 * n * n + 2 * n + 1) / (2 * n + 1)
-    return 24.0 * spec.quartic_b * spec.kappa * spec.kappa * g
-
-
-def _beta(spec: AnharmonicSpec, u: float) -> float:
-    return spec.quartic_b * spec.kappa * spec.kappa / (u * u)
+def _beta(spec: AnharmonicSpec, v: float, e: int) -> float:
+    """beta = b kappa^2 / u^2 over 2^e, u = v 2^e, v in [0.5, 1); b kappa^2,
+    an energy cubed, is formed from mantissas, which keep every digit."""
+    m_b, e_b = math.frexp(spec.quartic_b)
+    m_kappa, e_kappa = math.frexp(spec.kappa)
+    return math.ldexp(m_b * m_kappa * m_kappa / (v * v),
+                      e_b + 2 * e_kappa - 3 * e)
 
 
 class OmegaSolution(NamedTuple):
@@ -81,17 +81,25 @@ def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
     if n < 0:
         raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
-    rhs = _cubic_term(spec, n)
-    if rhs == math.inf:
+    if spec.quartic_b == 0.0:
+        return hw, 0.0, 0
+    # the cubic's constant term 24 b kappa^2 g(n) is c 2^e_c, as in _beta
+    g = (2 * n * n + 2 * n + 1) / (2 * n + 1)
+    m_b, e_b = math.frexp(spec.quartic_b)
+    m_kappa, e_kappa = math.frexp(spec.kappa)
+    c, e_c = 24.0 * m_b * m_kappa * m_kappa * g, e_b + 2 * e_kappa
+    if math.frexp(c)[1] + e_c > 1024:
         raise ValueError(f"quartic_b={spec.quartic_b!r} overflows the cubic "
                          f"for hbar Omega_{n}")
-    if rhs == 0.0:
-        return hw, 0.0, 0
-    # seed 1.5x above both scales keeps Newton on the convex branch
-    v, e = math.frexp(1.5 * max(hw, rhs ** (1.0 / 3.0)))
+    # seed 1.5x above both scales keeps Newton on the convex branch; a term
+    # below the normal range takes its cube root in parts, e_c = 3 q + s
+    rhs, (q, s) = math.ldexp(c, e_c), divmod(e_c, 3)
+    root = (rhs ** (1.0 / 3.0) if rhs >= _TINY
+            else math.ldexp(math.ldexp(c, s) ** (1.0 / 3.0), q))
+    v, e = math.frexp(1.5 * max(hw, root))
     w = math.ldexp(hw, -e)
     ww = w * w
-    r = math.ldexp(rhs, -3 * e)
+    r = math.ldexp(c, e_c - 3 * e)
     for _ in range(80):
         step = (v * v * v - ww * v - r) / (3.0 * v * v - ww)
         v -= step
@@ -111,19 +119,22 @@ def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
     Evaluated in the literal three-term form (not the on-shell
     simplification) as the objective whose stationary point defines
     hbar Omega_n; at u = hbar omega it matches ``energy_conventional_pt``'s
-    order 1 only to the last bits. A u that takes u^2 or the energy past
-    the float range raises ``ValueError``.
+    order 1 only to the last bits. Formed in the energy unit 2^e, u = v 2^e
+    with v in [0.5, 1), its terms move by exact powers of two and keep
+    their digits at any u. A u that takes the energy past the float range
+    raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    hw = hbar_omega(spec)
     poly = 2 * n * n + 2 * n + 1
+    v, e = math.frexp(u)
     try:
-        e1 = (u * (n + 0.5)
-              - (u * u - hw * hw) / (4.0 * u) * (2 * n + 1)
-              + 3.0 * _beta(spec, u) * poly)
-    except ZeroDivisionError:  # u * u underflows in beta
+        w = math.ldexp(hbar_omega(spec), -e)
+        e1 = math.ldexp(v * (n + 0.5)
+                        - (v * v - w * w) / (4.0 * v) * (2 * n + 1)
+                        + 3.0 * _beta(spec, v, e) * poly, e)
+    except OverflowError:
         e1 = math.inf
     if not math.isfinite(e1):
         raise ValueError(f"u={u!r} overflows E1 for n={n}")
@@ -137,21 +148,27 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     P(n) = 64n^5 + 160n^4 - 336n^3 - 664n^2 - 280n - 24. The derivation
     eliminates u^2 - (hbar omega)^2 through the cubic, so u must solve the
     cubic for this n; the precondition is enforced at relative 1e-8 on the
-    cubic divided by u^3, which cannot overflow.
+    cubic divided by u^3, 1 - (hbar omega / u)^2 - 24 g(n) beta / u. Like
+    the correction, beta is formed in the unit of ``energy_first_order``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
     w = hbar_omega(spec) / u
-    residual = 1.0 - w * w - _cubic_term(spec, n) / u / u / u
+    v, e = math.frexp(u)
+    try:
+        beta = _beta(spec, v, e)
+    except OverflowError:  # far off shell
+        beta = math.inf
+    g = (2 * n * n + 2 * n + 1) / (2 * n + 1)
+    residual = 1.0 - w * w - 24.0 * g * beta / v
     if not abs(residual) <= 1e-8:
         raise ValueError(
             f"u={u!r} is off shell for n={n} (residual {residual:.3e} u^3); "
             "the closed form is invalid away from the cubic's root")
     c5, c4, c3, c2, c1, c0 = P_COEFFS
     p = ((((c5 * n + c4) * n + c3) * n + c2) * n + c1) * n + c0
-    beta = _beta(spec, u)
-    return beta * beta / (4.0 * u) * p / (2 * n + 1) ** 2
+    return math.ldexp(beta * beta / (4.0 * v) * p / (2 * n + 1) ** 2, e)
 
 
 def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:

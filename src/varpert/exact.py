@@ -29,6 +29,9 @@ GUESS_WIDTH = 0.02  # the second guided trial's offset, relative to the guess
 # any diagonalization basis: converged levels measure 1e-28 or less, and a
 # far-off basis 1e-5 or more
 TAIL_WEIGHT = 1e-20
+# shooting refuses a level whose first upper end reaches this: the box's
+# potential in eV reaches 365 times that end, and must not overflow
+_TOP = 2.0 ** 1014
 
 
 class ConvergenceError(RuntimeError):
@@ -61,11 +64,6 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     big_h = 0.5 * math.pi / math.sqrt(ce)
     h2 = big_h * big_h
     h4 = h2 * h2
-    if h4 == math.inf:  # q2 to q4 would be inf, or nan at b = 0 or x = 0
-        raise ValueError(f"energy={energy!r} eV is too small to shoot: the "
-                         f"step scale H^4 = (pi/2)^4 (kappa/E)^2 overflows")
-    if not (big_h > 0.0 and math.isfinite(c2 + c4)):
-        raise ValueError(f"k, b or energy={energy!r} eV over kappa overflows")
 
     y0, y1, scale = (1.0, 0.0, 1.0) if parity == 0 else (0.0, 1.0, big_h)
     x = 0.0
@@ -119,8 +117,6 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     # needs no b = 0 branch and cannot overflow at huge b
     root = math.hypot(k, 2.0 * math.sqrt(b) * math.sqrt(energy))
     x = math.sqrt(2.0 * energy / (k + root))
-    if x == 0.0:  # k + root overflowed, and the march below would not move
-        raise ValueError(f"the turning point at energy={energy!r} eV reads 0")
     # march the decay integral int f dx, f = sqrt((V-E)/kappa), to 25 by
     # the trapezoid rule; the step, sized by the turning point whatever its
     # scale, doubles but never exceeds the local decay length 1 / f
@@ -141,44 +137,31 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
                      *, guess: float | None = None) -> float:
     """n-th eigenvalue by parity shooting: node-count bracket, then refine.
 
-    Even n integrates with psi(0)=1, psi'(0)=0, odd n with psi(0)=0,
-    psi'(0)=1, so only [0, x_max] is traversed and the target node count on
-    the open half line is floor(n/2). The eigenvalue is where a node enters
-    through the far boundary. The first bracket is [0, hi], hi the larger
-    of hbar omega (n + 3/2) and the pure-quartic scale
-    kappa^(2/3) b^(1/3) (n + 1)^(4/3). A ``guess`` of E_n (finite and > 0,
-    or ``ValueError``), such as the present-scheme energy, is held within
-    [hi / 4, 4 hi] and is the first trial: its node count says on which
-    side level n lies, and guess (1 -+ ``GUESS_WIDTH``) on that side is the
-    second. The upper end grows by 1.4x, its old value becoming the lower
-    end, until it holds more than floor(n/2) nodes; a guided lower end
-    holding more becomes the upper end over a lower end of 0. A guess only
-    places the first bracket, and a wrong one costs integrations only.
-    Node counting keeps the search on level n:
-    the energy is bisected on the count until the bracket [lo, hi] holds a
-    single count change, nodes(lo) = n//2 and nodes(hi) = n//2 + 1. Inside
-    that bracket psi(x_max), whose sign is (-1)^nodes, crosses zero once
-    (x_max held fixed). The next trial is the inverse quadratic
-    interpolation of psi(x_max) through lo, hi and the end the last trial
-    displaced, in Brent's ratio form, or regula falsi where only the two
-    ends lie on that branch or the quadratic leaves (lo, hi); neither
-    multiplies an energy by a psi, which overflowed near E = 1e300. Every
-    trial still moves lo or hi by its node count, a trial that lands
-    outside the two counts sends the next step back to bisection,
-    and the midpoint is returned once hi - lo <= max(min(``energy_tol``,
-    ``REL_WIDTH`` hi), 8 eps hi), hi the upper end the search starts from,
-    as a level far below ``energy_tol`` still needs splitting and no
-    narrower bracket can be split: a width, not an accuracy bound, so a
-    guided result can differ from the unguided one within it. ``MAX_ITER``
-    trials bound growth and search together. A trial energy whose step
-    scale H^4 = (pi/2)^4 (kappa/E)^2 overflows (E below 7.0e-154 eV at the
-    electron kappa) raises ``ValueError``, as does a k over kappa below the
-    normal float range while b over kappa is not normal either, or a b > 0
-    over kappa below it where the lost b could move the level by more than
-    ``REL_WIDTH``, that is where float_info.min (E/kappa) / (k/kappa)^2
-    passes it at the first upper end E (their lost digits gave levels off
-    by up to 70 %), one where k, b or E over kappa overflows, psi(x_max) is
-    not finite, or the turning point reads 0.
+    Even n starts from psi(0)=1, psi'(0)=0 and odd n from psi(0)=0,
+    psi'(0)=1 on [0, x_max]; level n is where node floor(n/2) + 1 of the
+    open half line enters through the far boundary. The first bracket is
+    [0, hi], hi the larger of hbar omega (n + 3/2) and kappa^(2/3) b^(1/3)
+    (n + 1)^(4/3). A ``guess`` of E_n (finite and > 0, or ``ValueError``),
+    held within [hi / 4, 4 hi], and guess (1 -+ ``GUESS_WIDTH``) on the side
+    its node count names are the first trials; a wrong one costs
+    integrations only. The upper end grows by 1.4x until it holds more than
+    floor(n/2) nodes, and bisection on the count narrows the bracket to one
+    count change. Then psi(x_max) crosses zero once, and each trial is the
+    inverse quadratic interpolation of psi(x_max) through both ends and the
+    end the last trial displaced (Brent's ratio form), or regula falsi; a
+    trial outside the two counts sends the next back to bisection. The
+    midpoint is returned once hi - lo <= max(min(``energy_tol``,
+    ``REL_WIDTH`` hi), 8 eps hi), hi the first upper end: a width, not an
+    accuracy bound. ``MAX_ITER`` trials bound growth and search together.
+
+    The level is shot in the length unit 2^j Angstrom, 4^j within a factor
+    4 of kappa / hi: (k, b, kappa) becomes (k 4^j, b 16^j, kappa 4^-j). The
+    step scale, the box and every coefficient of the integration then read
+    about 1, and each moves by an exact power of two, so the level keeps its
+    bits. A k this takes below the float range moves the level by under
+    1e-150 relative, and is held at the smallest float. A level whose hi
+    reaches 2^1014 eV (1.75e305), where the box's potential would overflow,
+    raises ``ValueError``, as does a psi(x_max) that is not finite.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -191,15 +174,13 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
     # the pure-quartic scale keeps bracket growth short at huge b
     e_hi = max(hw * (n + 1.5), spec.kappa ** (2.0 / 3.0)
                * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
-    # a k or b over kappa below the normal float range has lost digits: a
-    # lost k moves E_n by under 1e-77 relative beside a normal b over kappa,
-    # a lost b by under _TINY (E_n / kappa) / (k / kappa)^2, E_n < e_hi
-    c2, c4 = spec.stiffness_k / spec.kappa, spec.quartic_b / spec.kappa
-    if c4 < _TINY and (c2 < _TINY or spec.quartic_b > 0.0 and _TINY / c2
-                       * (e_hi / spec.kappa / c2) > REL_WIDTH):
-        name, value = ("b", c4) if spec.quartic_b > 0.0 else ("k", c2)
-        raise ValueError(f"{name} / kappa = {value!r} is too small to shoot: "
-                         f"it lies below the normal float range")
+    if not e_hi < _TOP:
+        raise ValueError(f"level n={n} lies too near the top of the float "
+                         f"range: its first upper end reads {e_hi!r} eV")
+    j = (math.frexp(spec.kappa)[1] - math.frexp(e_hi)[1]) // 2
+    spec = AnharmonicSpec(max(math.ldexp(spec.stiffness_k, 2 * j), 5e-324),
+                          math.ldexp(spec.quartic_b, 4 * j),
+                          math.ldexp(spec.kappa, -2 * j))
     if guess is not None:
         _require_positive("guess", guess)
         # E_n / e_hi measures 1/3 (b = 0) to 2.2, and a guess far outside

@@ -117,11 +117,15 @@ def variational_ground_energy(z_star: float, z: float) -> float:
     """Expectation of H in the 1s^2 state at charge z_star, in ryd.
 
     <H> = -(4 Z* Z - 2 Z*^2 - (5/4) Z*), the textbook screened-charge
-    expression with the electron-electron term (5/4) Z* from Y110.
+    expression with the electron-electron term (5/4) Z* from Y110. A
+    term past the float range (4 Z* Z from Z* = Z = 6.7e153) raises.
     """
     _require_positive("z_star", z_star)
     _require_z(z)
-    return -(4.0 * z_star * z - 2.0 * z_star * z_star - 1.25 * z_star)
+    energy = -(4.0 * z_star * z - 2.0 * z_star * z_star - 1.25 * z_star)
+    if not math.isfinite(energy):
+        raise ValueError(f"<H> at z_star={z_star!r} leaves the float range")
+    return energy
 
 
 def optimal_zstar_ground(z: float) -> float:

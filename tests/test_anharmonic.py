@@ -12,9 +12,11 @@ from varpert.anharmonic import (P_COEFFS, energy_conventional_pt,
                                 energy_variational, pt_divergent,
                                 second_order_closed_form, second_order_sum,
                                 solve_omega)
-from varpert.exact import diag_eigenvalues
+from varpert.exact import diag_eigenvalues, shoot_eigenvalue
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
 from varpert.oscillator import hprime_element
+
+from domain_draws import rescaled_level
 
 B_GRID = (0.001, 0.01, 0.05, 0.25, 1.0)
 
@@ -146,11 +148,13 @@ def test_basis_quantum_must_be_finite_and_positive(func, u):
     lambda: second_order_sum(spec_at(0.05), 0, 1e200),
     lambda: second_order_sum(spec_at(0.05), 0, 1e-200),
     lambda: second_order_closed_form(spec_at(0.05), 0, 1e200),
+    lambda: second_order_closed_form(spec_at(0.05), 0, 1e-200),
     lambda: energy_first_order(spec_at(0.05), 0, 1e-200),
     lambda: energy_first_order(spec_at(0.05), 0, 1e200)],
     ids=["x4", "x2", "hprime_1e-160", "hprime_1e200", "hprime_b1e300",
          "conventional_pt", "sum_1e200", "sum_1e-200",
-         "closed_form_1e200", "first_order_1e-200", "first_order_1e200"])
+         "closed_form_1e200", "closed_form_1e-200", "first_order_1e-200",
+         "first_order_1e200"])
 def test_extreme_basis_raises_value_error_or_returns_finite(call):
     # finite u > 0 whose u^2 or (kappa/u)^2 leaves the float range: these
     # raised OverflowError or ZeroDivisionError, or returned inf or -inf
@@ -535,3 +539,24 @@ def test_conventional_series_has_no_quartic_limit():
         energy_present(spec, 0).e_total,
         diag_eigenvalues(spec, n_levels=1)[0])]
     assert [round(x, 4) for x in scaled] == [-19.7262, 1.1665, 1.1729]
+
+
+@pytest.mark.parametrize("k, b, kappa, n, level", [
+    (3.676154475869434e-109, 1.3589139772582226e-05, 1.3604505654092432e-200,
+     8, 5.157e-134),
+    (8.299028088935892e-167, 3.646035425221061e-107, 2.894324583748875e-118,
+     6, 3.849e-113)], ids=["n8", "n6"])
+def test_closed_forms_keep_a_cubic_term_below_the_float_range(k, b, kappa, n,
+                                                              level):
+    # 24 b kappa^2 g(n) underflows to 0, and the closed forms read the
+    # harmonic values: the present energy was 1.20e-153 eV at n = 8, where
+    # shooting and the rescaled diagonalization agree on 5.157e-134 eV
+    spec = make_anharmonic_spec(k, b, kappa)
+    assert 24.0 * b * kappa * kappa == 0.0
+    exact = shoot_eigenvalue(spec, n)
+    assert exact == pytest.approx(rescaled_level(k, b, kappa, n), rel=1e-9)
+    assert exact == pytest.approx(level, rel=1e-3)
+    assert solve_omega(spec, n).hbar_Omega_n > 1e15 * hbar_omega(spec)
+    # the Limitations bounds
+    assert abs(energy_present(spec, n).e_total / exact - 1.0) <= 0.0083
+    assert -0.010 <= energy_variational(spec, n).e_total / exact - 1.0 <= 0.0202

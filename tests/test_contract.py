@@ -10,13 +10,14 @@ overflow; in the hbar omega basis ``pt_divergent`` must then flag the level.
 """
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varpert.anharmonic import (energy_conventional_pt, energy_first_order,
                                 energy_present, energy_variational,
                                 pt_divergent, second_order_sum, solve_omega)
-from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
+from varpert.exact import (REL_WIDTH, ConvergenceError, diag_eigenvalues,
+                           shoot_eigenvalue)
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
 from varpert.oscillator import hprime_element
 
@@ -109,3 +110,36 @@ def test_shooting_returns_a_finite_level_or_refuses(k, b, kappa, n,
     except (ValueError, ConvergenceError):
         return
     assert 0.0 < level < math.inf
+
+
+# a shooting call takes about 3 ms, so fewer draws than the profile's
+@settings(max_examples=300)
+@given(k=POSITIVE, b=st.one_of(st.just(0.0), POSITIVE),
+       kappa=st.one_of(st.just(KAPPA_EV_A2), POSITIVE), n=st.integers(0, 20))
+# 24 b kappa^2 g(n) underflows at both, where the closed forms read the
+# harmonic values, about 100 % off
+@example(k=3.676154475869434e-109, b=1.3589139772582226e-05,
+         kappa=1.3604505654092432e-200, n=8)
+@example(k=8.299028088935892e-167, b=3.646035425221061e-107,
+         kappa=2.894324583748875e-118, n=6)
+def test_closed_forms_stay_within_their_stated_bounds_of_shooting(k, b, kappa,
+                                                                  n):
+    # the README's Limitations bounds: present within 0.8225 % of the
+    # level, variational from -0.9929 % to +2.0111 %, and the variational
+    # energy above the lowest level of each parity, to within shooting's
+    # final bracket
+    spec = _unless_refused(make_anharmonic_spec, k, b, kappa)
+    if spec is None:
+        return
+    present = _unless_refused(energy_present, spec, n)
+    if present is None:
+        return
+    try:
+        exact = shoot_eigenvalue(spec, n)
+    except (ValueError, ConvergenceError):
+        return
+    assert abs(present.e_total / exact - 1.0) <= 0.0083
+    variational = present.e_first
+    assert -0.010 <= variational / exact - 1.0 <= 0.0202
+    if n < 2:
+        assert variational >= exact * (1.0 - REL_WIDTH)

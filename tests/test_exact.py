@@ -16,6 +16,8 @@ from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
 from varpert.oscillator import build_hamiltonian
 
+from domain_draws import rescaled_level
+
 # the (level, b) points of the published Tables 1 and 3
 TABLE_POINTS = [(0, b) for b in ref.TABLE1] + [(1, 0.05)]
 
@@ -43,50 +45,106 @@ def test_shooting_resolves_levels_far_below_energy_tol(k):
                                                           rel=2e-9, abs=0.0)
 
 
+def _reference(spec, n):
+    """E_n independent of shooting: (n + 1/2) hbar omega at b = 0, else the
+    diagonalization of the problem rescaled to kappa = 1."""
+    if spec.quartic_b == 0.0:
+        return (n + 0.5) * hbar_omega(spec)
+    return rescaled_level(spec.stiffness_k, spec.quartic_b, spec.kappa, n)
+
+
 @pytest.mark.parametrize("k", [1e-307, 1e-308, 2e-308, 1e-309, 1e-310])
 def test_shooting_refuses_energies_whose_step_scale_overflows(k):
-    # (pi/2)^4 (kappa/E)^2 overflows on the way to the ground state: these
-    # returned nan, or 7.01e-154 eV for 6.2e-155 and 1.95e-155 eV
-    with pytest.raises(ValueError, match="too small to shoot"):
-        shoot_eigenvalue(make_anharmonic_spec(k, 0.0), 0)
+    # in Angstrom the step scale (pi/2)^4 (kappa/E)^2 of these ground states
+    # overflows: they returned nan, or 7.01e-154 eV for 6.2e-155 eV, and
+    # were then refused; in the length unit fitted to the level it reads
+    # about 1, and they answer
+    spec = make_anharmonic_spec(k, 0.0)
+    assert shoot_eigenvalue(spec, 0) == pytest.approx(_reference(spec, 0),
+                                                      rel=1e-9, abs=0.0)
 
 
 def test_shooting_floor_lies_above_the_ground_state_at_k_1e_307():
-    # E_0 = hbar omega / 2 = 6.17e-154 eV is itself below the 7.0e-154 eV
-    # floor: its own H^4 overflows, so refusing n = 0 is the contract
+    # E_0 = hbar omega / 2 = 6.17e-154 eV, whose H^4 overflows in Angstrom,
+    # lay below the 7.0e-154 eV floor that set; with no floor, n = 0
+    # answers like n = 1
     spec = make_anharmonic_spec(1e-307, 0.0)
     hw = hbar_omega(spec)
     assert 0.5 * hw == pytest.approx(6.1725e-154, rel=1e-4)
     h2 = (0.5 * math.pi) ** 2 / (0.5 * hw * (1.0 / spec.kappa))
     assert h2 * h2 == math.inf
-    with pytest.raises(ValueError, match="too small to shoot: the step scale"):
-        shoot_eigenvalue(spec, 0)
-    # n = 1 answers within the final bracket width, REL_WIDTH of 5 hw / 2
-    assert shoot_eigenvalue(spec, 1) == pytest.approx(
-        1.5 * hw, rel=0.0, abs=exact.REL_WIDTH * 2.5 * hw)
+    for n in (0, 1):
+        assert shoot_eigenvalue(spec, n) == pytest.approx(
+            (n + 0.5) * hw, rel=1e-9, abs=0.0)
 
 
-@pytest.mark.parametrize("k, b, kappa, n, message", [
-    (1.4776236254218124e308, 0.0, 1.5e-323, 0, "turning point"),
+@pytest.mark.parametrize("k, b, kappa, n", [
+    (1.4776236254218124e308, 0.0, 1.5e-323, 0),
     (1.7395055034303971e308, 1.2594458873987282e308, 4.802729503191272e-152,
-     13, "turning point"),
-    (5.294289233796205e182, 0.0, 2.4871989182686016e-131, 8,
-     "over kappa overflows"),
-    (1.0, 1.0, 2.0 ** -1022, 0, r"psi\(x_max\) overflows"),
-    (1.1611607223371208, 0.0, 1e-323, 0, "over kappa overflows"),
+     13),
+    (5.294289233796205e182, 0.0, 2.4871989182686016e-131, 8),
+    (1.0, 1.0, 2.0 ** -1022, 0),
+    (1.1611607223371208, 0.0, 1e-323, 0),
     (5.013766922619659e-172, 1.0551593513654309e-261, 4.8043388479490205e+135,
-     13, "b / kappa = 0.0 is too small to shoot"),
-    (1e-310, 0.0, 1.0, 10, "k / kappa = 1e-310 is too small to shoot"),
+     13),
+    (1e-310, 0.0, 1.0, 10),
 ], ids=["zero_turning_point", "zero_turning_point_huge_b",
         "overflowing_k_over_kappa", "overflowing_psi", "zero_step",
         "underflowing_b_over_kappa", "subnormal_k_over_kappa"])
 def test_shooting_refuses_where_its_scales_leave_the_float_range(
-        k, b, kappa, n, message, time_limit):
+        k, b, kappa, n, time_limit):
+    # in Angstrom a scale of each leaves the float range, as the ids say:
     # these never returned (a zero box step, or a bracket grown without end
     # on a nan psi that counts no node), raised ZeroDivisionError, or, where
-    # b / kappa underflows, returned 6.41e4 eV for the 2.04e5 eV level
-    with time_limit(1.0), pytest.raises(ValueError, match=message):
+    # b / kappa underflows, returned 6.41e4 eV for the 2.04e5 eV level, and
+    # were then refused; in the length unit fitted to the level they answer
+    spec = make_anharmonic_spec(k, b, kappa)
+    with time_limit(1.0):
+        level = shoot_eigenvalue(spec, n)
+    assert level == pytest.approx(_reference(spec, n), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("k, b, kappa, n", [
+    (1.0, 1.5 * 2.0 ** 1020, 1.5 * 2.0 ** 1020, 4),
+    (1.0, 2.0 ** 1002, 2.0 ** 1023, 17)])
+def test_shooting_refuses_levels_at_the_top_of_the_float_range(
+        k, b, kappa, n, time_limit):
+    # the box march overflowed to x_max = inf, and the integration never
+    # ended
+    with time_limit(1.0), pytest.raises(ValueError,
+                                        match="top of the float range"):
         shoot_eigenvalue(make_anharmonic_spec(k, b, kappa), n)
+
+
+def test_shooting_holds_a_negligible_k_at_the_smallest_float():
+    # in the length unit fitted to this level k 4^j underflows to 0, which
+    # AnharmonicSpec refuses; k moves the level by under 1e-300 relative,
+    # so it is the pure-quartic kappa^(2/3) b^(1/3) e_0 (Hioe & Montroll)
+    spec = make_anharmonic_spec(1.8e-293, 3.7e307)
+    scale = spec.kappa ** (2.0 / 3.0) * spec.quartic_b ** (1.0 / 3.0)
+    assert shoot_eigenvalue(spec, 0) == pytest.approx(1.060362090484 * scale,
+                                                      rel=1e-9, abs=0.0)
+
+
+def test_shooting_refuses_where_psi_overflows(time_limit):
+    # level 4000 at b = 0: a trial's psi(x_max) leaves the float range
+    with time_limit(1.0), pytest.raises(ValueError,
+                                        match=r"psi\(x_max\) overflows"):
+        shoot_eigenvalue(spec_at(0.0), 4000)
+
+
+def test_shooting_answers_just_below_the_top_of_the_float_range():
+    # the first upper end 2^1013 eV lies below 2^1014 eV and 2^1015 eV
+    # above it; at 2^1018 eV the box's potential overflowed, the box was
+    # cut short and the ground state came 7.9e-7 off
+    scale = 2.0 ** 1013
+    spec = make_anharmonic_spec(1.0, scale, scale)
+    # pure-quartic limit E_0 = kappa^(2/3) b^(1/3) e_0 (Hioe & Montroll)
+    assert shoot_eigenvalue(spec, 0) == pytest.approx(1.060362090484 * scale,
+                                                      rel=1e-9, abs=0.0)
+    with pytest.raises(ValueError, match="top of the float range"):
+        shoot_eigenvalue(make_anharmonic_spec(1.0, 4.0 * scale, 4.0 * scale),
+                         0)
 
 
 def test_shooting_near_1e300_ev_matches_the_pure_quartic_level(time_limit):
@@ -341,8 +399,10 @@ def test_shooting_explicit_box_matches_default(monkeypatch):
     spec = spec_at(0.05)
     e_auto = shoot_eigenvalue(spec, 0)
     # one fixed box for every trial energy, wider than the 8.5 A one
-    # sized per energy here
-    monkeypatch.setattr(exact, "_default_x_max", lambda spec, energy: 9.0)
+    # sized per energy here, in the length unit the level is shot in: the
+    # given kappa over its kappa is the square of that unit in Angstrom
+    monkeypatch.setattr(exact, "_default_x_max", lambda scaled, energy:
+                        9.0 * math.sqrt(scaled.kappa / spec.kappa))
     e_wide = shoot_eigenvalue(spec, 0)
     assert e_auto == pytest.approx(e_wide, abs=1e-8)
 

@@ -189,6 +189,13 @@ def test_variational_ground_energy_closed_form():
                                                                 rel=1e-14)
 
 
+@pytest.mark.parametrize("z", [1e200, 1e155])
+def test_variational_ground_energy_refuses_an_overflowing_term(z):
+    # 4 Z* Z - 2 Z*^2 read inf - inf, and the energy nan
+    with pytest.raises(ValueError, match="leaves the float range"):
+        variational_ground_energy(z, z)
+
+
 def test_optimal_zstar_ground_is_stationary():
     assert optimal_zstar_ground(2.0) == 1.6875
     e0 = variational_ground_energy(1.6875, 2.0)

@@ -237,10 +237,15 @@ def test_cli_rejects_infinite_constant(monkeypatch, capsys):
 
 def test_cli_refuses_promptly_where_shooting_leaves_the_float_range(
         capsys, time_limit):
-    # b / kappa overflows in shooting's scaled potential; this never exited
+    # b / kappa overflows in Angstrom: this never exited, and was then
+    # refused; in the length unit fitted to the level it answers the
+    # pure-quartic ground state kappa^(2/3) b^(1/3) e_0 (Hioe & Montroll)
     with time_limit(1.0):
-        assert main(["table1", "--b", "1e300", "--kappa", "1e-9"]) == 2
-    assert "over kappa overflows" in capsys.readouterr().err
+        assert main(["table1", "--b", "1e300", "--kappa", "1e-9",
+                     "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    level = report["blocks"][0]["columns"][0]["cells"]["exact"]["value"]
+    assert level == pytest.approx(1.060362090484e94, rel=1e-9, abs=0.0)
 
 
 def test_cli_rejects_negative_b(capsys):
