@@ -32,7 +32,7 @@ def follow_one_level(b, n):
 
     var = energy_variational(spec, n).e_total
     pres = energy_present(spec, n)
-    exact = shoot_eigenvalue(spec, n, guess=pres.e_total)
+    exact = shoot_eigenvalue(spec, n)
     print(f"first order (variational): {var:.7f} eV")
     print(f"+ second order (present):  {pres.e_total:.7f} eV "
           f"(correction {pres.e_second_corr:+.7f})")
@@ -51,7 +51,7 @@ def sweep_ground_state():
         pt2 = energy_conventional_pt(spec, 0, 2).e_total
         var = energy_variational(spec, 0).e_total
         pres = energy_present(spec, 0).e_total
-        exact = shoot_eigenvalue(spec, 0, guess=pres)
+        exact = shoot_eigenvalue(spec, 0)
         note = "  <- series divergent" if pt_divergent(spec, 0) else ""
         print(f"{b:>6} {pt2:>12.7f} {var:>12.7f} {pres:>12.7f} "
               f"{exact:>12.7f}{note}")

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import (_TINY, AnharmonicSpec, LevelResult, _require_positive,
-                    hbar_omega)
+from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
 from .oscillator import _hprime
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
@@ -62,10 +61,11 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     positive root for b >= 0 and is convex above it, so Newton descends
     onto it monotonically. It runs on v = u / s, with s the seed rounded
     to a power of two: every scaled step is the unscaled one exactly, and
-    the cube cannot overflow while 24 b kappa^2 g(n) is finite. Where that
-    term overflows, or a result fails the residual check, it raises
-    ``ValueError``, as it does for a residual past the float range. For
-    b = 0 the root is hbar omega itself.
+    the cube cannot overflow. The seed's cube root of 24 b kappa^2 g(n), an
+    energy cubed, is taken in parts where that term leaves the normal float
+    range, so a root above about 5.6e102 eV is solved too. A root or
+    residual past the float range, or a root that fails the residual check,
+    raises ``ValueError``. For b = 0 the root is hbar omega itself.
     """
     u, cubic, e = _omega(spec, n)
     try:
@@ -88,15 +88,15 @@ def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
     m_b, e_b = math.frexp(spec.quartic_b)
     m_kappa, e_kappa = math.frexp(spec.kappa)
     c, e_c = 24.0 * m_b * m_kappa * m_kappa * g, e_b + 2 * e_kappa
-    if math.frexp(c)[1] + e_c > 1024:
-        raise ValueError(f"quartic_b={spec.quartic_b!r} overflows the cubic "
-                         f"for hbar Omega_{n}")
-    # seed 1.5x above both scales keeps Newton on the convex branch; a term
-    # below the normal range takes its cube root in parts, e_c = 3 q + s
-    rhs, (q, s) = math.ldexp(c, e_c), divmod(e_c, 3)
-    root = (rhs ** (1.0 / 3.0) if rhs >= _TINY
-            else math.ldexp(math.ldexp(c, s) ** (1.0 / 3.0), q))
-    v, e = math.frexp(1.5 * max(hw, root))
+    # seed 1.5x above both scales keeps Newton on the convex branch
+    if -1022 < math.frexp(c)[1] + e_c <= 1024:  # a normal term
+        v, e = math.frexp(1.5 * max(hw, math.ldexp(c, e_c) ** (1.0 / 3.0)))
+    else:  # its cube root in parts, e_c = 3 q + s
+        q, s = divmod(e_c, 3)
+        p = max(q, 0)  # a term above the float range seeds in the unit 2^q
+        root = math.ldexp(math.ldexp(c, s) ** (1.0 / 3.0), q - p)
+        v, e = math.frexp(1.5 * max(math.ldexp(hw, -p), root))
+        e += p
     w = math.ldexp(hw, -e)
     ww = w * w
     r = math.ldexp(c, e_c - 3 * e)
@@ -106,7 +106,11 @@ def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
         if abs(step) <= 1e-15 * v:
             break
     cubic = v * v * v - ww * v - r
-    u = math.ldexp(v, e)
+    try:
+        u = math.ldexp(v, e)
+    except OverflowError:
+        raise ValueError(f"hbar Omega_{n} overflows at quartic_b="
+                         f"{spec.quartic_b!r}") from None
     if not abs(cubic) <= 1e-10 * v ** 3:
         raise ValueError(f"Newton iteration for hbar Omega_{n} failed: "
                          f"u = {u}, residual {cubic / v ** 3:.3e} u^3")
@@ -149,7 +153,8 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     eliminates u^2 - (hbar omega)^2 through the cubic, so u must solve the
     cubic for this n; the precondition is enforced at relative 1e-8 on the
     cubic divided by u^3, 1 - (hbar omega / u)^2 - 24 g(n) beta / u. Like
-    the correction, beta is formed in the unit of ``energy_first_order``.
+    the correction, beta is formed in the unit of ``energy_first_order``,
+    and a correction past the float range raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -168,7 +173,10 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
             "the closed form is invalid away from the cubic's root")
     c5, c4, c3, c2, c1, c0 = P_COEFFS
     p = ((((c5 * n + c4) * n + c3) * n + c2) * n + c1) * n + c0
-    return math.ldexp(beta * beta / (4.0 * v) * p / (2 * n + 1) ** 2, e)
+    try:
+        return math.ldexp(beta * beta / (4.0 * v) * p / (2 * n + 1) ** 2, e)
+    except OverflowError:
+        raise ValueError(f"u={u!r} overflows E2 for n={n}") from None
 
 
 def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:

@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Sequence
 
-from .anharmonic import _omega
+from .anharmonic import _omega, energy_present
 from .model import _TINY, AnharmonicSpec, _require_positive, hbar_omega
 from .oscillator import build_hamiltonian
 
@@ -24,13 +24,13 @@ _SAFETY = 0.5  # shrinks the last terms by a further 2^-ORDER or so
 ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to psi's scale
 REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
-GUESS_WIDTH = 0.02  # the second guided trial's offset, relative to the guess
+GUESS_WIDTH = 0.02  # the second trial's offset, relative to the first
 # most weight a level may keep on the top 10 states of its parity block in
 # any diagonalization basis: converged levels measure 1e-28 or less, and a
 # far-off basis 1e-5 or more
 TAIL_WEIGHT = 1e-20
-# shooting refuses a level whose first upper end reaches this: the box's
-# potential in eV reaches 365 times that end, and must not overflow
+# shooting refuses a level whose scale reaches this: the box's potential in
+# eV reaches 365 times the energy the box is sized for, and must not overflow
 _TOP = 2.0 ** 1014
 
 
@@ -133,81 +133,73 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     return x
 
 
-def shoot_eigenvalue(spec: AnharmonicSpec, n: int, energy_tol: float = 1e-9,
-                     *, guess: float | None = None) -> float:
+def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
+                     energy_tol: float = 1e-9) -> float:
     """n-th eigenvalue by parity shooting: node-count bracket, then refine.
 
     Even n starts from psi(0)=1, psi'(0)=0 and odd n from psi(0)=0,
     psi'(0)=1 on [0, x_max]; level n is where node floor(n/2) + 1 of the
-    open half line enters through the far boundary. The first bracket is
-    [0, hi], hi the larger of hbar omega (n + 3/2) and kappa^(2/3) b^(1/3)
-    (n + 1)^(4/3). A ``guess`` of E_n (finite and > 0, or ``ValueError``),
-    held within [hi / 4, 4 hi], and guess (1 -+ ``GUESS_WIDTH``) on the side
-    its node count names are the first trials; a wrong one costs
-    integrations only. The upper end grows by 1.4x until it holds more than
-    floor(n/2) nodes, and bisection on the count narrows the bracket to one
-    count change. Then psi(x_max) crosses zero once, and each trial is the
-    inverse quadratic interpolation of psi(x_max) through both ends and the
-    end the last trial displaced (Brent's ratio form), or regula falsi; a
-    trial outside the two counts sends the next back to bisection. The
-    midpoint is returned once hi - lo <= max(min(``energy_tol``,
-    ``REL_WIDTH`` hi), 8 eps hi), hi the first upper end: a width, not an
-    accuracy bound. ``MAX_ITER`` trials bound growth and search together.
+    open half line enters through the far boundary. The present energy E
+    and E (1 -+ ``GUESS_WIDTH``) on the side its node count names are the
+    first trials; a wrong one costs integrations only. The upper end grows
+    by 1.4x until it holds more than floor(n/2) nodes, and bisection on the
+    count narrows the bracket to one count change. Then psi(x_max) crosses
+    zero once, and each trial is the inverse quadratic interpolation of
+    psi(x_max) through both ends and the end the last trial displaced
+    (Brent's ratio form), or regula falsi; a trial outside the two counts
+    sends the next back to bisection. The midpoint is returned once
+    hi - lo <= max(min(``energy_tol``, ``REL_WIDTH`` hi), 8 eps hi), hi the
+    first upper end: within ``REL_WIDTH`` relative of the checked
+    diagonalization for k from 1e-4 to 1e3, the electron kappa, b = 0 or
+    1e-6 to 1e8 and n up to 20. ``MAX_ITER`` trials bound growth and search.
 
     The level is shot in the length unit 2^j Angstrom, 4^j within a factor
-    4 of kappa / hi: (k, b, kappa) becomes (k 4^j, b 16^j, kappa 4^-j). The
-    step scale, the box and every coefficient of the integration then read
-    about 1, and each moves by an exact power of two, so the level keeps its
-    bits. A k this takes below the float range moves the level by under
-    1e-150 relative, and is held at the smallest float. A level whose hi
-    reaches 2^1014 eV (1.75e305), where the box's potential would overflow,
-    raises ``ValueError``, as does a psi(x_max) that is not finite.
+    4 of kappa / s, s the larger of hbar omega (n + 3/2) and kappa^(2/3)
+    b^(1/3) (n + 1)^(4/3): (k, b, kappa) becomes (k 4^j, b 16^j,
+    kappa 4^-j). Every scale of the integration then reads about 1 and
+    moves by an exact power of two, so the level keeps its bits. A k this
+    takes below the float range moves the level by under 1e-150 relative,
+    and is held at the smallest float. A level whose s reaches 2^1014 eV,
+    where the box's potential would overflow, raises ``ValueError``, as
+    does a psi(x_max) that is not finite.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("energy_tol", energy_tol)
     parity = n % 2
     target = n // 2
-    hw = hbar_omega(spec)
     budget = MAX_ITER
 
-    # the pure-quartic scale keeps bracket growth short at huge b
-    e_hi = max(hw * (n + 1.5), spec.kappa ** (2.0 / 3.0)
-               * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
-    if not e_hi < _TOP:
+    # the harmonic or pure-quartic scale of the level, whichever is larger
+    scale = max(hbar_omega(spec) * (n + 1.5), spec.kappa ** (2.0 / 3.0)
+                * spec.quartic_b ** (1.0 / 3.0) * (n + 1) ** (4.0 / 3.0))
+    if not scale < _TOP:
         raise ValueError(f"level n={n} lies too near the top of the float "
-                         f"range: its first upper end reads {e_hi!r} eV")
-    j = (math.frexp(spec.kappa)[1] - math.frexp(e_hi)[1]) // 2
+                         f"range: its scale reads {scale!r} eV")
+    guess = energy_present(spec, n).e_total
+    j = (math.frexp(spec.kappa)[1] - math.frexp(scale)[1]) // 2
     spec = AnharmonicSpec(max(math.ldexp(spec.stiffness_k, 2 * j), 5e-324),
                           math.ldexp(spec.quartic_b, 4 * j),
                           math.ldexp(spec.kappa, -2 * j))
-    if guess is not None:
-        _require_positive("guess", guess)
-        # E_n / e_hi measures 1/3 (b = 0) to 2.2, and a guess far outside
-        # would size an endless box or step count
-        guess = min(max(guess, 0.25 * e_hi), 4.0 * e_hi)
-        e_hi = guess * (1.0 + GUESS_WIDTH)
+    e_hi = guess * (1.0 + GUESS_WIDTH)
     x_max = _default_x_max(spec, e_hi)
 
     def shoot(e: float) -> tuple[float, int]:
         return _integrate(spec, e, parity, x_max)
 
     e_lo, psi_lo, nodes_lo = 0.0, 0.0, -1  # E = 0 is not integrated
-    if guess is None:
-        psi_hi, nodes_hi = shoot(e_hi)
-    else:
-        psi, nodes = shoot(guess)
-        if nodes > target:
-            e_hi, psi_hi, nodes_hi = guess, psi, nodes
-            e = guess * (1.0 - GUESS_WIDTH)
-            psi, nodes = shoot(e)
-            if nodes > target:  # level n lies below the guided bracket
-                e_hi, psi_hi, nodes_hi = e, psi, nodes
-            else:
-                e_lo, psi_lo, nodes_lo = e, psi, nodes
+    psi, nodes = shoot(guess)
+    if nodes > target:
+        e_hi, psi_hi, nodes_hi = guess, psi, nodes
+        e = guess * (1.0 - GUESS_WIDTH)
+        psi, nodes = shoot(e)
+        if nodes > target:  # level n lies below both trials
+            e_hi, psi_hi, nodes_hi = e, psi, nodes
         else:
-            e_lo, psi_lo, nodes_lo = guess, psi, nodes
-            psi_hi, nodes_hi = shoot(e_hi)
+            e_lo, psi_lo, nodes_lo = e, psi, nodes
+    else:
+        e_lo, psi_lo, nodes_lo = guess, psi, nodes
+        psi_hi, nodes_hi = shoot(e_hi)
     while nodes_hi <= target:
         budget -= 1
         if budget <= 0:

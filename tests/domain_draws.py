@@ -7,7 +7,9 @@ electron value 30 % of the time each) and n from 0 to 20. Each
 many levels were answered, refused (grouped by message, numbers blanked)
 or timed out, and the worst relative gap to a diagonalization of the same
 problem rescaled to kappa = 1 and k = 1 or b = 1, the other coupling at
-most 1. It also tallies the present-scheme energy against that reference.
+most 1. It also tallies the present-scheme energy against that reference,
+and the mean number of integrations (``exact._integrate`` calls) shooting
+took per answered level.
 Run it from the repository root:
 
     PYTHONPATH=src python tests/domain_draws.py SEED [--count N] [--list]
@@ -24,6 +26,7 @@ import random
 import re
 import signal
 
+import varpert.exact as exact
 from varpert.anharmonic import energy_present
 from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from varpert.model import KAPPA_EV_A2, make_anharmonic_spec
@@ -88,6 +91,15 @@ def main(argv: list[str] | None = None) -> int:
     worst = (0.0, None)
     present_worst = (0.0, None)
     present_outside = 0
+    integrations = answered_integrations = 0
+    integrate = exact._integrate
+
+    def counting(*args):
+        nonlocal integrations
+        integrations += 1
+        return integrate(*args)
+
+    exact._integrate = counting
     signal.signal(signal.SIGALRM, _expire)
     for k, b, kappa, n in draws(args.seed, args.count):
         point = (k, b, kappa, n)
@@ -96,6 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             outcomes["spec refused"] += 1
             continue
+        integrations = 0
         signal.setitimer(signal.ITIMER_REAL, ALARM_S)
         try:
             level = shoot_eigenvalue(spec, n)
@@ -116,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             refusals[blanked(result)] += 1
             continue
         outcomes["answered"] += 1
+        answered_integrations += integrations
         reference = rescaled_level(k, b, kappa, n)
         gap = abs(level / reference - 1.0)
         worst = max(worst, (gap, point))
@@ -134,6 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name}: {outcomes[name]}")
     for message, count in refusals.most_common():
         print(f"    {count:5d}  {message}")
+    print(f"integrations per answered level: "
+          f"{answered_integrations / max(outcomes['answered'], 1):.2f}")
     print(f"worst shooting gap to the rescaled diagonalization: "
           f"{worst[0]:.2e} at {worst[1]}")
     print(f"present scheme: {present_outside} answered levels beyond "

@@ -1,13 +1,12 @@
 """Optimized-basis perturbation scheme: cubic root, energies, equivalence."""
 import math
 import random
-import re
 
 import mpmath
 import pytest
 
 import varpert.reference as ref
-from varpert.anharmonic import (P_COEFFS, energy_conventional_pt,
+from varpert.anharmonic import (P_COEFFS, _omega, energy_conventional_pt,
                                 energy_first_order, energy_present,
                                 energy_variational, pt_divergent,
                                 second_order_closed_form, second_order_sum,
@@ -43,10 +42,35 @@ def test_cubic_root_residual_and_stationarity(b, n):
 @pytest.mark.parametrize("b", [1e306, 1e307, 1e308])
 def test_solve_omega_refuses_overflowing_cubic(b):
     # 24 b kappa^2 overflows; this used to return inf, then to fail the
-    # Newton residual check on u = nan
-    message = f"quartic_b={b!r} overflows the cubic for hbar Omega_0"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        solve_omega(spec_at(b), 0)
+    # Newton residual check on u = nan, and was then refused. The seed's
+    # cube root, taken in parts, carries the root past it: hbar omega is
+    # negligible, so u^3 = 24 b kappa^2, and the present energy keeps its
+    # bound on the level
+    spec = spec_at(b)
+    root = math.exp((math.log(24.0) + math.log(b)
+                     + 2.0 * math.log(spec.kappa)) / 3.0)
+    assert solve_omega(spec, 0).hbar_Omega_n == pytest.approx(root, rel=1e-13)
+    present = energy_present(spec, 0).e_total
+    assert abs(present / shoot_eigenvalue(spec, 0) - 1.0) <= 0.0083
+
+
+def test_solve_omega_refuses_a_root_past_the_float_range():
+    # u^3 = 24 b kappa^2 reads 2.4e925 eV^3, so u is about 2.9e308 eV
+    spec = make_anharmonic_spec(1.0, 1e308, 1e308)
+    for call in (solve_omega, energy_present):
+        with pytest.raises(ValueError, match=r"^hbar Omega_0 overflows at "
+                                             r"quartic_b=1e\+308$"):
+            call(spec, 0)
+
+
+def test_second_order_closed_form_refuses_a_correction_past_the_float_range():
+    # the root 2.9e304 eV is finite, and E2, about u n / 144, is not; this
+    # raised OverflowError
+    spec = make_anharmonic_spec(1.0, 1e300, 1e300)
+    n = 10 ** 12
+    u = _omega(spec, n)[0]
+    with pytest.raises(ValueError, match=r"overflows E2 for n=10{12}$"):
+        second_order_closed_form(spec, n, u)
 
 
 def test_solve_omega_root_past_cube_overflow_of_the_seed():

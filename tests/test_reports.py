@@ -122,7 +122,10 @@ def test_table1_solves_each_cubic_once(monkeypatch, capsys):
 
     monkeypatch.setattr(anharmonic, "_omega", counted)
     assert main(["table1"]) == 0
-    assert sorted(calls) == [(0.01, 0), (0.05, 0), (0.25, 0)]
+    # one solve for the cell's present energy and one for shooting, which
+    # takes its first trial from the present energy itself
+    assert sorted(calls) == [(0.01, 0), (0.01, 0), (0.05, 0), (0.05, 0),
+                             (0.25, 0), (0.25, 0)]
 
 
 def test_csv_output_is_deterministic():
@@ -326,7 +329,7 @@ def test_cli_helium_rejects_cache_flag(capsys):
 
 
 def test_cli_convergence_failure_exit_code(monkeypatch, capsys):
-    def explode(spec, n, energy_tol, guess=None):
+    def explode(spec, n, energy_tol):
         raise ConvergenceError("forced failure", n=n)
 
     monkeypatch.setattr(reports, "shoot_eigenvalue", explode)
@@ -349,7 +352,7 @@ def test_cli_levels_flag(capsys):
 def test_table2_markdown_shows_unconverged_note(monkeypatch, capsys):
     # the bracket stops at 8 ulps of E whatever the tolerance, so no
     # --exact-tol exhausts the budget and the failure is forced
-    def exhausted(spec, n, energy_tol, guess=None):
+    def exhausted(spec, n, energy_tol):
         raise ConvergenceError(f"search budget exhausted for level n={n}", n=n)
 
     monkeypatch.setattr(reports, "shoot_eigenvalue", exhausted)
@@ -361,7 +364,7 @@ def test_table2_markdown_shows_unconverged_note(monkeypatch, capsys):
 
 def test_table2_csv_shows_unconverged_note(monkeypatch, capsys):
     # an exact row carries the note that explains the empty percents
-    def exhausted(spec, n, energy_tol, guess=None):
+    def exhausted(spec, n, energy_tol):
         raise ConvergenceError(f"search budget exhausted for level n={n}", n=n)
 
     monkeypatch.setattr(reports, "shoot_eigenvalue", exhausted)
