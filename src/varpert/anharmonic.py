@@ -75,9 +75,23 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
                          "overflows eV^3") from None
 
 
+def _kept(spec: AnharmonicSpec, key: tuple, make, *args):
+    """make(*args), made once and then kept by spec under key (see
+    ``AnharmonicSpec``); a make that raises keeps nothing."""
+    records = spec._records
+    if (value := records.get(key)) is None:
+        value = records[key] = make(*args)
+    return value
+
+
 def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
     """(hbar Omega_n, residual / 2^(3 e), e) as ``solve_omega`` describes
-    them; the residual itself can leave the float range."""
+    them, kept by spec; the residual itself can leave the float range."""
+    return _kept(spec, ("omega", n), _newton, spec, n)
+
+
+def _newton(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
+    """``_omega``'s triple, solved afresh."""
     if n < 0:
         raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
@@ -205,18 +219,22 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     return total
 
 
+def _variational(spec: AnharmonicSpec, n: int) -> tuple[float, float]:
+    """(hbar Omega_n, E1(hbar Omega_n)), both kept by spec."""
+    u = _omega(spec, n)[0]
+    return u, _kept(spec, ("e1", n), energy_first_order, spec, n, u)
+
+
 def energy_variational(spec: AnharmonicSpec, n: int) -> LevelResult:
     """Variational energy: first order in the optimized basis, no correction."""
-    u = _omega(spec, n)[0]
-    e1 = energy_first_order(spec, n, u)
+    u, e1 = _variational(spec, n)
     return LevelResult(n=n, hbar_omega_n=u, e_first=e1, e_second_corr=0.0)
 
 
 def energy_present(spec: AnharmonicSpec, n: int) -> LevelResult:
     """Optimized-basis energy through second order; ``e_first`` is the
     variational energy, first order in the same basis."""
-    u = _omega(spec, n)[0]
-    e1 = energy_first_order(spec, n, u)
+    u, e1 = _variational(spec, n)
     e2 = second_order_closed_form(spec, n, u)
     return LevelResult(n=n, hbar_omega_n=u, e_first=e1, e_second_corr=e2)
 
@@ -238,8 +256,14 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
     e1 = hw * (n + 0.5) + _hprime(spec, hw, 0, n)  # b <n|x^4|n> at u = hw
     if not math.isfinite(e1):
         raise ValueError(f"quartic_b={spec.quartic_b!r} overflows E1 for n={n}")
-    e2 = 0.0 if order == 1 else second_order_sum(spec, n, hw)
+    e2 = 0.0 if order == 1 else _frozen_sum(spec, n)
     return LevelResult(n=n, hbar_omega_n=hw, e_first=e1, e_second_corr=e2)
+
+
+def _frozen_sum(spec: AnharmonicSpec, n: int) -> float:
+    """``second_order_sum`` in the hbar omega basis, kept by spec."""
+    return _kept(spec, ("frozen", n), second_order_sum, spec, n,
+                 hbar_omega(spec))
 
 
 def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
@@ -252,6 +276,5 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    hw = hbar_omega(spec)
-    first = _hprime(spec, hw, 0, n)  # b <n|x^4|n>, >= 0, at u = hw
-    return not abs(second_order_sum(spec, n, hw)) <= first < math.inf
+    first = _hprime(spec, hbar_omega(spec), 0, n)  # b <n|x^4|n>, >= 0, at hw
+    return not abs(_frozen_sum(spec, n)) <= first < math.inf

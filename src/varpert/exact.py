@@ -271,7 +271,9 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
     must be at least n_levels + 20. Every basis, default or explicit, is
     checked: the top requested level of each block, which keeps the
     block's largest weight on its top 10 states, must keep at most
-    ``TAIL_WEIGHT`` there, or ``ConvergenceError`` is raised.
+    ``TAIL_WEIGHT`` there, or ``ConvergenceError`` is raised. A basis that
+    gives a non-finite Hamiltonian, or at b > 0 a subnormal (kappa / u)^2,
+    raises ``ValueError``.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -284,6 +286,10 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
     if not (math.isfinite(u)
             and np.isfinite(h := build_hamiltonian(spec, u, dim)).all()):
         raise ValueError(f"basis_u={u!r} gives a non-finite Hamiltonian")
+    # b x^4's (kappa / u)^2, subnormal, would keep only part of its digits
+    if spec.quartic_b and (s2 := spec.kappa / u) * s2 < _TINY:
+        raise ValueError(f"basis_u={u!r} makes (kappa / basis_u)^2 "
+                         "subnormal, which loses the x^4 terms' digits")
     blocks = [h[p::2, p::2] for p in (0, 1)]
     try:
         levels = [np.linalg.eigvalsh(block) for block in blocks]

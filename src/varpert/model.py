@@ -34,6 +34,12 @@ class AnharmonicSpec:
     quantum is hbar omega = 2 sqrt(kappa k). k and kappa must be finite
     and > 0, b finite and >= 0, and kappa k finite and > 0, so that
     hbar omega is too; anything else raises ``ValueError``.
+
+    A spec forms hbar omega once and keeps, per level n, the results the
+    ``anharmonic`` closed forms share: the cubic's root, the variational
+    energy and the second-order sum in the hbar omega basis. They live in
+    the instance ``__dict__`` as long as the spec; a call that raises keeps
+    nothing, and equality, hash, repr and pickling read only the fields.
     """
 
     stiffness_k: float
@@ -46,7 +52,16 @@ class AnharmonicSpec:
             raise ValueError(
                 f"quartic_b must be finite and >= 0, got {self.quartic_b}")
         _require_positive("kappa", self.kappa)
-        _require_positive("kappa * stiffness_k", self.kappa * self.stiffness_k)
+        kappa_k = self.kappa * self.stiffness_k
+        _require_positive("kappa * stiffness_k", kappa_k)
+        if kappa_k < _TINY:  # subnormal: the product lost digits
+            hw = 2.0 * math.sqrt(self.kappa) * math.sqrt(self.stiffness_k)
+        else:
+            hw = 2.0 * math.sqrt(kappa_k)
+        self.__dict__.update(_hbar_omega=hw, _records={})
+
+    def __reduce__(self):
+        return type(self), (self.stiffness_k, self.quartic_b, self.kappa)
 
 
 class LevelResult(NamedTuple):
@@ -90,8 +105,6 @@ def make_anharmonic_spec(k: float, b: float,
 
 
 def hbar_omega(spec: AnharmonicSpec) -> float:
-    """Harmonic quantum hbar omega = 2 sqrt(kappa k) in eV."""
-    kappa_k = spec.kappa * spec.stiffness_k
-    if kappa_k < _TINY:  # subnormal: the product lost digits
-        return 2.0 * math.sqrt(spec.kappa) * math.sqrt(spec.stiffness_k)
-    return 2.0 * math.sqrt(kappa_k)
+    """Harmonic quantum hbar omega = 2 sqrt(kappa k) in eV, as the spec
+    formed it."""
+    return spec._hbar_omega

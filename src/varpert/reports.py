@@ -103,10 +103,10 @@ def _oscillator_cells(cfg: RunConfig, spec: AnharmonicSpec,
     ``_percent``, or "") and note ("divergent", "unconverged: ..." or "").
 
     The two closed-form calls run before shooting, so that a point they
-    reject fails fast; shooting solves the present energy's cubic once
-    more for its first trial. A shooting convergence failure turns the
-    exact cell into an annotation instead of aborting the table; the other
-    cells then carry no percent.
+    reject fails fast; shooting reads the present energy's cubic root and
+    variational energy from the spec's record for its first trial. A
+    shooting convergence failure turns the exact cell into an annotation
+    instead of aborting the table; the other cells then carry no percent.
     """
     present = energy_present(spec, n)
     conventional = energy_conventional_pt(spec, n, 2)

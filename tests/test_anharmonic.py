@@ -1,23 +1,30 @@
 """Optimized-basis perturbation scheme: cubic root, energies, equivalence."""
 import math
+import pickle
 import random
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import varpert.anharmonic as anharmonic
 import varpert.reference as ref
 from varpert.anharmonic import (P_COEFFS, _omega, energy_conventional_pt,
                                 energy_first_order, energy_present,
                                 energy_variational, pt_divergent,
                                 second_order_closed_form, second_order_sum,
                                 solve_omega)
-from varpert.exact import diag_eigenvalues, shoot_eigenvalue
+from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
 from varpert.oscillator import hprime_element
 
 from domain_draws import rescaled_level
 
 B_GRID = (0.001, 0.01, 0.05, 0.25, 1.0)
+# log-uniform over every positive float, subnormals included
+POSITIVE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                     st.integers(-1074, 1023))
 
 
 def spec_at(b):
@@ -96,8 +103,8 @@ def test_residual_past_the_float_range_refuses_only_solve_omega(k, b, n):
     # the residual in eV^3 used to raise a bare OverflowError from every
     # caller of the cubic, though only solve_omega reports it
     spec = make_anharmonic_spec(k, b)
-    with pytest.raises(ValueError, match=f"^the residual at hbar Omega_{n} "
-                                         r"= .* eV overflows eV\^3$"):
+    refusal = f"^the residual at hbar Omega_{n} = .* eV overflows eV\\^3$"
+    with pytest.raises(ValueError, match=refusal) as first:
         solve_omega(spec, n)
     variational = energy_variational(spec, n)
     present = energy_present(spec, n)
@@ -106,6 +113,10 @@ def test_residual_past_the_float_range_refuses_only_solve_omega(k, b, n):
     assert math.isfinite(present.e_total)
     level = diag_eigenvalues(spec, n_levels=n + 1)[n]
     assert level == pytest.approx(present.e_total, rel=1e-12)
+    # the spec now keeps the root, and the level still refuses alike
+    with pytest.raises(ValueError, match=refusal) as second:
+        solve_omega(spec, n)
+    assert str(second.value) == str(first.value)
 
 
 def test_harmonic_limit_root_is_bare_quantum():
@@ -584,3 +595,84 @@ def test_closed_forms_keep_a_cubic_term_below_the_float_range(k, b, kappa, n,
     # the Limitations bounds
     assert abs(energy_present(spec, n).e_total / exact - 1.0) <= 0.0083
     assert -0.010 <= energy_variational(spec, n).e_total / exact - 1.0 <= 0.0202
+
+
+def _closed_form_calls(n):
+    """(name, call) for every closed form at level n, and the default-basis
+    diagonalization whose basis is hbar Omega_n."""
+    return [
+        ("solve_omega", lambda spec: solve_omega(spec, n)),
+        ("variational", lambda spec: energy_variational(spec, n)),
+        ("present", lambda spec: energy_present(spec, n)),
+        ("conventional_pt1", lambda spec: energy_conventional_pt(spec, n, 1)),
+        ("conventional_pt2", lambda spec: energy_conventional_pt(spec, n, 2)),
+        ("pt_divergent", lambda spec: pt_divergent(spec, n)),
+        ("diag", lambda spec: diag_eigenvalues(spec, n_levels=2 * n + 1))]
+
+
+def _outcome(call, spec):
+    """The call's result as its repr, which tells every bit of a float, or
+    the type and message of the typed error it raised."""
+    try:
+        return repr(call(spec))
+    except (ValueError, ConvergenceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_closed_forms_solve_each_level_once(monkeypatch):
+    # the parameter-scan traffic at one (spec, n): the default diagonalization
+    # basis for 4 levels is hbar Omega_2
+    counts = {"_newton": 0, "energy_first_order": 0, "second_order_sum": 0}
+    for name in counts:
+        def counted(*args, _name=name, _call=getattr(anharmonic, name)):
+            counts[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(anharmonic, name, counted)
+    spec = spec_at(0.05)
+    for _, call in _closed_form_calls(2)[:-1]:
+        call(spec)
+    diag_eigenvalues(spec)
+    assert counts == {"_newton": 1, "energy_first_order": 1,
+                      "second_order_sum": 1}
+
+
+# the diagonalization takes about 1 ms a call, so fewer draws than the
+# profile's
+@settings(max_examples=150)
+@given(k=st.one_of(st.floats(1e-4, 1e3), POSITIVE),
+       b=st.one_of(st.just(0.0), st.floats(1e-6, 1e8), POSITIVE),
+       kappa=st.one_of(st.just(KAPPA_EV_A2), POSITIVE),
+       queries=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 20)),
+                        min_size=1, max_size=12))
+# solve_omega refuses the residual, and the other calls answer
+@example(k=5.620243426657635e235, b=9.167071783033064e-258, kappa=KAPPA_EV_A2,
+         queries=[(i, 38) for i in range(7)])
+def test_records_leave_every_closed_form_bit_unchanged(k, b, kappa, queries):
+    # one spec asked (closed form, level) pairs in a drawn order, then again
+    # in the same order, so that the second pass reads only what the first
+    # kept; each answer is the one a fresh, equal spec gives, to the bit or
+    # to the message
+    if not 0.0 < kappa * k < math.inf:  # the spec itself refuses
+        return
+    spec = make_anharmonic_spec(k, b, kappa)
+    for _ in range(2):
+        for i, n in queries:
+            name, call = _closed_form_calls(n)[i]
+            assert _outcome(call, spec) == _outcome(
+                call, make_anharmonic_spec(k, b, kappa)), (name, n)
+
+
+def test_a_queried_spec_equals_a_fresh_one():
+    spec = spec_at(0.05)
+    for n in range(4):
+        for _, call in _closed_form_calls(n):
+            call(spec)
+    fresh = spec_at(0.05)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh)
+    assert pickle.dumps(spec) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(spec))
+    assert restored == fresh and hash(restored) == hash(fresh)
+    assert repr(restored) == repr(fresh)
+    assert hbar_omega(restored) == hbar_omega(fresh)
+    assert repr(energy_present(restored, 3)) == repr(energy_present(fresh, 3))

@@ -68,7 +68,7 @@ def test_shooting_refuses_energies_whose_step_scale_overflows(k):
                                                       rel=1e-9, abs=0.0)
 
 
-def test_shooting_floor_lies_above_the_ground_state_at_k_1e_307():
+def test_shooting_answers_the_ground_state_below_the_old_floor_at_k_1e_307():
     # E_0 = hbar omega / 2 = 6.17e-154 eV, whose H^4 overflows in Angstrom,
     # lay below the 7.0e-154 eV floor that set; with no floor, n = 0
     # answers like n = 1
@@ -262,7 +262,7 @@ def test_diag_rejects_non_finite_hamiltonian(b, basis_u):
         diag_eigenvalues(spec_at(b), basis_u=basis_u)
 
 
-def test_diag_default_basis_refuses_overflowing_cubic():
+def test_diag_default_basis_solves_an_overflowing_cubic_term():
     # 24 b kappa^2 g(2) overflows, and the default basis quantum
     # hbar Omega_2 was refused; it is now solved past the float range
     spec = spec_at(1e308)
@@ -270,6 +270,21 @@ def test_diag_default_basis_refuses_overflowing_cubic():
     assert levels[0] == pytest.approx(1.2006123771289545e103, rel=1e-14)
     for n, level in enumerate(levels):
         assert level == pytest.approx(shoot_eigenvalue(spec, n), rel=1e-9)
+
+
+def test_diag_refuses_a_subnormal_quartic_scale():
+    # in the default basis hbar Omega_4 = 6.46e-9 eV, (kappa / u)^2 = 2.2e-316
+    # is subnormal, and b (kappa / u)^2 kept about 25 of its 53 bits: this
+    # returned 4.3352177777017816e-08 eV for level 7, 3.45e-9 relative off
+    k, b, kappa = (2.8991512248816125e116, 2.665802358012565e305,
+                   9.613318086755938e-167)
+    spec = make_anharmonic_spec(k, b, kappa)
+    with pytest.raises(ValueError, match=r"^basis_u=.* makes \(kappa / "
+                                         r"basis_u\)\^2 subnormal"):
+        diag_eigenvalues(spec, n_levels=8)
+    level = rescaled_level(k, b, kappa, 7)
+    assert level == pytest.approx(4.335217762760578e-08, rel=1e-12)
+    assert shoot_eigenvalue(spec, 7) == pytest.approx(level, rel=1e-9)
 
 
 # strongly anharmonic points where the hbar omega basis at dim 120 returned

@@ -114,18 +114,17 @@ def test_table_cells_equal_the_closed_form_totals():
 
 def test_table1_solves_each_cubic_once(monkeypatch, capsys):
     calls = []
-    omega = anharmonic._omega
+    newton = anharmonic._newton
 
     def counted(spec, n):
         calls.append((spec.quartic_b, n))
-        return omega(spec, n)
+        return newton(spec, n)
 
-    monkeypatch.setattr(anharmonic, "_omega", counted)
+    monkeypatch.setattr(anharmonic, "_newton", counted)
     assert main(["table1"]) == 0
-    # one solve for the cell's present energy and one for shooting, which
-    # takes its first trial from the present energy itself
-    assert sorted(calls) == [(0.01, 0), (0.01, 0), (0.05, 0), (0.05, 0),
-                             (0.25, 0), (0.25, 0)]
+    # one Newton solve per column: shooting takes its first trial from the
+    # present energy, whose root the column's spec already keeps
+    assert sorted(calls) == [(0.01, 0), (0.05, 0), (0.25, 0)]
 
 
 def test_csv_output_is_deterministic():
@@ -238,7 +237,7 @@ def test_cli_rejects_infinite_constant(monkeypatch, capsys):
     assert "e_total" not in err
 
 
-def test_cli_refuses_promptly_where_shooting_leaves_the_float_range(
+def test_cli_answers_promptly_where_shooting_left_the_float_range(
         capsys, time_limit):
     # b / kappa overflows in Angstrom: this never exited, and was then
     # refused; in the length unit fitted to the level it answers the
