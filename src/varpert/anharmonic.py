@@ -253,11 +253,16 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     hw = hbar_omega(spec)
-    e1 = hw * (n + 0.5) + _hprime(spec, hw, 0, n)  # b <n|x^4|n> at u = hw
+    e1 = hw * (n + 0.5) + _shift(spec, n)
     if not math.isfinite(e1):
         raise ValueError(f"quartic_b={spec.quartic_b!r} overflows E1 for n={n}")
     e2 = 0.0 if order == 1 else _frozen_sum(spec, n)
     return LevelResult(n=n, hbar_omega_n=hw, e_first=e1, e_second_corr=e2)
+
+
+def _shift(spec: AnharmonicSpec, n: int) -> float:
+    """The first-order shift b <n|x^4|n> at u = hbar omega, kept by spec."""
+    return _kept(spec, ("shift", n), _hprime, spec, hbar_omega(spec), 0, n)
 
 
 def _frozen_sum(spec: AnharmonicSpec, n: int) -> float:
@@ -276,5 +281,4 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    first = _hprime(spec, hbar_omega(spec), 0, n)  # b <n|x^4|n>, >= 0, at hw
-    return not abs(_frozen_sum(spec, n)) <= first < math.inf
+    return not abs(_frozen_sum(spec, n)) <= _shift(spec, n) < math.inf

@@ -17,11 +17,13 @@ from .model import _TINY, AnharmonicSpec, _require_positive, hbar_omega
 from .oscillator import build_hamiltonian
 
 
-ORDER = 28  # degree of the Taylor polynomial taken per shooting step
-_RECURRENCE = tuple(1.0 / ((j + 1) * (j + 2)) for j in range(ORDER - 1))
-_ROOT_PREV, _ROOT_LAST = 1.0 / (ORDER - 1), 1.0 / ORDER
-_SAFETY = 0.5  # shrinks the last terms by a further 2^-ORDER or so
-ABS_TOL = 1e-10  # truncation bound per Taylor step, relative to psi's scale
+ORDER_MAX = 44  # most Taylor terms a shooting step forms
+_RECURRENCE = tuple(1.0 / ((j + 1) * (j + 2)) for j in range(ORDER_MAX - 1))
+# truncation bound on each Taylor step's last two terms, relative to psi's
+# scale: 1e-10 with the margin 2^-28 that fixed 28-term steps at half their
+# longest length gave
+ABS_TOL = 1e-10 * 2.0 ** -28
+BOX_DECAY = 20.0  # decay lengths from the turning point to the box's wall
 REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
 GUESS_WIDTH = 0.02  # the second trial's offset, relative to the first
@@ -46,59 +48,70 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
                x_max: float) -> tuple[float, int]:
     """March psi from 0 to x_max; return (psi(x_max), node count).
 
-    Taylor-series steps of fixed order ``ORDER`` on psi'' = q(x) psi with
+    Taylor-series steps of variable order on psi'' = q(x) psi with
     q(x) = (k x^2 + b x^4 - E) / kappa. Around each x0, q is re-expanded
-    in powers of t = (x - x0) / H, H = pi / (2 sqrt(E / kappa)), and the
-    series coefficients a_j of psi(x0 + H t) obey the five-term recurrence
-    (j+1)(j+2) a_{j+2} = sum_{i<=4} q_i a_{j-i}. The step t <= 1 keeps the
-    last two terms within ``ABS_TOL`` max(s, |psi|), so no step is ever
-    rejected; psi's scale s is 1 for even parity and, as psi'(0) = 1, H
-    for odd. As V >= 0, zeros of psi lie at least 2H apart (Sturm
-    comparison with the free wave at energy E), so a step of at most H
-    holds at most one of them and a sign change counts it exactly.
+    in powers of t = (x - x0) / h, h = min(H, x_max - x0) and
+    H = pi / (2 sqrt(E / kappa)), and the series coefficients a_j of
+    psi(x0 + h t) obey the five-term recurrence
+    (j+1)(j+2) a_{j+2} = sum_{i<=4} q_i a_{j-i}. Terms are formed until
+    the last two lie within ``ABS_TOL`` max(s, |psi|), and the step
+    is the whole h; if ``ORDER_MAX`` terms come first, t shrinks until the
+    last two do. No step is ever rejected. psi's scale s is 1 for even
+    parity and, as psi'(0) = 1, H for odd. As V >= 0, zeros of psi lie at
+    least 2H apart (Sturm comparison with the free wave at energy E), so a
+    step of at most H holds at most one of them and a sign change counts
+    it exactly. Where psi oscillates a step is the whole H, so an
+    integration takes about x_t / H steps up to the turning point x_t,
+    (4 / pi)(n + 1/2) at b = 0 and likewise growing like n at b > 0, and a
+    few dozen past it; at n = 20 to 1000 a step averages 22-26 terms.
     """
     inv_kappa = 1.0 / spec.kappa
     c2 = spec.stiffness_k * inv_kappa
     c4 = spec.quartic_b * inv_kappa
     ce = energy * inv_kappa
     big_h = 0.5 * math.pi / math.sqrt(ce)
-    h2 = big_h * big_h
-    h4 = h2 * h2
 
     y0, y1, scale = (1.0, 0.0, 1.0) if parity == 0 else (0.0, 1.0, big_h)
     x = 0.0
     nodes = 0
     last_sign = 1.0  # psi first moves positive for either parity
     while x < x_max:
-        # H^2 q(x + H t) = q0 + q1 t + ... + q4 t^4
+        h = min(big_h, x_max - x)
+        h2 = h * h
+        h4 = h2 * h2
+        # h^2 q(x + h t) = q0 + q1 t + ... + q4 t^4
         s = x * x
         q0 = ((c4 * s + c2) * s - ce) * h2
-        q1 = (4.0 * c4 * s + 2.0 * c2) * x * h2 * big_h
+        q1 = (4.0 * c4 * s + 2.0 * c2) * x * h2 * h
         q2 = (6.0 * c4 * s + c2) * h4
-        q3 = 4.0 * c4 * x * h4 * big_h
+        q3 = 4.0 * c4 * x * h4 * h
         q4 = c4 * h4 * h2
         # a_j ... a_{j-4} and a_{j+1} slide through locals; a keeps
-        # a_0 ... a_{ORDER-1} and a_ORDER ends in a_next
-        a_j, a_next = y0, y1 * big_h
+        # a_0 ... a_j and a_{j+1} ends in a_next
+        a_j, a_next = y0, y1 * h
         a_1 = a_2 = a_3 = a_4 = 0.0
         a = [a_j]
+        tol = ABS_TOL * max(scale, abs(y0))
+        t = 1.0
         for inv in _RECURRENCE:
+            if abs(a_next) <= tol and abs(a_j) <= tol:
+                break
             a_new = (q0 * a_j + q1 * a_1 + q2 * a_2 + q3 * a_3 + q4 * a_4) * inv
             # two three-name swaps build no tuple, unlike one six-name swap
             a_4, a_3, a_2 = a_3, a_2, a_1
             a_1, a_j, a_next = a_j, a_next, a_new
             a.append(a_j)
-        tol = ABS_TOL * max(scale, abs(y0))
-        t = min(1.0, (x_max - x) / big_h,
-                _SAFETY * (tol / max(abs(a_j), _TINY)) ** _ROOT_PREV,
-                _SAFETY * (tol / max(abs(a_next), _TINY)) ** _ROOT_LAST)
+        else:  # ORDER_MAX terms: shorten the step to meet tol
+            t = min(1.0,
+                    (tol / max(abs(a_j), _TINY)) ** (1.0 / (ORDER_MAX - 1)),
+                    (tol / max(abs(a_next), _TINY)) ** (1.0 / ORDER_MAX))
         # Horner's rule for psi and d psi / dt at t
         u, v = a_next, 0.0
         for c in reversed(a):
             v = v * t + u
             u = u * t + c
-        x += t * big_h
-        y0, y1 = u, v / big_h
+        x += t * h
+        y0, y1 = u, v / h
         if y0 != 0.0:
             if (y0 < 0.0) != (last_sign < 0.0):
                 nodes += 1
@@ -109,7 +122,11 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
 
 
 def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
-    """Box half-width: the wall clears E by 25 decay lengths."""
+    """Box half-width: the wall clears E by ``BOX_DECAY`` decay lengths.
+
+    A wall that far out shifts a level by about e^(-2 BOX_DECAY) relative,
+    eps / 50 at 20: below the 8-ulp floor of the search's final bracket.
+    """
     k = spec.stiffness_k
     b = spec.quartic_b
     kappa = spec.kappa
@@ -117,13 +134,13 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     # needs no b = 0 branch and cannot overflow at huge b
     root = math.hypot(k, 2.0 * math.sqrt(b) * math.sqrt(energy))
     x = math.sqrt(2.0 * energy / (k + root))
-    # march the decay integral int f dx, f = sqrt((V-E)/kappa), to 25 by
-    # the trapezoid rule; the step, sized by the turning point whatever its
-    # scale, doubles but never exceeds the local decay length 1 / f
+    # march the decay integral int f dx, f = sqrt((V-E)/kappa), to BOX_DECAY
+    # by the trapezoid rule; the step, sized by the turning point whatever
+    # its scale, doubles but never exceeds the local decay length 1 / f
     dx = 0.01 * x
     s = 0.0
     f_here = 0.0
-    while s < 25.0:
+    while s < BOX_DECAY:
         x_next = x + dx
         v_next = (k + b * x_next * x_next) * x_next * x_next - energy
         f_next = math.sqrt(max(v_next, 0.0) / kappa)
@@ -212,8 +229,8 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
         psi_hi, nodes_hi = shoot(e_hi)
     if nodes_lo < 0 < e_lo:
         # the grown bracket's lower end; its first box already cleared its
-        # own energy by 25 decay lengths, so the wider one adds a node only
-        # where E rests on a level to within rounding
+        # own energy by BOX_DECAY decay lengths, so the wider one adds a node
+        # only where E rests on a level to within rounding
         psi_lo, nodes_lo = shoot(e_lo)
 
     lo, hi = e_lo, e_hi

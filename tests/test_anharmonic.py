@@ -47,7 +47,7 @@ def test_cubic_root_residual_and_stationarity(b, n):
 
 
 @pytest.mark.parametrize("b", [1e306, 1e307, 1e308])
-def test_solve_omega_refuses_overflowing_cubic(b):
+def test_solve_omega_carries_a_cubic_term_past_the_float_range(b):
     # 24 b kappa^2 overflows; this used to return inf, then to fail the
     # Newton residual check on u = nan, and was then refused. The seed's
     # cube root, taken in parts, carries the root past it: hbar omega is
@@ -621,19 +621,27 @@ def _outcome(call, spec):
 
 def test_closed_forms_solve_each_level_once(monkeypatch):
     # the parameter-scan traffic at one (spec, n): the default diagonalization
-    # basis for 4 levels is hbar Omega_2
-    counts = {"_newton": 0, "energy_first_order": 0, "second_order_sum": 0}
-    for name in counts:
+    # basis for 4 levels is hbar Omega_2; the first-order shift b <n|x^4|n>
+    # is the one _hprime call with no change of level
+    counts = {"_newton": 0, "energy_first_order": 0, "second_order_sum": 0,
+              "shift": 0}
+    for name in list(counts)[:-1]:
         def counted(*args, _name=name, _call=getattr(anharmonic, name)):
             counts[_name] += 1
             return _call(*args)
         monkeypatch.setattr(anharmonic, name, counted)
+
+    def hprime(spec, u, d, m, _call=anharmonic._hprime):
+        counts["shift"] += d == 0
+        return _call(spec, u, d, m)
+
+    monkeypatch.setattr(anharmonic, "_hprime", hprime)
     spec = spec_at(0.05)
     for _, call in _closed_form_calls(2)[:-1]:
         call(spec)
     diag_eigenvalues(spec)
     assert counts == {"_newton": 1, "energy_first_order": 1,
-                      "second_order_sum": 1}
+                      "second_order_sum": 1, "shift": 1}
 
 
 # the diagonalization takes about 1 ms a call, so fewer draws than the

@@ -58,7 +58,7 @@ def _reference(spec, n):
 
 
 @pytest.mark.parametrize("k", [1e-307, 1e-308, 2e-308, 1e-309, 1e-310])
-def test_shooting_refuses_energies_whose_step_scale_overflows(k):
+def test_shooting_answers_ground_states_whose_old_step_scale_overflowed(k):
     # in Angstrom the step scale (pi/2)^4 (kappa/E)^2 of these ground states
     # overflows: they returned nan, or 7.01e-154 eV for 6.2e-155 eV, and
     # were then refused; in the length unit fitted to the level it reads
@@ -95,7 +95,7 @@ def test_shooting_answers_the_ground_state_below_the_old_floor_at_k_1e_307():
 ], ids=["zero_turning_point", "zero_turning_point_huge_b",
         "overflowing_k_over_kappa", "overflowing_psi", "zero_step",
         "underflowing_b_over_kappa", "subnormal_k_over_kappa"])
-def test_shooting_refuses_where_its_scales_leave_the_float_range(
+def test_shooting_answers_past_the_old_float_range_edges(
         k, b, kappa, n, time_limit):
     # in Angstrom a scale of each leaves the float range, as the ids say:
     # these never returned (a zero box step, or a bracket grown without end
@@ -683,12 +683,13 @@ def test_oracles_agree_within_rel_width_and_levels_ascend(k, b, n):
 
 
 def _fine_x_max(spec, energy):
-    """The box at a fixed step of 0.01 x_t: the reference march."""
+    """The box at a fixed step of 0.01 x_t: the reference march, to the
+    same ``BOX_DECAY`` decay lengths."""
     k, b, kappa = spec.stiffness_k, spec.quartic_b, spec.kappa
     x = math.sqrt(2.0 * energy / (k + math.sqrt(k * k + 4.0 * b * energy)))
     dx = 0.01 * x
     s = f_here = 0.0
-    while s < 25.0:
+    while s < exact.BOX_DECAY:
         x += dx
         f_next = math.sqrt(max((k + b * x * x) * x * x - energy, 0.0) / kappa)
         s += 0.5 * (f_here + f_next) * dx
@@ -697,8 +698,8 @@ def _fine_x_max(spec, energy):
 
 
 def test_box_march_by_decay_lengths_matches_a_fine_march():
-    # steps that double up to one decay length take 27-30 of them here,
-    # where the fine march takes 55-630, and land within -0.5 % to +1.3 %
+    # steps that double up to one decay length take 22-25 of them here,
+    # where the fine march takes 48-557, and land within -0.5 % to +1.5 %
     for k, b, n in _random_points(200, seed=20261019):
         spec = make_anharmonic_spec(k, b)
         energy = energy_present(spec, n).e_total
@@ -729,6 +730,19 @@ def test_odd_level_at_tiny_length_scale_matches_diagonalization(b):
     spec = spec_at(b)
     diag = diag_eigenvalues(spec)[1]
     assert abs(shoot_eigenvalue(spec, 1) - diag) <= 1e-14 * diag
+
+
+@pytest.mark.parametrize("n, b", TABLE_POINTS
+                         + [(0, b) for b in (1e4, 1e20, 1e100, 2e269)])
+def test_box_wall_is_invisible_at_the_floor_bracket(n, b, monkeypatch):
+    # a wall BOX_DECAY decay lengths out shifts a level by about
+    # e^(-2 BOX_DECAY), eps / 50 at 20; a wall 25 out gives the same level
+    # within the final bracket of 8 ulps of E
+    spec = spec_at(b)
+    level = shoot_eigenvalue(spec, n, energy_tol=1e-300)
+    monkeypatch.setattr(exact, "BOX_DECAY", 25.0)
+    wider = shoot_eigenvalue(spec, n, energy_tol=1e-300)
+    assert abs(level - wider) <= 8.0 * sys.float_info.epsilon * wider
 
 
 def test_energy_tol_below_float_resolution_stops_at_the_floor():
