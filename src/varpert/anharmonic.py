@@ -22,22 +22,13 @@ import math
 from typing import NamedTuple
 
 from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
-from .oscillator import _hprime
+from .oscillator import _beta, _hprime
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
 # every n (equivalence enforced by tests at relative 1e-10). The linear
 # coefficient is -280; a commonly quoted variant with -28 disagrees with
 # the sum for every n >= 1 and is not used.
 P_COEFFS = (64, 160, -336, -664, -280, -24)
-
-
-def _beta(spec: AnharmonicSpec, v: float, e: int) -> float:
-    """beta = b kappa^2 / u^2 over 2^e, u = v 2^e, v in [0.5, 1); b kappa^2,
-    an energy cubed, is formed from mantissas, which keep every digit."""
-    m_b, e_b = math.frexp(spec.quartic_b)
-    m_kappa, e_kappa = math.frexp(spec.kappa)
-    return math.ldexp(m_b * m_kappa * m_kappa / (v * v),
-                      e_b + 2 * e_kappa - 3 * e)
 
 
 class OmegaSolution(NamedTuple):
@@ -97,7 +88,7 @@ def _newton(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
     hw = hbar_omega(spec)
     if spec.quartic_b == 0.0:
         return hw, 0.0, 0
-    # the cubic's constant term 24 b kappa^2 g(n) is c 2^e_c, as in _beta
+    # the cubic's constant term 24 b kappa^2 g(n) is c 2^e_c, from mantissas
     g = (2 * n * n + 2 * n + 1) / (2 * n + 1)
     m_b, e_b = math.frexp(spec.quartic_b)
     m_kappa, e_kappa = math.frexp(spec.kappa)
@@ -132,28 +123,18 @@ def _newton(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
 
 
 def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
-    """First-order energy E1(u) in eV, valid for any basis quantum u > 0.
+    """First-order energy E1(u) = <n| H |n> in eV at any basis quantum u > 0.
 
-    Evaluated in the literal three-term form (not the on-shell
-    simplification) as the objective whose stationary point defines
-    hbar Omega_n; at u = hbar omega it matches ``energy_conventional_pt``'s
-    order 1 only to the last bits. Formed in the energy unit 2^e, u = v 2^e
-    with v in [0.5, 1), its terms move by exact powers of two and keep
-    their digits at any u. A u that takes the energy past the float range
-    raises ``ValueError``.
+    u (n + 1/2) + <n| H' |n>, the literal form and not the on-shell
+    simplification, as the objective whose stationary point defines
+    hbar Omega_n; at u = hbar omega it equals ``energy_conventional_pt``'s
+    order 1 bit for bit. A u that takes it past the float range raises
+    ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    poly = 2 * n * n + 2 * n + 1
-    v, e = math.frexp(u)
-    try:
-        w = math.ldexp(hbar_omega(spec), -e)
-        e1 = math.ldexp(v * (n + 0.5)
-                        - (v * v - w * w) / (4.0 * v) * (2 * n + 1)
-                        + 3.0 * _beta(spec, v, e) * poly, e)
-    except OverflowError:
-        e1 = math.inf
+    e1 = u * (n + 0.5) + _hprime(spec, u, 0, n)
     if not math.isfinite(e1):
         raise ValueError(f"u={u!r} overflows E1 for n={n}")
     return e1
@@ -167,18 +148,16 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     eliminates u^2 - (hbar omega)^2 through the cubic, so u must solve the
     cubic for this n; the precondition is enforced at relative 1e-8 on the
     cubic divided by u^3, 1 - (hbar omega / u)^2 - 24 g(n) beta / u. Like
-    the correction, beta is formed in the unit of ``energy_first_order``,
-    and a correction past the float range raises ``ValueError``.
+    the correction, beta is formed in the energy unit 2^e, u = v 2^e with
+    v in [0.5, 1), and a correction past the float range raises
+    ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
     w = hbar_omega(spec) / u
     v, e = math.frexp(u)
-    try:
-        beta = _beta(spec, v, e)
-    except OverflowError:  # far off shell
-        beta = math.inf
+    beta = _beta(spec, u, e)  # inf far off shell
     g = (2 * n * n + 2 * n + 1) / (2 * n + 1)
     residual = 1.0 - w * w - 24.0 * g * beta / v
     if not abs(residual) <= 1e-8:

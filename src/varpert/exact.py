@@ -163,8 +163,9 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     count narrows the bracket to one count change. Then psi(x_max) crosses
     zero once, and each trial is the inverse quadratic interpolation of
     psi(x_max) through both ends and the end the last trial displaced
-    (Brent's ratio form), or regula falsi; a trial outside the two counts
-    sends the next back to bisection. The midpoint is returned once
+    (Brent's ratio form), or regula falsi; a trial outside the two counts,
+    or two trials that together fail to halve the bracket, send the next
+    back to bisection. The midpoint is returned once
     hi - lo <= max(min(``energy_tol``, ``REL_WIDTH`` hi), 8 eps hi), hi the
     first upper end: within ``REL_WIDTH`` relative of the checked
     diagonalization for k from 1e-4 to 1e3, the electron kappa, b = 0 or
@@ -243,6 +244,9 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     # the end the last trial displaced, while it lay on the one-crossing
     # branch: the third point of the quadratic
     e_old, psi_old = 0.0, None
+    # the width before each of the last two trials: unless those two have
+    # halved the bracket, as steps creeping along one end do not, bisect
+    width_2 = width_1 = math.inf
     while hi - lo > width:
         budget -= 1
         if budget <= 0:
@@ -251,7 +255,8 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
                 n=n, e_lo=lo, e_hi=hi, width=hi - lo,
                 energy_tol=energy_tol)
         trial = 0.5 * (lo + hi)
-        if nodes_lo == target and nodes_hi == target + 1:
+        if (nodes_lo == target and nodes_hi == target + 1
+                and hi - lo <= 0.5 * width_2):
             # the counts differ by one, so psi_lo and psi_hi differ in sign
             trial = lo + (hi - lo) * (psi_lo / (psi_lo - psi_hi))
             if psi_old is not None and psi_old not in (psi_lo, psi_hi):
@@ -266,6 +271,7 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
                 if lo < quad < hi:
                     trial = quad
             trial = min(max(trial, lo + pad), hi - pad)
+        width_2, width_1 = width_1, hi - lo
         psi, nodes = shoot(trial)
         if nodes > target:
             e_old, psi_old = hi, psi_hi if nodes_hi == target + 1 else None
@@ -289,8 +295,7 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
     checked: the top requested level of each block, which keeps the
     block's largest weight on its top 10 states, must keep at most
     ``TAIL_WEIGHT`` there, or ``ConvergenceError`` is raised. A basis that
-    gives a non-finite Hamiltonian, or at b > 0 a subnormal (kappa / u)^2,
-    raises ``ValueError``.
+    gives a non-finite Hamiltonian raises ``ValueError``.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -303,10 +308,6 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
     if not (math.isfinite(u)
             and np.isfinite(h := build_hamiltonian(spec, u, dim)).all()):
         raise ValueError(f"basis_u={u!r} gives a non-finite Hamiltonian")
-    # b x^4's (kappa / u)^2, subnormal, would keep only part of its digits
-    if spec.quartic_b and (s2 := spec.kappa / u) * s2 < _TINY:
-        raise ValueError(f"basis_u={u!r} makes (kappa / basis_u)^2 "
-                         "subnormal, which loses the x^4 terms' digits")
     blocks = [h[p::2, p::2] for p in (0, 1)]
     try:
         levels = [np.linalg.eigvalsh(block) for block in blocks]

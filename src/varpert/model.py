@@ -35,9 +35,11 @@ class AnharmonicSpec:
     and > 0, b finite and >= 0, and kappa k finite and > 0, so that
     hbar omega is too; anything else raises ``ValueError``.
 
-    A spec forms hbar omega once and keeps, per level n, the results the
-    ``anharmonic`` closed forms share: the cubic's root, the variational
-    energy and the second-order sum in the hbar omega basis. They live in
+    A spec forms hbar omega once, keeps b kappa^2 as a (mantissa, exponent)
+    pair from the mantissas of b and kappa, and keeps per level n the
+    results the ``anharmonic`` closed forms share: the cubic's root, the
+    variational energy, and the first-order shift and second-order sum in
+    the hbar omega basis. They live in
     the instance ``__dict__`` as long as the spec; a call that raises keeps
     nothing, and equality, hash, repr and pickling read only the fields.
     """
@@ -58,7 +60,10 @@ class AnharmonicSpec:
             hw = 2.0 * math.sqrt(self.kappa) * math.sqrt(self.stiffness_k)
         else:
             hw = 2.0 * math.sqrt(kappa_k)
-        self.__dict__.update(_hbar_omega=hw, _records={})
+        m_b, e_b = math.frexp(self.quartic_b)
+        m_k, e_k = math.frexp(self.kappa)
+        self.__dict__.update(_hbar_omega=hw, _records={},
+                             _b_kappa2=(m_b * m_k * m_k, e_b + 2 * e_k))
 
     def __reduce__(self):
         return type(self), (self.stiffness_k, self.quartic_b, self.kappa)

@@ -18,34 +18,48 @@ import math
 from .model import AnharmonicSpec, _require_positive, hbar_omega
 
 
-# <m + d| x^2 |m> and <m + d| x^4 |m> for d = 0, 2 and 4, each written once
-# for an int m with math.sqrt and for an integer array of m with numpy.sqrt
-def _ladder0(s2, m, sqrt=None):
-    return s2 * (2 * m + 1), s2 * s2 * (6 * m * m + 6 * m + 3)
+# <m + d| x^2 |m> and <m + d| x^4 |m> in units of s^2 and s^4, for d = 0, 2
+# and 4, each written once for an int m with math.sqrt and for an integer
+# array of m with numpy.sqrt
+def _ladder0(m, sqrt=None):
+    return 2 * m + 1, 6 * m * m + 6 * m + 3
 
 
-def _ladder2(s2, m, sqrt=math.sqrt):
+def _ladder2(m, sqrt=math.sqrt):
     root = sqrt((m + 1) * (m + 2))
-    return s2 * root, s2 * s2 * (4 * m + 6) * root
+    return root, (4 * m + 6) * root
 
 
-def _ladder4(s2, m, sqrt=math.sqrt):
-    return 0.0, s2 * s2 * sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
+def _ladder4(m, sqrt=math.sqrt):
+    return 0.0, sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
 
 
 _LADDER = {0: _ladder0, 2: _ladder2, 4: _ladder4}
 
 
+def _beta(spec: AnharmonicSpec, u: float, e: int = 0) -> float:
+    """beta = b kappa^2 / u^2 over 2^e from the spec's mantissa and exponent
+    of b kappa^2, every digit kept where it is normal; inf past the range."""
+    m, e_bk2 = spec._b_kappa2
+    v, e_u = math.frexp(u)
+    try:
+        return math.ldexp(m / (v * v), e_bk2 - 2 * e_u - e)
+    except OverflowError:
+        return math.inf
+
+
 def _hprime(spec: AnharmonicSpec, u, d: int, m, sqrt=math.sqrt):
     """<m + d| H' |m> in basis u for d in ``_LADDER``, with m an int or, with
-    ``numpy.sqrt``, an integer array. The x^2 coefficient k - u^2/(4 kappa)
-    is written (hbar omega - u)(hbar omega + u)/(4 kappa): exactly 0 at
-    u = hbar_omega(spec), and -inf where u^2 overflows. A b = 0 spec adds
-    no x^4 term, so an x^4 past the float range never forms 0 * inf."""
+    ``numpy.sqrt``, an integer array. In units of s^2 = kappa / u, so that
+    no power of s is formed, the x^2 coefficient is (hbar omega - u)
+    ((hbar omega + u)/(4u)), exactly 0 at u = hbar_omega(spec), and the
+    x^4 one is ``_beta``, 0 at b = 0; either reads inf past the range."""
     hw = hbar_omega(spec)
-    x2, x4 = _LADDER[d](spec.kappa / u, m, sqrt)
-    x4_term = spec.quartic_b * x4 if spec.quartic_b else 0.0
-    return (hw - u) * (hw + u) / (4.0 * spec.kappa) * x2 + x4_term
+    x2, x4 = _LADDER[d](m, sqrt)
+    # (hw + u) / (4u), with 4u formed where it cannot overflow; x^2 does not
+    # couple m + 4 to m, whatever its coefficient
+    c2 = (hw - u) * ((hw + u) / u * 0.25) if d < 4 else 0.0
+    return c2 * x2 + _beta(spec, u) * x4
 
 
 def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
@@ -53,12 +67,11 @@ def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
 
     H' = c2 x^2 + b x^4 where c2 = k_spec - u^2 / (4 kappa) is the
     coefficient m (omega^2 - Omega^2)/2 written without materializing m;
-    pairs with |k - n| not in {0, 2, 4} give 0.0. A u or s2 = kappa / u
-    not finite and > 0, a negative index or a result past the float range
-    raises ``ValueError``.
+    pairs with |k - n| not in {0, 2, 4} give 0.0. A u not finite and > 0,
+    a negative index or a result past the float range raises
+    ``ValueError``.
     """
     _require_positive("u", u)
-    _require_positive("s2", spec.kappa / u)
     if k < 0 or n < 0:
         raise ValueError("quantum numbers must be non-negative")
     d = abs(k - n)

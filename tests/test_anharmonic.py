@@ -2,6 +2,7 @@
 import math
 import pickle
 import random
+import sys
 
 import mpmath
 import pytest
@@ -153,8 +154,32 @@ def test_first_order_at_bare_quantum_is_conventional_pt1():
     spec = spec_at(0.05)
     hw = hbar_omega(spec)
     for n in range(4):
-        assert energy_first_order(spec, n, hw) == pytest.approx(
-            energy_conventional_pt(spec, n, 1).e_total, rel=1e-13)
+        assert energy_first_order(spec, n, hw) == energy_conventional_pt(
+            spec, n, 1).e_total
+
+
+def _unless_refused(call):
+    """The call's result, or None where it raises ``ValueError``."""
+    try:
+        return call()
+    except ValueError:
+        return None
+
+
+@given(k=POSITIVE, b=st.one_of(st.just(0.0), POSITIVE),
+       kappa=st.one_of(st.just(KAPPA_EV_A2), POSITIVE), n=st.integers(0, 100))
+def test_first_order_at_bare_quantum_is_conventional_order_1_bit_for_bit(
+        k, b, kappa, n):
+    # both are u (n + 1/2) + <n| H' |n> from the one kernel, and both refuse
+    # where it leaves the float range
+    spec = _unless_refused(lambda: make_anharmonic_spec(k, b, kappa))
+    if spec is None:
+        return
+    e1 = _unless_refused(
+        lambda: energy_first_order(spec, n, hbar_omega(spec)))
+    order_1 = _unless_refused(
+        lambda: energy_conventional_pt(spec, n, 1).e_first)
+    assert e1 == order_1
 
 
 def test_first_order_rejects_nonpositive_u():
@@ -395,8 +420,37 @@ def test_harmonic_limit_answers_where_s4_overflows(k):
     assert pt_divergent(spec, 0) is False
 
 
-@pytest.mark.parametrize("k, b", [(1e-308, 1e-300), (1e-310, 1.0)])
+def _hprime_reference(spec, u, d, n):
+    """<n + d| H' |n> for d in {0, 4} in 50-digit arithmetic from the
+    definitions: c2 = k - u^2 / (4 kappa), s^2 = kappa / u."""
+    with mpmath.workdps(50):
+        k, b, kappa, u = map(mpmath.mpf, (spec.stiffness_k, spec.quartic_b,
+                                          spec.kappa, u))
+        s2 = kappa / u
+        if d == 0:
+            return (k - u * u / (4 * kappa)) * s2 * (2 * n + 1) + b * s2 * s2 * (
+                6 * n * n + 6 * n + 3)
+        return b * s2 * s2 * mpmath.sqrt((n + 1) * (n + 2) * (n + 3) * (n + 4))
+
+
+def test_conventional_order_1_answers_where_s4_overflows():
+    # in the hbar omega basis <0|x^4|0> = 3 s^4 overflows, while
+    # beta = b kappa^2 / u^2 = 9.5e7 eV does not; this was refused
+    spec = make_anharmonic_spec(1e-308, 1e-300)
+    hw = hbar_omega(spec)
+    with mpmath.workdps(50):
+        expected = mpmath.mpf(hw) / 2 + _hprime_reference(spec, hw, 0, 0)
+        e1 = energy_conventional_pt(spec, 0, 1).e_first
+        assert e1 == pytest.approx(2.857486575e8, rel=1e-9)
+        assert abs(e1 / expected - 1) <= 2 * sys.float_info.epsilon
+        element = hprime_element(spec, hw, 4, 0)
+        assert abs(element / _hprime_reference(spec, hw, 4, 0) - 1) <= (
+            2 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("k, b", [(1e-310, 1.0)])
 def test_overflowing_s4_at_b_above_zero_still_refuses(k, b):
+    # beta = b kappa^2 / u^2 itself overflows here
     spec = make_anharmonic_spec(k, b)
     hw = hbar_omega(spec)
     with pytest.raises(ValueError, match="overflows"):
@@ -621,8 +675,9 @@ def _outcome(call, spec):
 
 def test_closed_forms_solve_each_level_once(monkeypatch):
     # the parameter-scan traffic at one (spec, n): the default diagonalization
-    # basis for 4 levels is hbar Omega_2; the first-order shift b <n|x^4|n>
-    # is the one _hprime call with no change of level
+    # basis for 4 levels is hbar Omega_2; the _hprime calls with no change
+    # of level are two, one for E1 and one for the first-order shift
+    # b <n|x^4|n>
     counts = {"_newton": 0, "energy_first_order": 0, "second_order_sum": 0,
               "shift": 0}
     for name in list(counts)[:-1]:
@@ -641,7 +696,7 @@ def test_closed_forms_solve_each_level_once(monkeypatch):
         call(spec)
     diag_eigenvalues(spec)
     assert counts == {"_newton": 1, "energy_first_order": 1,
-                      "second_order_sum": 1, "shift": 1}
+                      "second_order_sum": 1, "shift": 2}
 
 
 # the diagonalization takes about 1 ms a call, so fewer draws than the

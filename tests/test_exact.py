@@ -8,14 +8,15 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varpert.exact as exact
 import varpert.reference as ref
 from varpert.anharmonic import (energy_conventional_pt, energy_present,
                                 energy_variational, solve_omega)
-from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
+from varpert.exact import (REL_WIDTH, ConvergenceError, diag_eigenvalues,
+                           shoot_eigenvalue)
 from varpert.model import (KAPPA_EV_A2, LevelResult, hbar_omega,
                            make_anharmonic_spec)
 from varpert.oscillator import build_hamiltonian
@@ -252,7 +253,7 @@ def test_diag_rejects_fewer_than_one_level(n_levels, monkeypatch):
 
 
 @pytest.mark.parametrize("b, basis_u", [
-    (0.05, 1e300), (0.05, 1e-300), (0.05, float("inf")),
+    (0.05, 1e-300), (0.05, float("inf")),
     pytest.param(1e308, hbar_omega(spec_at(0.0)), id="1e+308-hbar_omega")])
 def test_diag_rejects_non_finite_hamiltonian(b, basis_u):
     # refused by name, not inside the eigensolver on an array the caller
@@ -272,19 +273,61 @@ def test_diag_default_basis_solves_an_overflowing_cubic_term():
         assert level == pytest.approx(shoot_eigenvalue(spec, n), rel=1e-9)
 
 
-def test_diag_refuses_a_subnormal_quartic_scale():
-    # in the default basis hbar Omega_4 = 6.46e-9 eV, (kappa / u)^2 = 2.2e-316
-    # is subnormal, and b (kappa / u)^2 kept about 25 of its 53 bits: this
-    # returned 4.3352177777017816e-08 eV for level 7, 3.45e-9 relative off
-    k, b, kappa = (2.8991512248816125e116, 2.665802358012565e305,
-                   9.613318086755938e-167)
-    spec = make_anharmonic_spec(k, b, kappa)
-    with pytest.raises(ValueError, match=r"^basis_u=.* makes \(kappa / "
-                                         r"basis_u\)\^2 subnormal"):
-        diag_eigenvalues(spec, n_levels=8)
-    level = rescaled_level(k, b, kappa, 7)
-    assert level == pytest.approx(4.335217762760578e-08, rel=1e-12)
-    assert shoot_eigenvalue(spec, 7) == pytest.approx(level, rel=1e-9)
+def test_diag_flags_a_far_off_basis_whose_hamiltonian_is_finite():
+    # the x^2 terms at basis_u = 1e300, about -u/4 times the ladder, are
+    # finite now that no u^2 is formed, so the tail check refuses the basis
+    # where the finiteness check did
+    with pytest.raises(ConvergenceError, match="top 10 basis states"):
+        diag_eigenvalues(spec_at(0.05), basis_u=1e300)
+
+
+# k, b and kappa of the default basis hbar Omega_4 = 6.46e-9 eV, where
+# (kappa / u)^2 = 2.2e-316 is subnormal: b (kappa / u)^2 kept about 25 of
+# its 53 bits and level 7 read 4.3352177777017816e-08 eV, 3.45e-9 relative
+# off, until the x^4 coefficient became beta = b kappa^2 / u^2
+SUBNORMAL_S4_POINT = (2.8991512248816125e116, 2.665802358012565e305,
+                      9.613318086755938e-167)
+
+
+@pytest.mark.parametrize("dim", [100, 160, 240])
+def test_diag_answers_where_the_quartic_scale_was_subnormal(dim):
+    spec = make_anharmonic_spec(*SUBNORMAL_S4_POINT)
+    level = rescaled_level(*SUBNORMAL_S4_POINT, 7)
+    assert level == pytest.approx(4.33521776276058e-08, rel=1e-12)
+    assert diag_eigenvalues(spec, dim=dim, n_levels=8)[7] == pytest.approx(
+        level, rel=1e-12)
+    if dim == 100:
+        assert shoot_eigenvalue(spec, 7) == pytest.approx(level,
+                                                          rel=REL_WIDTH)
+
+
+# log-uniform over every positive float, subnormals included
+POSITIVE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                     st.integers(-1074, 1023))
+
+
+# two diagonalizations a draw, about 3 ms
+@settings(max_examples=150)
+@given(k=POSITIVE, b=st.one_of(st.just(0.0), POSITIVE),
+       kappa=st.one_of(st.just(KAPPA_EV_A2), POSITIVE), n=st.integers(0, 20))
+@example(k=2.8991512248816125e116, b=2.665802358012565e305,
+         kappa=9.613318086755938e-167, n=7)
+def test_diag_default_basis_matches_the_rescaled_level_over_the_whole_domain(
+        k, b, kappa, n):
+    # the reference forms its units through exp(log), which costs up to
+    # about 700 eps, 8e-14 relative; 1,232 draws of tests/domain_draws.py
+    # seed 31 measured 1.0e-13 at worst
+    try:
+        spec = make_anharmonic_spec(k, b, kappa)
+        reference = rescaled_level(k, b, kappa, n)
+    except (ValueError, ConvergenceError):
+        return
+    try:
+        level = diag_eigenvalues(spec, n_levels=n + 1)[n]
+    except (ValueError, ConvergenceError):
+        assert (k, b, kappa) != SUBNORMAL_S4_POINT
+        return
+    assert level == pytest.approx(reference, rel=1e-12)
 
 
 # strongly anharmonic points where the hbar omega basis at dim 120 returned
@@ -480,6 +523,30 @@ def test_deep_quartic_levels():
     diag = diag_eigenvalues(spec, dim=140, n_levels=3)
     for n in range(3):
         assert shoot_eigenvalue(spec, n) == pytest.approx(diag[n], abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_search_bisects_where_psi_near_the_level_is_noise(n, monkeypatch):
+    # psi(x_max) just below the level reads 1e6 times too large, as rounding
+    # noise in psi does near a high level: the interpolated trials then
+    # crept along the upper end, and the search ran out of its 240 trials;
+    # at k = 0.5, b = 0.05, n = 10^4 the noise itself cost 42 integrations
+    # where 27 now do
+    spec = spec_at(0.05)
+    level = shoot_eigenvalue(spec, n)
+    integrate = exact._integrate
+    calls = []
+
+    def noisy(spec, energy, parity, x_max):
+        calls.append(energy)
+        psi, nodes = integrate(spec, energy, parity, x_max)
+        if nodes == n // 2 and abs(energy / level - 1.0) < 0.05:
+            psi *= 1e6
+        return psi, nodes
+
+    monkeypatch.setattr(exact, "_integrate", noisy)
+    assert shoot_eigenvalue(spec, n) == pytest.approx(level, rel=REL_WIDTH)
+    assert len(calls) <= 40
 
 
 def test_shooting_cost_per_level(monkeypatch):

@@ -1,12 +1,14 @@
 """Ladder matrix elements checked against matrix powers and quadrature."""
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
-from varpert.model import hbar_omega, make_anharmonic_spec
+from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
 from varpert.oscillator import build_hamiltonian, hprime_element
 
 SPEC = make_anharmonic_spec(0.5, 0.05)
@@ -39,7 +41,7 @@ def position_matrix(s2, dim):
 
 
 def test_basis_validation():
-    # u and s2 alike must be finite and > 0; nan and inf are no exception
+    # u must be finite and > 0; nan and inf are no exception
     calls = [lambda v: hprime_element(SPEC, v, 0, 2),
              lambda v: hprime_element(SPEC, v, 0, 7),
              lambda v: build_hamiltonian(SPEC, v, 16)]
@@ -47,11 +49,34 @@ def test_basis_validation():
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite and > 0"):
                 call(bad)
-    # a finite u > 0 whose s2 = kappa / u underflows to 0 or overflows
-    tiny_kappa = make_anharmonic_spec(1e-10, 0.05, kappa=1e-300)
-    for spec, u in ((tiny_kappa, 1e100), (SPEC, 1e-320)):
-        with pytest.raises(ValueError, match=r"^s2 must be finite and > 0"):
-            hprime_element(spec, u, 0, 0)
+
+
+@pytest.mark.parametrize("k, kappa, u", [(1e-10, 1e-300, 1e100),
+                                         (0.5, KAPPA_EV_A2, 1e-320)])
+def test_elements_answer_where_s2_leaves_the_float_range(k, kappa, u):
+    # s2 = kappa / u underflows to 0 at the first point and overflows at the
+    # second, and both were refused; no power of s is formed now, so
+    # <0| H' |0> is returned where it is a float and refused past the range
+    spec = make_anharmonic_spec(k, 0.05, kappa)
+    with mpmath.workdps(50):
+        mk, mb, mkappa, mu = map(mpmath.mpf, (k, 0.05, kappa, u))
+        s2 = mkappa / mu
+        expected = (mk - mu * mu / (4 * mkappa)) * s2 + 3 * mb * s2 * s2
+        if abs(expected) < sys.float_info.max:
+            assert abs(hprime_element(spec, u, 0, 0) / expected - 1) <= (
+                2 * sys.float_info.epsilon)
+        else:
+            with pytest.raises(ValueError, match="overflows"):
+                hprime_element(spec, u, 0, 0)
+
+
+def test_x4_only_coupling_stays_zero_where_the_x2_coefficient_overflows():
+    # at b = 0 and u = 1e-305 the x^2 coefficient times s^2 overflows, but
+    # <4| H' |0> has no x^2 term; inf * 0 made it nan, which was refused
+    spec = make_anharmonic_spec(1e10, 0.0)
+    assert hprime_element(spec, 1e-305, 4, 0) == 0.0
+    with pytest.raises(ValueError, match="overflows"):
+        hprime_element(spec, 1e-305, 2, 0)
 
 
 def test_s2_is_kappa_over_quantum():
