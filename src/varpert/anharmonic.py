@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
-from .oscillator import _beta, _hprime
+from .oscillator import _beta, _coefficients, _hprime
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
 # every n (equivalence enforced by tests at relative 1e-10). The linear
@@ -58,7 +58,7 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
     residual past the float range, or a root that fails the residual check,
     raises ``ValueError``. For b = 0 the root is hbar omega itself.
     """
-    u, cubic, e = _omega(spec, n)
+    u, cubic, e, _ = _optimized(spec, n)
     try:
         return OmegaSolution(n, u, math.ldexp(cubic, 3 * e))
     except OverflowError:
@@ -66,23 +66,19 @@ def solve_omega(spec: AnharmonicSpec, n: int) -> OmegaSolution:
                          "overflows eV^3") from None
 
 
-def _kept(spec: AnharmonicSpec, key: tuple, make, *args):
-    """make(*args), made once and then kept by spec under key (see
-    ``AnharmonicSpec``); a make that raises keeps nothing."""
-    records = spec._records
-    if (value := records.get(key)) is None:
-        value = records[key] = make(*args)
-    return value
-
-
-def _omega(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
-    """(hbar Omega_n, residual / 2^(3 e), e) as ``solve_omega`` describes
-    them, kept by spec; the residual itself can leave the float range."""
-    return _kept(spec, ("omega", n), _newton, spec, n)
+def _optimized(spec: AnharmonicSpec, n: int) -> tuple[float, float, int, float]:
+    """Level n's optimized-basis record, (hbar Omega_n, residual / 2^(3 e), e,
+    E1(hbar Omega_n)), formed on first touch and kept by spec; the residual
+    and E1 may leave the float range, for their readers to refuse."""
+    if (record := spec._optimized.get(n)) is None:
+        u, cubic, e = _newton(spec, n)
+        e1 = u * (n + 0.5) + _hprime(_coefficients(spec, u), 0, n)
+        record = spec._optimized[n] = u, cubic, e, e1
+    return record
 
 
 def _newton(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
-    """``_omega``'s triple, solved afresh."""
+    """The first three fields of ``_optimized``'s record, solved afresh."""
     if n < 0:
         raise ValueError("n must be >= 0")
     hw = hbar_omega(spec)
@@ -134,7 +130,7 @@ def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    e1 = u * (n + 0.5) + _hprime(spec, u, 0, n)
+    e1 = u * (n + 0.5) + _hprime(_coefficients(spec, u), 0, n)
     if not math.isfinite(e1):
         raise ValueError(f"u={u!r} overflows E1 for n={n}")
     return e1
@@ -178,44 +174,50 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     The perturbation couples |n> only to |n +- 2> and |n +- 4>, so the
     Rayleigh-Schrodinger sum is exact with four terms:
     sum_k |<k|H'|n>|^2 / (u (n - k)), each term as in ``hprime_element``.
-    A u at which u^2, or at b != 0 (kappa/u)^2, overflows raises
-    ``ValueError``; an amplitude whose square overflows, as from b = 8.3e152
-    in the hbar omega basis at k = 0.5, makes the sum -inf or nan.
+    A u whose x^2 coefficient squares past the float range, as where u^2
+    does, raises ``ValueError``; at u = hbar omega that coefficient is 0.
+    An amplitude whose square overflows, as from b = 8.3e152 in the hbar
+    omega basis at k = 0.5, makes the sum -inf or nan.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_positive("u", u)
-    s2 = spec.kappa / u
-    _require_positive("s2", s2)
-    if u * u == math.inf or (spec.quartic_b and s2 * s2 == math.inf):
-        raise ValueError(f"u={u!r} overflows u^2 or (kappa/u)^2")
+    coefficients = _coefficients(spec, u)
+    if coefficients[0] * coefficients[0] == math.inf:
+        raise ValueError(f"u={u!r} overflows the x^2 coefficient squared")
+    return _sum(coefficients, n, u)
+
+
+def _sum(coefficients: tuple[float, float], n: int, u: float) -> float:
+    """``second_order_sum`` from basis u's ``_coefficients``, unchecked."""
     total = 0.0
     # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k
     for m, d in ((n - 4, 4), (n - 2, 2), (n, -2), (n, -4)):
         if m >= 0:
-            amp = _hprime(spec, u, abs(d), m)
+            amp = _hprime(coefficients, abs(d), m)
             total += amp * amp / (u * d)
     return total
 
 
 def _variational(spec: AnharmonicSpec, n: int) -> tuple[float, float]:
-    """(hbar Omega_n, E1(hbar Omega_n)), both kept by spec."""
-    u = _omega(spec, n)[0]
-    return u, _kept(spec, ("e1", n), energy_first_order, spec, n, u)
+    """(hbar Omega_n, E1(hbar Omega_n)) from the optimized-basis record."""
+    u, _, _, e1 = _optimized(spec, n)
+    if not math.isfinite(e1):
+        raise ValueError(f"u={u!r} overflows E1 for n={n}")
+    return u, e1
 
 
 def energy_variational(spec: AnharmonicSpec, n: int) -> LevelResult:
     """Variational energy: first order in the optimized basis, no correction."""
     u, e1 = _variational(spec, n)
-    return LevelResult(n=n, hbar_omega_n=u, e_first=e1, e_second_corr=0.0)
+    return LevelResult(n, u, e1, 0.0)
 
 
 def energy_present(spec: AnharmonicSpec, n: int) -> LevelResult:
     """Optimized-basis energy through second order; ``e_first`` is the
     variational energy, first order in the same basis."""
     u, e1 = _variational(spec, n)
-    e2 = second_order_closed_form(spec, n, u)
-    return LevelResult(n=n, hbar_omega_n=u, e_first=e1, e_second_corr=e2)
+    return LevelResult(n, u, e1, second_order_closed_form(spec, n, u))
 
 
 def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelResult:
@@ -227,27 +229,26 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
     caller may flag (see ``pt_divergent``), not an error; at huge b the
     second-order sum overflows to -inf or nan, which that flag counts too.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    e1, _, e2 = _frozen(spec, n)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    hw = hbar_omega(spec)
-    e1 = hw * (n + 0.5) + _shift(spec, n)
     if not math.isfinite(e1):
         raise ValueError(f"quartic_b={spec.quartic_b!r} overflows E1 for n={n}")
-    e2 = 0.0 if order == 1 else _frozen_sum(spec, n)
-    return LevelResult(n=n, hbar_omega_n=hw, e_first=e1, e_second_corr=e2)
+    return LevelResult(n, hbar_omega(spec), e1, 0.0 if order == 1 else e2)
 
 
-def _shift(spec: AnharmonicSpec, n: int) -> float:
-    """The first-order shift b <n|x^4|n> at u = hbar omega, kept by spec."""
-    return _kept(spec, ("shift", n), _hprime, spec, hbar_omega(spec), 0, n)
-
-
-def _frozen_sum(spec: AnharmonicSpec, n: int) -> float:
-    """``second_order_sum`` in the hbar omega basis, kept by spec."""
-    return _kept(spec, ("frozen", n), second_order_sum, spec, n,
-                 hbar_omega(spec))
+def _frozen(spec: AnharmonicSpec, n: int) -> tuple[float, float, float]:
+    """Level n's hbar omega basis record, (order-1 energy, shift b <n|x^4|n>,
+    second-order sum), formed on first touch and kept by spec."""
+    if (record := spec._frozen.get(n)) is None:
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        hw = hbar_omega(spec)
+        coefficients = _coefficients(spec, hw)
+        shift = _hprime(coefficients, 0, n)
+        record = spec._frozen[n] = (hw * (n + 0.5) + shift, shift,
+                                    _sum(coefficients, n, hw))
+    return record
 
 
 def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
@@ -258,6 +259,5 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
     successive terms of the frozen-basis series stop shrinking, or either
     is not finite. At b = 0 both are exactly 0 and the level is not flagged.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return not abs(_frozen_sum(spec, n)) <= _shift(spec, n) < math.inf
+    _, shift, e2 = _frozen(spec, n)
+    return not abs(e2) <= shift < math.inf

@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Sequence
 
-from .anharmonic import _omega, energy_present
+from .anharmonic import _optimized, energy_present
 from .model import _TINY, AnharmonicSpec, _require_positive, hbar_omega
 from .oscillator import build_hamiltonian
 
@@ -303,7 +303,7 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
         raise ValueError(f"dim must be >= n_levels + 20, got {dim}")
     import numpy as np  # only this oracle needs numpy
 
-    u = _omega(spec, n_levels // 2)[0] if basis_u is None else basis_u
+    u = _optimized(spec, n_levels // 2)[0] if basis_u is None else basis_u
     # an infinite or extreme basis_u (or b) overflows the x^2 and x^4 terms
     if not (math.isfinite(u)
             and np.isfinite(h := build_hamiltonian(spec, u, dim)).all()):
@@ -313,12 +313,13 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
         levels = [np.linalg.eigvalsh(block) for block in blocks]
         # the top requested level of each block keeps the block's largest
         # weight on its top states: one inverse-iteration step from its
-        # eigenvalue lam gives its vector, whose size the right side lam
-        # holds near 1 / (64 eps)
+        # eigenvalue lam gives its vector, sized near 1 / (64 eps) by the
+        # right side lam; in lam's unit 2^e, exact, LAPACK cannot overflow
         for n in range(max(n_levels - 2, 0), n_levels):
             lam = levels[n % 2][n // 2] * (1.0 + 64.0 * sys.float_info.epsilon)
             a = blocks[n % 2] - lam * np.eye(len(blocks[n % 2]))
-            x = np.linalg.solve(a, np.full(len(a), lam))
+            unit = math.ldexp(1.0, -math.frexp(lam)[1])
+            x = np.linalg.solve(a * unit, np.full(len(a), lam * unit))
             if not (tail := float(x[-10:] @ x[-10:] / (x @ x))) <= TAIL_WEIGHT:
                 raise ConvergenceError(
                     f"level n={n} keeps {tail:.1e} of its weight on the top "

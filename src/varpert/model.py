@@ -36,11 +36,11 @@ class AnharmonicSpec:
     hbar omega is too; anything else raises ``ValueError``.
 
     A spec forms hbar omega once, keeps b kappa^2 as a (mantissa, exponent)
-    pair from the mantissas of b and kappa, and keeps per level n the
-    results the ``anharmonic`` closed forms share: the cubic's root, the
-    variational energy, and the first-order shift and second-order sum in
-    the hbar omega basis. They live in
-    the instance ``__dict__`` as long as the spec; a call that raises keeps
+    pair from the mantissas of b and kappa, and keeps per level n two
+    records, each formed in one pass on first touch: the optimized basis's
+    root, residual and E1(hbar Omega_n), and the hbar omega basis's order-1
+    energy, shift b <n|x^4|n> and second-order sum (see ``anharmonic``).
+    They live in the instance ``__dict__``; a failed Newton solve keeps
     nothing, and equality, hash, repr and pickling read only the fields.
     """
 
@@ -62,7 +62,7 @@ class AnharmonicSpec:
             hw = 2.0 * math.sqrt(kappa_k)
         m_b, e_b = math.frexp(self.quartic_b)
         m_k, e_k = math.frexp(self.kappa)
-        self.__dict__.update(_hbar_omega=hw, _records={},
+        self.__dict__.update(_hbar_omega=hw, _optimized={}, _frozen={},
                              _b_kappa2=(m_b * m_k * m_k, e_b + 2 * e_k))
 
     def __reduce__(self):

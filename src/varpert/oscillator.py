@@ -48,18 +48,21 @@ def _beta(spec: AnharmonicSpec, u: float, e: int = 0) -> float:
         return math.inf
 
 
-def _hprime(spec: AnharmonicSpec, u, d: int, m, sqrt=math.sqrt):
-    """<m + d| H' |m> in basis u for d in ``_LADDER``, with m an int or, with
-    ``numpy.sqrt``, an integer array. In units of s^2 = kappa / u, so that
-    no power of s is formed, the x^2 coefficient is (hbar omega - u)
-    ((hbar omega + u)/(4u)), exactly 0 at u = hbar_omega(spec), and the
-    x^4 one is ``_beta``, 0 at b = 0; either reads inf past the range."""
+def _coefficients(spec: AnharmonicSpec, u: float) -> tuple[float, float]:
+    """(c2, beta) of H' = c2 x^2 + b x^4 in basis u, in units of s^2 = kappa
+    / u so that no power of s is formed: c2 = (hbar omega - u) ((hbar omega
+    + u)/(4u)), with no 4u formed, exactly 0 at u = hbar_omega(spec), and
+    beta = ``_beta``, 0 at b = 0; either reads inf past the range."""
     hw = hbar_omega(spec)
+    return (hw - u) * ((hw + u) / u * 0.25), _beta(spec, u)
+
+
+def _hprime(coefficients: tuple[float, float], d: int, m, sqrt=math.sqrt):
+    """<m + d| H' |m> for d in ``_LADDER`` from basis u's ``_coefficients``,
+    with m an int or, with ``numpy.sqrt``, an integer array; x^2 does not
+    couple m + 4 to m, whatever c2 reads."""
     x2, x4 = _LADDER[d](m, sqrt)
-    # (hw + u) / (4u), with 4u formed where it cannot overflow; x^2 does not
-    # couple m + 4 to m, whatever its coefficient
-    c2 = (hw - u) * ((hw + u) / u * 0.25) if d < 4 else 0.0
-    return c2 * x2 + _beta(spec, u) * x4
+    return (coefficients[0] if d < 4 else 0.0) * x2 + coefficients[1] * x4
 
 
 def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
@@ -75,7 +78,8 @@ def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
     if k < 0 or n < 0:
         raise ValueError("quantum numbers must be non-negative")
     d = abs(k - n)
-    element = _hprime(spec, u, d, min(k, n)) if d in _LADDER else 0.0
+    element = (_hprime(_coefficients(spec, u), d, min(k, n)) if d in _LADDER
+               else 0.0)
     if not math.isfinite(element):
         raise ValueError(f"u={u!r} overflows <{k}| H' |{n}>")
     return element
@@ -94,12 +98,12 @@ def build_hamiltonian(spec: AnharmonicSpec, u: float,
     _require_positive("u", u)
     if dim < 8:
         raise ValueError(f"dim must be >= 8, got {dim}")
-    m = np.arange(dim)
+    m, coefficients = np.arange(dim), _coefficients(spec, u)
     # an element past the float range reads inf or nan, for the caller to see
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.diag(_hprime(spec, u, 0, m, np.sqrt) + u * (m + 0.5))
+        h = np.diag(_hprime(coefficients, 0, m, np.sqrt) + u * (m + 0.5))
         for d in (2, 4):
-            band = _hprime(spec, u, d, m[:-d], np.sqrt)
+            band = _hprime(coefficients, d, m[:-d], np.sqrt)
             np.fill_diagonal(h[d:], band)  # entries (j + d, j), then (j, j + d)
             np.fill_diagonal(h[:, d:], band)
     return h

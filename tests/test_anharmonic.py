@@ -1,4 +1,5 @@
 """Optimized-basis perturbation scheme: cubic root, energies, equivalence."""
+import collections
 import math
 import pickle
 import random
@@ -11,14 +12,14 @@ from hypothesis import strategies as st
 
 import varpert.anharmonic as anharmonic
 import varpert.reference as ref
-from varpert.anharmonic import (P_COEFFS, _omega, energy_conventional_pt,
+from varpert.anharmonic import (P_COEFFS, _optimized, energy_conventional_pt,
                                 energy_first_order, energy_present,
                                 energy_variational, pt_divergent,
                                 second_order_closed_form, second_order_sum,
                                 solve_omega)
 from varpert.exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
-from varpert.oscillator import hprime_element
+from varpert.oscillator import _coefficients, hprime_element
 
 from domain_draws import rescaled_level
 
@@ -76,7 +77,7 @@ def test_second_order_closed_form_refuses_a_correction_past_the_float_range():
     # raised OverflowError
     spec = make_anharmonic_spec(1.0, 1e300, 1e300)
     n = 10 ** 12
-    u = _omega(spec, n)[0]
+    u = _optimized(spec, n)[0]
     with pytest.raises(ValueError, match=r"overflows E2 for n=10{12}$"):
         second_order_closed_form(spec, n, u)
 
@@ -118,6 +119,21 @@ def test_residual_past_the_float_range_refuses_only_solve_omega(k, b, n):
     with pytest.raises(ValueError, match=refusal) as second:
         solve_omega(spec, n)
     assert str(second.value) == str(first.value)
+
+
+def test_first_order_past_the_float_range_refuses_both_optimized_energies():
+    # the root 2.9e304 eV is finite, while E1 = u (n + 1/2) + <n|H'|n> is
+    # not: the level's record keeps the root, and each energy that reads
+    # E1 refuses, on every call
+    spec = make_anharmonic_spec(1.0, 1e300, 1e300)
+    n = 10 ** 12
+    assert _optimized(spec, n)[0] == pytest.approx(2.8844991406152974e304,
+                                                   rel=1e-14)
+    for _ in range(2):
+        for energy in (energy_variational, energy_present):
+            with pytest.raises(ValueError, match=r"^u=2\.88.*e\+304 "
+                               r"overflows E1 for n=10{12}$"):
+                energy(spec, n)
 
 
 def test_harmonic_limit_root_is_bare_quantum():
@@ -448,6 +464,23 @@ def test_conventional_order_1_answers_where_s4_overflows():
             2 * sys.float_info.epsilon)
 
 
+def test_conventional_order_2_answers_where_kappa_over_u_squared_overflows():
+    # (kappa / u)^2 = 9.6e309 in the hbar omega basis, which no H' element
+    # forms; order 1 answered while order 2 and the flag were refused
+    spec = make_anharmonic_spec(1e-310, 1e-300)
+    hw = hbar_omega(spec)
+    level = energy_conventional_pt(spec, 0, 2)
+    assert level.e_first == pytest.approx(2.857486575e10, rel=1e-9)
+    assert level.e_total == pytest.approx(-9.760761812427622e175, rel=1e-15)
+    with mpmath.workdps(50):
+        # -42 beta^2 / u at n = 0, from the amplitudes to |2> and |4>
+        beta = mpmath.mpf(spec.quartic_b) * (mpmath.mpf(spec.kappa) / hw) ** 2
+        expected = -42 * beta * beta / hw
+        assert abs(level.e_second_corr / expected - 1) <= (
+            2 * sys.float_info.epsilon)
+    assert pt_divergent(spec, 0) is True
+
+
 @pytest.mark.parametrize("k, b", [(1e-310, 1.0)])
 def test_overflowing_s4_at_b_above_zero_still_refuses(k, b):
     # beta = b kappa^2 / u^2 itself overflows here
@@ -674,29 +707,39 @@ def _outcome(call, spec):
 
 
 def test_closed_forms_solve_each_level_once(monkeypatch):
-    # the parameter-scan traffic at one (spec, n): the default diagonalization
-    # basis for 4 levels is hbar Omega_2; the _hprime calls with no change
-    # of level are two, one for E1 and one for the first-order shift
-    # b <n|x^4|n>
-    counts = {"_newton": 0, "energy_first_order": 0, "second_order_sum": 0,
-              "shift": 0}
-    for name in list(counts)[:-1]:
+    # the parameter-scan traffic at one (spec, n), then the default
+    # diagonalization, whose basis for 4 levels is hbar Omega_2: one Newton
+    # solve, one frozen record (one second-order sum), the H' coefficients
+    # formed once in each basis, and each element read once: E1's diagonal
+    # in the optimized basis, and in the hbar omega basis the shift
+    # b <n|x^4|n> and the sum's three amplitudes at n = 2
+    counts = collections.Counter()
+    for name in ("_newton", "_sum"):
         def counted(*args, _name=name, _call=getattr(anharmonic, name)):
             counts[_name] += 1
             return _call(*args)
         monkeypatch.setattr(anharmonic, name, counted)
 
-    def hprime(spec, u, d, m, _call=anharmonic._hprime):
-        counts["shift"] += d == 0
-        return _call(spec, u, d, m)
+    def coefficients(spec, u, _call=anharmonic._coefficients):
+        counts["basis", u] += 1
+        return _call(spec, u)
 
+    def hprime(coefficients, d, m, _call=anharmonic._hprime):
+        counts["element", coefficients, d] += 1
+        return _call(coefficients, d, m)
+
+    monkeypatch.setattr(anharmonic, "_coefficients", coefficients)
     monkeypatch.setattr(anharmonic, "_hprime", hprime)
     spec = spec_at(0.05)
     for _, call in _closed_form_calls(2)[:-1]:
         call(spec)
     diag_eigenvalues(spec)
-    assert counts == {"_newton": 1, "energy_first_order": 1,
-                      "second_order_sum": 1, "shift": 2}
+    u, hw = solve_omega(spec, 2).hbar_Omega_n, hbar_omega(spec)
+    optimized, frozen = _coefficients(spec, u), _coefficients(spec, hw)
+    assert counts == {"_newton": 1, "_sum": 1, ("basis", u): 1,
+                      ("basis", hw): 1, ("element", optimized, 0): 1,
+                      ("element", frozen, 0): 1, ("element", frozen, 2): 2,
+                      ("element", frozen, 4): 1}
 
 
 # the diagonalization takes about 1 ms a call, so fewer draws than the

@@ -281,6 +281,28 @@ def test_diag_flags_a_far_off_basis_whose_hamiltonian_is_finite():
         diag_eigenvalues(spec_at(0.05), basis_u=1e300)
 
 
+# near the top of the float range the tail check's solve overflowed inside
+# LAPACK, and both points raised "keeps nan of its weight", a weight never
+# measured: the first now answers, the second is refused with its weight
+@pytest.mark.parametrize("k, b, kappa, basis_u, n_levels", [
+    (1.856805017648802e-204, 7.589867408878385e299, 3.3346807214317095e299,
+     None, 21),
+    (0.5, 0.05, KAPPA_EV_A2, 1e300, 4)], ids=["default_basis", "basis_1e300"])
+def test_diag_tail_check_measures_its_weight_near_the_top_of_the_range(
+        k, b, kappa, basis_u, n_levels):
+    spec = make_anharmonic_spec(k, b, kappa)
+    if basis_u is not None:
+        with pytest.raises(ConvergenceError, match="keeps 1.9e-02 of") as exc:
+            diag_eigenvalues(spec, basis_u=basis_u, n_levels=n_levels)
+        assert math.isfinite(exc.value.diagnostics["tail_weight"])
+        return
+    levels = diag_eigenvalues(spec, n_levels=n_levels)
+    assert levels[-1] == pytest.approx(5.378004217446654e301, rel=1e-12)
+    for n in (0, 10, n_levels - 1):
+        assert levels[n] == pytest.approx(rescaled_level(k, b, kappa, n),
+                                          rel=1e-12)
+
+
 # k, b and kappa of the default basis hbar Omega_4 = 6.46e-9 eV, where
 # (kappa / u)^2 = 2.2e-316 is subnormal: b (kappa / u)^2 kept about 25 of
 # its 53 bits and level 7 read 4.3352177777017816e-08 eV, 3.45e-9 relative

@@ -8,6 +8,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
+import varpert.anharmonic as anharmonic
+import varpert.oscillator as oscillator
+from varpert.anharmonic import second_order_sum
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
 from varpert.oscillator import build_hamiltonian, hprime_element
 
@@ -177,6 +180,22 @@ def test_hamiltonian_matches_elements():
             if k == n:
                 expected += 3.2 * (n + 0.5)
             assert h[k, n] == expected
+
+
+def test_each_call_forms_its_basis_coefficients_once(monkeypatch):
+    # the sum's four amplitudes and the Hamiltonian's three bands each read
+    # one (c2, beta) pair
+    bases = []
+
+    def counted(spec, u, _call=oscillator._coefficients):
+        bases.append(u)
+        return _call(spec, u)
+
+    monkeypatch.setattr(anharmonic, "_coefficients", counted)
+    monkeypatch.setattr(oscillator, "_coefficients", counted)
+    second_order_sum(SPEC, 6, 1.5)
+    build_hamiltonian(SPEC, 2.0, 40)
+    assert bases == [1.5, 2.0]
 
 
 def test_hamiltonian_minimum_dim():
