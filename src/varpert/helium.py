@@ -153,8 +153,10 @@ def second_order_by_n_prime(z_star: float, z: float, n_max: int,
     for n = n' the two pairings coincide.
 
     Each Y_nn'l is taken once per call, shared by the channels that differ
-    only in m. Each orbital R_nl is built, and each transition density
-    r^2 R_nl R_10 formed, once per call; nothing is kept between calls.
+    only in m. Each orbital R_nl, its Slater side r^2 R_nl R_10 with that
+    side's moments, and the sigma tables of each (n, n') (kept on R_10)
+    are formed once per call; nothing is kept between calls. A sum past
+    the float range (Z = 1e160 at Z* = 1) raises ``ValueError``.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -178,7 +180,12 @@ def second_order_by_n_prime(z_star: float, z: float, n_max: int,
                                 * x_integral(n_prime, z_star, orbital))
                     weight = 2.0 if full and m > 0 and n != n_prime else 1.0
                     buckets[n_prime] += weight * (amp * amp) / denom
-    return buckets
+    try:  # every term is <= 0, so fsum overflows only where the total does
+        if math.isfinite(math.fsum(buckets.values())):
+            return buckets
+    except OverflowError:
+        pass
+    raise ValueError(f"second order at z_star={z_star!r}, z={z!r} overflows")
 
 
 def second_order_correction(z_star: float, z: float, n_max: int,
@@ -199,12 +206,16 @@ def excited_triplet_energy(z_star: float, z: float) -> float:
 
     <H> = (5/4) Z*^2 - (5/2) Z Z* + J - K with the direct and exchange
     Coulomb integrals of the (1s, 2s) pair evaluated from Slater integrals
-    at the common charge z_star.
+    at the common charge z_star. A term past the float range (2.5 Z Z*
+    from Z* = 1, Z = 1.7e308) raises ``ValueError``.
     """
     _require_positive("z_star", z_star)
     _require_z(z)
     j, k = _direct_exchange_1s2s(z_star)
-    return 1.25 * z_star * z_star - 2.5 * z * z_star + (j - k)
+    energy = 1.25 * z_star * z_star - 2.5 * z * z_star + (j - k)
+    if not math.isfinite(energy):
+        raise ValueError(f"<H> at z_star={z_star!r} leaves the float range")
+    return energy
 
 
 def optimal_zstar_excited(z: float) -> float:
@@ -212,11 +223,17 @@ def optimal_zstar_excited(z: float) -> float:
 
     J - K is linear in the charge, so the optimum is
     Z* = Z - (2/5) d(J-K)/dZ*, with the slope taken from the Slater
-    integrals at unit charge.
+    integrals at unit charge, formed once per process.
     """
     _require_z(z)
-    j1, k1 = _direct_exchange_1s2s(1.0)
+    j1, k1 = _unit_direct_exchange()
     return z - 0.4 * (j1 - k1)
+
+
+@functools.cache
+def _unit_direct_exchange() -> tuple[float, float]:
+    """``_direct_exchange_1s2s(1.0)``, kept for the process."""
+    return _direct_exchange_1s2s(1.0)
 
 
 def _direct_exchange_1s2s(z_star: float) -> tuple[float, float]:

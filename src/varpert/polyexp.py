@@ -10,8 +10,9 @@ come out exactly zero. Each ``PolyExp`` holds its coefficients as integer
 numerators over one denominator and its decay rate as an integer pair,
 so every moment and Slater kernel is one exact integer sum and one
 correctly rounded int / int division. A Slater integral combines two sides,
-r^2 a c and r^2 b d, each kept by its first leg; the combination costs
-O(P M + G) big-integer operations for P and G terms with powers up to M.
+r^2 a c and r^2 b d, each kept with its one-sided moments by its first leg,
+and the sigma tables that leg c keeps; its coupled sum costs O(P M + G)
+big-integer operations for P and G terms with powers up to M.
 """
 from __future__ import annotations
 
@@ -78,9 +79,14 @@ def polyexp_moment(f: PolyExp, g: PolyExp, p: int) -> float:
         if power < 0:
             raise ValueError(f"combined power {power} < 0, integral diverges")
     inv = _inverse_powers(gam, max(prod, default=0) + 1)
-    total = sum(coeff * math.factorial(power) * inv[power + 1]
-                for power, coeff in prod.items())
-    return _scaled(f.scale * g.scale, total, den * inv[0], f"moment of r^{p}")
+    return _scaled(f.scale * g.scale, _moment_sum(prod, inv), den * inv[0],
+                   f"moment of r^{p}")
+
+
+def _moment_sum(terms: dict[int, int], inv: list[int], shift: int = 0) -> int:
+    """sum_p c_p (p+shift)! inv[p+shift+1], over ``inv``'s denominator."""
+    return sum(c * math.factorial(p + shift) * inv[p + shift + 1]
+               for p, c in terms.items())
 
 
 def _scaled(scale: float, num: int, den: int, what: str) -> float:
@@ -108,28 +114,37 @@ def _inverse_powers(rate: Rate, top: int) -> list[int]:
 def _side(f: PolyExp, g: PolyExp, k: int) -> tuple:
     """r^2 f(r) g(r) as one side of the R^k kernel in ``slater_radial``.
 
-    ``_product``'s powers, denominator and rate, and, unless the kernel
-    refuses a power, num(rate)^j and the inverse powers over num(rate)^T,
-    T = top + k + 1, as an r2 side reads them; on r1 the surplus powers of
-    num(rate) cancel in the final ratio. f keeps its last side for the same
-    g and k, so a sum that pairs the same legs throughout forms each side
-    once; the side lives as long as f. It is keyed on the values of g's
-    terms, den and rate, and on k: legs may share one terms tuple, and
-    holding g's fields instead of g makes no reference cycle.
+    ``_product``'s powers and rate, the first power below k + 1 or None,
+    and, unless that refuses, all that depends on the side and k alone:
+    den, num(rate)^T (T = top + k + 1), the top power, the r1 pairs
+    (q, c_q), W and the r2 full moment over num(rate)^T, and num(rate)^j.
+    f keeps its last side for the same g and k, so a sum that pairs the same
+    legs throughout forms each side once; the side lives as long as f. It
+    is keyed on the values of g's terms, den and rate, and on k: legs may
+    share one terms tuple, and holding g's fields instead of g makes no
+    reference cycle.
     """
     key = g.terms, g.den, g.rate, k
     last = f.__dict__.get("_last_side")
     if last is not None and last[0] == key:
         return last[1]
     terms, den, rate = _product(f, g, 2)
-    top = k + 1 + max(terms, default=0)
-    nums = invs = None
-    if terms and min(terms) > k:
-        nums = [rate[0] ** j for j in range(top)]
-        invs = _inverse_powers(rate, top)
-    side = terms, den, rate, nums, invs
+    low = next((p for p in terms if p < k + 1), None)
+    side = terms, rate, low
+    if terms and low is None:
+        top = max(terms)
+        inv = _inverse_powers(rate, top + k + 1)
+        side += (den, inv[0], top, [(p - k - 1, c) for p, c in terms.items()],
+                 _moment_sum(terms, inv, -k - 1), _moment_sum(terms, inv, k),
+                 [rate[0] ** j for j in range(top + k + 1)])
     f.__dict__["_last_side"] = key, side
     return side
+
+
+def _sigma_tables(mu: Rate, nu: Rate, top: int) -> tuple[int, list[int]]:
+    """num(sigma)^top and e!/sigma^(e+1) over it, e < top; sigma = mu + nu."""
+    inv_sig = _inverse_powers(_rate_sum(mu, nu), top)
+    return inv_sig[0], [math.factorial(e) * inv_sig[e + 1] for e in range(top)]
 
 
 def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> float:
@@ -147,38 +162,39 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
     With mu, nu and sigma = mu + nu the decay rates of the r1 side, the r2
     side and their sum, and c_q the r1-side coefficient of r1^(q+k+1),
     the r1 integrals enter only through W = sum_q c_q q!/mu^(q+1) and
-    S_j = sum_q c_q (q+j)!/sigma^(q+j+1), formed once per call. The
-    exponential tails T_n = (n T_(n-1) + S_(n+shift)) / nu of every order
-    follow in one pass over S for the lower piece (shift 0) and one over S
-    shifted by 2k + 1 for the upper, and an r2 term reads two of them:
-    O(P M + G) for P and G terms with powers up to M. The sum runs in
-    Python ints over one common denominator, and one int / int division
-    rounds the exact value correctly before the four scales multiply it.
-    Where that leaves the normal float range, it raises ``ValueError``.
-    Each side r^2 a c and r^2 b d comes from ``_side``, which a leg keeps.
+    S_j = sum_q c_q (q+j)!/sigma^(q+j+1). The exponential tails
+    T_n = (n T_(n-1) + S_(n+shift)) / nu of every order follow in one pass
+    over S for the lower piece (shift 0) and one over S shifted by 2k + 1
+    for the upper, and an r2 term reads two of them: O(P M + G) for P and
+    G terms with powers up to M. The sum runs in Python ints over one
+    common denominator, and one int / int division rounds the exact value
+    correctly before the four scales multiply it. Where that leaves the
+    normal float range, it raises ``ValueError``. W, the r2 full moment
+    and the kernel's verdict come from ``_side``, which a leg keeps; leg c
+    keeps the last sigma tables, which depend only on mu, nu and the top
+    powers, so one call pays only for S, the tails and the r2 tail sum.
 
     Symmetry: swapping (a, b) together with (c, d) relabels r1 and r2 and
     leaves the value unchanged.
     """
     if k < 0:
         raise ValueError("multipole order k must be >= 0")
-    p_terms, lp, mu, _, inv_mu = _side(a, c, k)
-    g_terms, lg, nu, num_nu, inv_nu = _side(b, d, k)
-    for side, powers in ("r1", p_terms if g_terms else ()), ("r2", g_terms):
-        for power in powers:
-            if power < k + 1:
-                raise ValueError(f"kernel power k={k} too high for "
-                                 f"{side}-side power {power}")
-    if not (p_terms and g_terms):
+    r1, r2 = _side(a, c, k), _side(b, d, k)
+    for name, side in ("r1", r1), ("r2", r2):
+        if side[2] is not None and r2[0]:
+            raise ValueError(f"kernel power k={k} too high for "
+                             f"{name}-side power {side[2]}")
+    if not (r1[0] and r2[0]):
         return a.scale * b.scale * c.scale * d.scale * 0.0
-    top_p, top_g = max(p_terms), max(g_terms)
-    inv_sig = _inverse_powers(_rate_sum(mu, nu), top_p + top_g)
-    fact = [math.factorial(i) for i in range(top_p + top_g)]
-    fact_sig = [f * inv_sig[e + 1] for e, f in enumerate(fact)]
-    ip = [(pp - k - 1, cp) for pp, cp in p_terms.items()]
-    w = sum(cp * fact[q] * inv_mu[q + 1] for q, cp in ip)
-    # ns_j = num(nu)^j S_j. Over inv_nu's denominator the tail of order n
-    # is den(nu) num(nu)^(top_g+k-n-shift) t_n, where
+    _, mu, _, lp, inv_mu, top_p, ip, w, _, _ = r1
+    g_terms, nu, _, lg, inv_nu, top_g, _, _, whole, num_nu = r2
+    key = mu, nu, top_p + top_g
+    last = c.__dict__.get("_last_sigma")
+    if last is None or last[0] != key:
+        last = c.__dict__["_last_sigma"] = key, _sigma_tables(*key)
+    inv_sig, fact_sig = last[1]
+    # ns_j = num(nu)^j S_j. Over the r2 side's denominator num(nu)^T the
+    # tail of order n is den(nu) num(nu)^(top_g+k-n-shift) t_n, where
     # t_n = n den(nu) t_(n-1) + ns_(n+shift)
     ns = [num_nu[j] * sum(cp * fact_sig[q + j] for q, cp in ip)
           for j in range(top_g + k + 1)]
@@ -188,13 +204,11 @@ def slater_radial(k: int, a: PolyExp, b: PolyExp, c: PolyExp, d: PolyExp) -> flo
         for n, ns_n in enumerate(ns[shift:]):
             t_n = n * den_nu * t_n + ns_n
             t.append(t_n)
-    whole = tails = 0
-    for pg, cg in g_terms.items():
-        # lower piece: full moment minus the tail of order pg + k; upper
-        # piece: r1^k times the tail of order pg - k - 1
-        whole += cg * fact[pg + k] * inv_nu[pg + k + 1]
-        tails += cg * num_nu[top_g - pg] * (upper[pg - k - 1] - lower[pg + k])
+    # lower piece: full moment minus the tail of order pg + k; upper
+    # piece: r1^k times the tail of order pg - k - 1
+    tails = sum(cg * num_nu[top_g - pg] * (upper[pg - k - 1] - lower[pg + k])
+                for pg, cg in g_terms.items())
     return _scaled(a.scale * b.scale * c.scale * d.scale,
-                   whole * w * inv_sig[0] + den_nu * tails * inv_mu[0],
-                   lp * lg * inv_mu[0] * inv_nu[0] * inv_sig[0],
+                   whole * w * inv_sig + den_nu * tails * inv_mu,
+                   lp * lg * inv_mu * inv_nu * inv_sig,
                    f"Slater integral R^{k}")

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -330,6 +330,29 @@ def test_excited_zstar_closed_form():
     assert zs == pytest.approx(1.8496570644718793, rel=1e-12)
 
 
+def test_optimal_zstar_excited_forms_the_unit_charge_pair_once(monkeypatch):
+    # J and K at unit charge depend on no input: the first call forms them,
+    # later calls at any Z reuse the same bits
+    from varpert.helium import _direct_exchange_1s2s
+    calls = []
+
+    def counted(z_star):
+        calls.append(z_star)
+        return _direct_exchange_1s2s(z_star)
+
+    monkeypatch.setattr(helium, "_direct_exchange_1s2s", counted)
+    helium._unit_direct_exchange.cache_clear()
+    charges = [optimal_zstar_excited(z) for z in (2.0, 3.0, 2.0)]
+    assert calls == [1.0]
+    j1, k1 = _direct_exchange_1s2s(1.0)
+    assert helium._unit_direct_exchange() == (j1, k1)
+    assert charges == [2.0 - 0.4 * (j1 - k1), 3.0 - 0.4 * (j1 - k1),
+                       charges[0]]
+    # the energy at a given charge still takes its own pair
+    excited_triplet_energy(charges[0], 2.0)
+    assert calls == [1.0, charges[0]]
+
+
 def test_excited_energy_stationarity_identity():
     # at the stationary charge the expectation collapses to -5 Z*^2 / 4
     zs = optimal_zstar_excited(2.0)
@@ -419,6 +442,61 @@ def test_second_order_forms_each_transition_density_once_per_call(
         formed.clear()
         second_order_by_n_prime(ZS, 2.0, 4)
         assert sorted(formed) == densities
+
+
+def test_second_order_forms_the_sigma_tables_once_per_orbital_pair(
+        monkeypatch):
+    # the 119 Y through n' = 8 read sigma = mu + nu, which depends on
+    # (n, n') alone, so the l of one (n, n') share the tables: 35 forms,
+    # one per distinct (n, n'), and an identical call forms them afresh
+    formed = []
+    tables = polyexp._sigma_tables
+
+    def counted(*args):
+        formed.append(args)
+        return tables(*args)
+
+    monkeypatch.setattr(polyexp, "_sigma_tables", counted)
+    for _ in range(2):
+        formed.clear()
+        second_order_by_n_prime(ZS, 2.0, 8)
+        assert len(formed) == len(set(formed)) == 35
+
+
+def test_second_order_forms_each_side_moment_once_per_call(monkeypatch):
+    # each Slater side r^2 R_nl R_10 at k = l forms its r1 moment W
+    # (shift -l-1) and its r2 full moment (shift l) once, and each X_n'
+    # its one moment of r^1; an identical call forms them afresh
+    names, products, moments = {}, {}, []
+    product, moment_sum = polyexp._product, polyexp._moment_sum
+
+    def named(*args):
+        f = hydrogenic_radial(*args)
+        names[id(f)] = args[:2]
+        return f
+
+    def kept(f, g, extra_power=0):
+        out = product(f, g, extra_power)
+        # holding the dict keeps its id unique for the whole call
+        products[id(out[0])] = out[0], (names[id(f)], names[id(g)],
+                                        extra_power)
+        return out
+
+    def counted(terms, inv, shift=0):
+        moments.append((products[id(terms)][1], shift))
+        return moment_sum(terms, inv, shift)
+
+    monkeypatch.setattr(helium, "hydrogenic_radial", named)
+    monkeypatch.setattr(polyexp, "_product", kept)
+    monkeypatch.setattr(polyexp, "_moment_sum", counted)
+    expected = [(((n, l), (1, 0), 2), shift) for n in range(1, 9)
+                for l in range(n) for shift in (-l - 1, l)]
+    expected += [(((n_prime, 0), (1, 0), 1), 0) for n_prime in range(2, 9)]
+    for _ in range(2):
+        moments.clear()
+        second_order_by_n_prime(ZS, 2.0, 8)
+        assert sorted(moments) == sorted(expected)
+        assert len(moments) == 2 * 36 + 7
 
 
 def test_run_helium_sums_the_channels_once(monkeypatch):
@@ -527,3 +605,29 @@ def test_helium_entry_points_return_finite_numbers_or_refuse(
     excited = _unless_refused(
         lambda: excited_triplet_energy(optimal_zstar_excited(z), z))
     assert excited is None or math.isfinite(excited)
+
+
+@settings(max_examples=200)
+@given(z_star=st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                        st.integers(-1074, 1023)),
+       z=st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                   st.integers(0, 1023)),
+       n_max=st.integers(2, 4), m_range=st.sampled_from(["paper", "full"]))
+@example(z_star=1.0, z=1.7e308, n_max=2, m_range="paper")
+@example(z_star=1.363878186425836e29, z=5.16199449518035e292, n_max=2,
+         m_range="paper")
+@example(z_star=1.0, z=1e160, n_max=3, m_range="paper")
+# every bucket finite, but math.fsum of the two overflowed
+@example(z_star=1.0, z=1.78e154, n_max=3, m_range="paper")
+def test_helium_energies_at_independent_charges_return_finite_or_refuse(
+        z_star, z, n_max, m_range):
+    # Z* and Z each log-uniform over the positive floats (Z >= 1): 2.5 Z Z*
+    # or the screening amplitude (Z - Z*) X_n' squared can overflow where
+    # the Slater integrals at Z* still answer
+    ground = _unless_refused(variational_ground_energy, z_star, z)
+    assert ground is None or math.isfinite(ground)
+    excited = _unless_refused(excited_triplet_energy, z_star, z)
+    assert excited is None or math.isfinite(excited)
+    second = _unless_refused(second_order_correction, z_star, z, n_max,
+                             m_range)
+    assert second is None or -math.inf < second < 0.0
