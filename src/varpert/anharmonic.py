@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import AnharmonicSpec, LevelResult, _require_positive, hbar_omega
+from .model import (_HUGE, AnharmonicSpec, LevelResult, _level_error,
+                    _require_positive, hbar_omega)
 from .oscillator import _beta, _coefficients, _hprime
 
 # Closed-form second-order polynomial, equal to the brute-force sum for
@@ -79,8 +80,8 @@ def _optimized(spec: AnharmonicSpec, n: int) -> tuple[float, float, int, float]:
 
 def _newton(spec: AnharmonicSpec, n: int) -> tuple[float, float, int]:
     """The first three fields of ``_optimized``'s record, solved afresh."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= _HUGE:
+        raise _level_error(n)
     hw = hbar_omega(spec)
     if spec.quartic_b == 0.0:
         return hw, 0.0, 0
@@ -127,8 +128,8 @@ def energy_first_order(spec: AnharmonicSpec, n: int, u: float) -> float:
     order 1 bit for bit. A u that takes it past the float range raises
     ``ValueError``.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= _HUGE:
+        raise _level_error(n)
     _require_positive("u", u)
     e1 = u * (n + 0.5) + _hprime(_coefficients(spec, u), 0, n)
     if not math.isfinite(e1):
@@ -148,8 +149,8 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     v in [0.5, 1), and a correction past the float range raises
     ``ValueError``.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= _HUGE:
+        raise _level_error(n)
     _require_positive("u", u)
     w = hbar_omega(spec) / u
     v, e = math.frexp(u)
@@ -177,10 +178,11 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     A u whose x^2 coefficient squares past the float range, as where u^2
     does, raises ``ValueError``; at u = hbar omega that coefficient is 0.
     An amplitude whose square overflows, as from b = 8.3e152 in the hbar
-    omega basis at k = 0.5, makes the sum -inf or nan.
+    omega basis at k = 0.5, or a ladder factor with no float, from n about
+    1.2e77 on, makes the sum -inf or nan.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= _HUGE:
+        raise _level_error(n)
     _require_positive("u", u)
     coefficients = _coefficients(spec, u)
     if coefficients[0] * coefficients[0] == math.inf:
@@ -223,8 +225,8 @@ def energy_present(spec: AnharmonicSpec, n: int) -> LevelResult:
 def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelResult:
     """Conventional perturbation theory with the basis frozen at hbar omega.
 
-    Order 1 is hbar omega (n + 1/2) + b <n|x^4|n>, and a b that takes it
-    past the float range raises ``ValueError``; order 2 adds the exact
+    Order 1 is hbar omega (n + 1/2) + b <n|x^4|n>, and a b or n that takes
+    it past the float range raises ``ValueError``; order 2 adds the exact
     second-order sum. Large-b divergence of the series is a property the
     caller may flag (see ``pt_divergent``), not an error; at huge b the
     second-order sum overflows to -inf or nan, which that flag counts too.
@@ -241,8 +243,8 @@ def _frozen(spec: AnharmonicSpec, n: int) -> tuple[float, float, float]:
     """Level n's hbar omega basis record, (order-1 energy, shift b <n|x^4|n>,
     second-order sum), formed on first touch and kept by spec."""
     if (record := spec._frozen.get(n)) is None:
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        if not 0 <= n <= _HUGE:
+            raise _level_error(n)
         hw = hbar_omega(spec)
         coefficients = _coefficients(spec, hw)
         shift = _hprime(coefficients, 0, n)

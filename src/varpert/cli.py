@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands regenerate the published benchmark tables from first
-principles. Exit status: 0 on success, 2 when --check finds a
-disagreement with the embedded reference values, 3 when an exact-solver
-fails to converge.
+principles. Exit status: 0 on success, 2 on bad input or when --check
+finds a disagreement with the embedded reference values, 3 when some
+table cell has no value because its method refused or did not converge
+(the cell's note says which).
 """
 from __future__ import annotations
 

@@ -13,7 +13,8 @@ import sys
 from typing import Sequence
 
 from .anharmonic import _optimized, energy_present
-from .model import _TINY, AnharmonicSpec, _require_positive, hbar_omega
+from .model import (_HUGE, _TINY, AnharmonicSpec, _level_error,
+                    _require_positive, hbar_omega)
 from .oscillator import build_hamiltonian
 
 
@@ -181,8 +182,8 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     where the box's potential would overflow, raises ``ValueError``, as
     does a psi(x_max) that is not finite.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= _HUGE:
+        raise _level_error(n)
     _require_positive("energy_tol", energy_tol)
     parity = n % 2
     target = n // 2

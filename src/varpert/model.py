@@ -16,12 +16,20 @@ from typing import NamedTuple
 KAPPA_EV_A2 = 3.8099821      # hbar^2/(2 m_e) in eV Angstrom^2
 
 _TINY = sys.float_info.min  # the smallest normal float
+_HUGE = sys.float_info.max  # the largest float
 
 
 def _require_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is finite and > 0."""
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _level_error(n: int) -> ValueError:
+    """The error for a level outside 0 <= n <= ``_HUGE``, where n + 1/2 has
+    a float; callers test the range inline, on hot paths."""
+    return ValueError("n must be >= 0" if n < 0
+                      else f"level n={n} lies past the float range")
 
 
 @dataclass(frozen=True)

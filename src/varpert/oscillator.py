@@ -60,9 +60,13 @@ def _coefficients(spec: AnharmonicSpec, u: float) -> tuple[float, float]:
 def _hprime(coefficients: tuple[float, float], d: int, m, sqrt=math.sqrt):
     """<m + d| H' |m> for d in ``_LADDER`` from basis u's ``_coefficients``,
     with m an int or, with ``numpy.sqrt``, an integer array; x^2 does not
-    couple m + 4 to m, whatever c2 reads."""
-    x2, x4 = _LADDER[d](m, sqrt)
-    return (coefficients[0] if d < 4 else 0.0) * x2 + coefficients[1] * x4
+    couple m + 4 to m, whatever c2 reads. nan where an int ladder factor
+    has no float, from m about 1.2e77 on for d = 4 and 5.5e153 for d = 0."""
+    try:
+        x2, x4 = _LADDER[d](m, sqrt)
+        return (coefficients[0] if d < 4 else 0.0) * x2 + coefficients[1] * x4
+    except OverflowError:
+        return math.nan
 
 
 def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:

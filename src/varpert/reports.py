@@ -16,7 +16,8 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from . import reference as ref
-from .anharmonic import energy_conventional_pt, energy_present, pt_divergent
+from .anharmonic import (energy_conventional_pt, energy_present,
+                         energy_variational, pt_divergent)
 from .exact import ConvergenceError, diag_eigenvalues, shoot_eigenvalue
 from .helium import excited_triplet_energy, ground_state, optimal_zstar_excited
 from .model import (KAPPA_EV_A2, AnharmonicSpec, _require_positive,
@@ -74,7 +75,7 @@ class ReportDocument:
 
     text: str
     violations: list[str] = field(default_factory=list)
-    convergence_failed: bool = False
+    convergence_failed: bool = False  # some cell has no value
 
 
 def _fmt(v: float) -> str:
@@ -97,39 +98,42 @@ def _cell_txt(cell: dict) -> str:
     return txt
 
 
+def _cell(solve, exact: float = math.nan) -> dict:
+    """A cell of ``solve()`` and its percent of ``exact`` where both are
+    finite, or of nan and a note saying why the method gave no value."""
+    try:
+        value, note = solve(), ""
+    except ConvergenceError as exc:
+        value, note = math.nan, f"unconverged: {exc}"
+    except ValueError as exc:
+        value, note = math.nan, f"refused: {exc}"
+    finite = math.isfinite(value) and math.isfinite(exact)
+    return {"value": value, "note": note,
+            "percent": _percent(100.0 * value / exact) if finite else ""}
+
+
 def _oscillator_cells(cfg: RunConfig, spec: AnharmonicSpec,
                       n: int) -> dict[str, dict]:
     """One (level, b) column: each method's value, percent of exact (see
-    ``_percent``, or "") and note ("divergent", "unconverged: ..." or "").
+    ``_percent``, or "") and note ("divergent", "refused: ...",
+    "unconverged: ..." or "").
 
-    The two closed-form calls run before shooting, so that a point they
-    reject fails fast; shooting reads the present energy's cubic root and
-    variational energy from the spec's record for its first trial. A
-    shooting convergence failure turns the exact cell into an annotation
-    instead of aborting the table; the other cells then carry no percent.
+    Every cell comes from ``_cell``: a method that refuses or does not
+    converge annotates its own cell, and the others still answer. Only an
+    order-2 cell that answered can be "divergent".
     """
-    present = energy_present(spec, n)
-    conventional = energy_conventional_pt(spec, n, 2)
-    estimates = {
-        "conventional_pt1": (conventional.e_first, ""),
-        "conventional_pt2": (conventional.e_total,
-                             "divergent" if pt_divergent(spec, n) else ""),
-        "variational": (present.e_first, ""),
-        "present": (present.e_total, ""),
-    }
-    try:
-        exact = shoot_eigenvalue(spec, n, energy_tol=cfg.exact_tol)
-        exact_note = ""
-    except ConvergenceError as exc:
-        exact, exact_note = math.nan, f"unconverged: {exc}"
-    cells = {method: {"value": value, "note": note,
-                      "percent": _percent(100.0 * value / exact)
-                      if math.isfinite(exact) else ""}
-             for method, (value, note) in estimates.items()}
+    exact = _cell(lambda: shoot_eigenvalue(spec, n, energy_tol=cfg.exact_tol))
+    cells = {method: _cell(solve, exact["value"]) for method, solve in {
+        "conventional_pt1": lambda: energy_conventional_pt(spec, n, 1).e_total,
+        "conventional_pt2": lambda: energy_conventional_pt(spec, n, 2).e_total,
+        "variational": lambda: energy_variational(spec, n).e_total,
+        "present": lambda: energy_present(spec, n).e_total}.items()}
+    if not cells["conventional_pt2"]["note"] and pt_divergent(spec, n):
+        cells["conventional_pt2"]["note"] = "divergent"
+    cells["exact"] = exact
     # stiffness of the optimized parent oscillator, k (Omega_n/omega)^2
-    stiffness = STIFFNESS_K * (present.hbar_omega_n / hbar_omega(spec)) ** 2
-    cells["exact"] = {"value": exact, "percent": "", "note": exact_note}
-    cells["half_m_omega2"] = {"value": stiffness, "percent": "", "note": ""}
+    cells["half_m_omega2"] = _cell(lambda: STIFFNESS_K * (
+        energy_variational(spec, n).hbar_omega_n / hbar_omega(spec)) ** 2)
     return cells
 
 
@@ -185,8 +189,9 @@ def run_table(cfg: RunConfig) -> ReportDocument:
               "json": _as_json}[cfg.output_format]
     return ReportDocument(
         text=render(cfg, doc), violations=violations,
-        convergence_failed=any(col["cells"]["exact"]["note"]
-                               for block in blocks for col in block["columns"]))
+        convergence_failed=any(
+            c["note"] not in ("", "divergent") for block in blocks
+            for col in block["columns"] for c in col["cells"].values()))
 
 
 # table2's first/second-order grid; its CSV labels each row "scheme,order"

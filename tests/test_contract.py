@@ -7,15 +7,19 @@ raises ``ValueError``; ``diag_eigenvalues`` and ``shoot_eigenvalue`` may
 also raise ``ConvergenceError``. The one documented exception is the
 second-order sum, which may read -inf or nan where its amplitudes' squares
 overflow; in the hbar omega basis ``pt_divergent`` must then flag the level.
+Past n = 100 the entry points are held to that at four huge levels, where
+the ladder factors and then n itself leave the float range.
 """
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varpert.anharmonic import (energy_conventional_pt, energy_first_order,
                                 energy_present, energy_variational,
-                                pt_divergent, second_order_sum, solve_omega)
+                                pt_divergent, second_order_closed_form,
+                                second_order_sum, solve_omega)
 from varpert.exact import (REL_WIDTH, ConvergenceError, diag_eigenvalues,
                            shoot_eigenvalue)
 from varpert.model import KAPPA_EV_A2, hbar_omega, make_anharmonic_spec
@@ -143,3 +147,57 @@ def test_closed_forms_stay_within_their_stated_bounds_of_shooting(k, b, kappa,
     assert -0.010 <= variational / exact - 1.0 <= 0.0202
     if n < 2:
         assert variational >= exact * (1.0 - REL_WIDTH)
+
+
+def _hprime_from(d):
+    """<n + d| H' |n> in the hbar omega basis, as a call (spec, n)."""
+    return lambda spec, n: hprime_element(spec, hbar_omega(spec), n + d, n)
+
+
+# every oscillator entry point that takes a level, as a call (spec, n)
+LEVEL_CALLS = {
+    "conventional_pt1": lambda spec, n: energy_conventional_pt(spec, n, 1),
+    "conventional_pt2": lambda spec, n: energy_conventional_pt(spec, n, 2),
+    "pt_divergent": pt_divergent,
+    "second_order_sum": lambda spec, n: second_order_sum(spec, n,
+                                                         hbar_omega(spec)),
+    "solve_omega": solve_omega,
+    "energy_variational": energy_variational,
+    "energy_present": energy_present,
+    "energy_first_order": lambda spec, n: energy_first_order(spec, n,
+                                                             hbar_omega(spec)),
+    "second_order_closed_form": lambda spec, n: second_order_closed_form(
+        spec, n, solve_omega(spec, n).hbar_Omega_n),
+    "shoot_eigenvalue": shoot_eigenvalue,
+    "hprime_element_d0": _hprime_from(0),
+    "hprime_element_d2": _hprime_from(2),
+    "hprime_element_d4": _hprime_from(4),
+}
+
+
+@pytest.mark.parametrize("n", [2 * 10**77, 6 * 10**153, 10**200, 10**400],
+                         ids=["2e77", "6e153", "1e200", "1e400"])
+@pytest.mark.parametrize("name", list(LEVEL_CALLS))
+def test_huge_levels_return_or_refuse_naming_the_level(name, n, time_limit):
+    # each raised a bare OverflowError from one of these levels on: the
+    # ladder factors' ints, then n + 1/2 itself, have no float
+    spec = make_anharmonic_spec(0.5, 0.05)
+    with time_limit(5.0):
+        try:
+            LEVEL_CALLS[name](spec, n)
+        except ValueError as exc:
+            assert str(n) in str(exc)
+
+
+def test_conventional_order_1_answers_where_its_order_2_sum_has_no_float():
+    # the frozen record forms the order-2 sum for order 1 too; from
+    # n = 1.2e77 on that sum's d = 4 ladder factor has no float
+    spec = make_anharmonic_spec(0.5, 0.05)
+    n = 2 * 10**77
+    hw = hbar_omega(spec)
+    beta = spec.quartic_b * spec.kappa ** 2 / hw ** 2
+    expected = hw * (n + 0.5) + beta * (6 * n * n + 6 * n + 3)
+    assert energy_conventional_pt(spec, n, 1).e_total == pytest.approx(
+        expected, rel=1e-15)
+    assert math.isnan(energy_conventional_pt(spec, n, 2).e_second_corr)
+    assert pt_divergent(spec, n) is True

@@ -1,9 +1,13 @@
 """Report assembly and the command-line interface."""
 import json
+import math
 import re
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import varpert.anharmonic as anharmonic
 import varpert.reports as reports
@@ -448,17 +452,20 @@ def _markdown_cells(command, text):
     return cells
 
 
-@pytest.mark.parametrize("extra", [[], ["--b", "0.05", "0.05", "--levels", "2"]],
-                         ids=["defaults", "repeated_b"])
+@pytest.mark.parametrize("extra, status, n_columns", [
+    # one level at the default b values; two levels of two columns each;
+    # one column whose conventional cells are refused
+    ([], 0, None), (["--b", "0.05", "0.05", "--levels", "2"], 0, 2 * 2),
+    (["--b", "4e307"], 3, 1)], ids=["defaults", "repeated_b", "refused_b"])
 @pytest.mark.parametrize("command", ["table1", "table2", "table3", "sweep"])
-def test_formats_carry_the_same_cells(command, extra, capsys):
+def test_formats_carry_the_same_cells(command, extra, status, n_columns,
+                                      capsys):
     outputs = {}
     for fmt in ("markdown", "csv", "json"):
-        assert main([command, *extra, "--format", fmt]) == 0
+        assert main([command, *extra, "--format", fmt]) == status
         outputs[fmt] = capsys.readouterr().out
     every = _json_cells(outputs["json"])
-    # two levels of two columns each, or one level at the default b values
-    n_columns = 2 * 2 if extra else len(reports.DEFAULT_B[command])
+    n_columns = n_columns or len(reports.DEFAULT_B[command])
     assert sum(every.values()) == n_columns * len(METHODS)
 
     def shown(methods):
@@ -500,3 +507,94 @@ def test_percent_keeps_three_decimals_below_1e12():
     assert reports._percent(-999999999999.0) == "-999999999999.000"
     assert reports._percent(1e12) == "1e+12"
     assert reports._percent(-2.5e15) == "-2.5e+15"
+
+
+@pytest.mark.parametrize("command, answers", [
+    ("table1", (9.024095e102, 8.773425e102, 8.846188e102)),
+    ("table2", (9.024095e102, 8.773425e102, 8.846188e102)),
+    ("table3", (3.209774e103, 3.156278e103, 3.169919e103)),
+    ("sweep", (9.024095e102, 8.773425e102, 8.846188e102))])
+def test_a_refused_method_annotates_only_its_own_cells(command, answers,
+                                                      capsys):
+    # conventional order 1 overflows at b = 4e307, which exited 2 with no
+    # table; the variational, present and exact cells answer there (the
+    # other formats carry the same cells: test_formats_carry_the_same_cells)
+    assert main([command, "--b", "4e307", "--format", "json"]) == 3
+    block = json.loads(capsys.readouterr().out)["report"]["blocks"][0]
+    cells = block["columns"][0]["cells"]
+    note = f"refused: quartic_b=4e+307 overflows E1 for n={block['level']}"
+    for method in ("conventional_pt1", "conventional_pt2"):
+        assert math.isnan(cells[method]["value"])
+        assert (cells[method]["percent"], cells[method]["note"]) == ("", note)
+    for method, value in zip(("variational", "present", "exact"), answers):
+        assert cells[method]["value"] == pytest.approx(value, rel=1e-6)
+    assert all(c["note"] == "" for m, c in cells.items()
+               if not m.startswith("conventional"))
+
+
+def test_table2_carries_the_refusal_to_both_conventional_cells(capsys):
+    note = "refused: quartic_b=4e+307 overflows E1 for n=0"
+    assert main(["table2", "--b", "4e307"]) == 3
+    assert f"| conventional | nan [{note}] | nan [{note}] |" in (
+        capsys.readouterr().out)
+    assert main(["table2", "--b", "4e307", "--format", "csv"]) == 3
+    csv = capsys.readouterr().out
+    for order in (1, 2):
+        assert f"\ntable2,0,4e+307,conventional,{order},nan,,{note}\n" in csv
+
+
+def test_a_refused_cell_makes_main_exit_3(monkeypatch, capsys):
+    def refuse(spec, n):
+        raise ValueError(f"forced refusal at n={n}")
+
+    monkeypatch.setattr(reports, "energy_present", refuse)
+    assert main(["table1", "--b", "0.05", "--format", "json"]) == 3
+    cells = json.loads(capsys.readouterr().out)["report"]["blocks"][0][
+        "columns"][0]["cells"]
+    assert math.isnan(cells["present"]["value"])
+    assert cells["present"]["note"] == "refused: forced refusal at n=0"
+    # shooting reads the present energy through its own module, and answers
+    assert cells["exact"]["value"] == pytest.approx(1.5922191, abs=1e-7)
+    assert cells["variational"]["percent"] == "100.293"
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+@pytest.mark.parametrize("argv, level, value", [
+    (["table1", "--b", "1e300"], 0, "-inf"),
+    (["table3", "--levels", "3", "--b", "1e300"], 2, "nan")])
+def test_a_non_finite_value_carries_no_percent(argv, level, value, fmt,
+                                               capsys):
+    # these printed "-inf" and "nan" as percents of exact
+    assert main([*argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        [block] = [b for b in json.loads(out)["report"]["blocks"]
+                   if b["level"] == level]
+        cell = block["columns"][0]["cells"]["conventional_pt2"]
+        assert (cell["percent"], cell["note"]) == ("", "divergent")
+    elif fmt == "csv":
+        assert (f"\n{argv[0]},{level},1e+300,conventional_pt2,{value},,"
+                "divergent\n") in out
+    else:
+        assert f"| conventional_pt2 | {value} [divergent] |" in out
+
+
+# a sweep of four levels takes about 3 ms, so fewer draws than the profile's
+@settings(max_examples=300)
+@given(b=st.floats(0.0, sys.float_info.max))
+@example(b=3.15e307)
+@example(b=4e307)
+@example(b=sys.float_info.max)
+def test_every_cell_answers_or_says_why(b):
+    # levels 0-3 at any b the float range holds, the conventional orders
+    # refusing from b = 3.15e307 on
+    doc = run_table(RunConfig("sweep", b_values=(b,), n_levels=4,
+                              output_format="json"))
+    blocks = json.loads(doc.text)["report"]["blocks"]
+    cells = [c for block in blocks for col in block["columns"]
+             for c in col["cells"].values()]
+    assert len(cells) == 4 * len(METHODS)
+    assert all(math.isfinite(c["value"]) or c["note"] for c in cells)
+    assert all(c["percent"] == "" or math.isfinite(c["value"]) for c in cells)
+    assert doc.convergence_failed == any(
+        c["note"].startswith(("refused: ", "unconverged: ")) for c in cells)
