@@ -179,7 +179,9 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     does, raises ``ValueError``; at u = hbar omega that coefficient is 0.
     An amplitude whose square overflows, as from b = 8.3e152 in the hbar
     omega basis at k = 0.5, or a ladder factor with no float, from n about
-    1.2e77 on, makes the sum -inf or nan.
+    1e154 on, makes the sum -inf or nan. From n about 1.2e77 on the four
+    terms cancel to rounding, so the sum is good only in absolute terms,
+    to about eps times its largest term.
     """
     if not 0 <= n <= _HUGE:
         raise _level_error(n)

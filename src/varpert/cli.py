@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="energy tolerance for the shooting solver "
                                 f"in eV (default {default['exact_tol']}); "
                                 "it can only tighten the search below its "
-                                "1e-9 E cap")
+                                "1e-9 E cap, and a tighter one also deepens "
+                                "the box and tightens the steps")
             p.add_argument("--exact-dim", type=int,
                            help="basis size for the diagonalization oracle "
                                 f"(default {default['exact_dim']})")

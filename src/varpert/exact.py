@@ -21,10 +21,10 @@ from .oscillator import build_hamiltonian
 ORDER_MAX = 44  # most Taylor terms a shooting step forms
 _RECURRENCE = tuple(1.0 / ((j + 1) * (j + 2)) for j in range(ORDER_MAX - 1))
 # truncation bound on each Taylor step's last two terms, relative to psi's
-# scale: 1e-10 with the margin 2^-28 that fixed 28-term steps at half their
-# longest length gave
+# scale, at the search's 8-ulp floor (looser above it, see shoot_eigenvalue):
+# 1e-10 with the margin 2^-28 that fixed 28-term steps at half length gave
 ABS_TOL = 1e-10 * 2.0 ** -28
-BOX_DECAY = 20.0  # decay lengths from the turning point to the box's wall
+BOX_DECAY = 20.0  # decay lengths from the turning point to the floor's wall
 REL_WIDTH = 1e-9  # widest final bracket relative to its first upper end
 MAX_ITER = 240  # combined budget of bracket-growth and search steps
 GUESS_WIDTH = 0.02  # the second trial's offset, relative to the first
@@ -46,7 +46,8 @@ class ConvergenceError(RuntimeError):
 
 
 def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
-               x_max: float) -> tuple[float, int]:
+               x_max: float, abs_tol: float | None = None
+               ) -> tuple[float, int]:
     """March psi from 0 to x_max; return (psi(x_max), node count).
 
     Taylor-series steps of variable order on psi'' = q(x) psi with
@@ -55,22 +56,26 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     H = pi / (2 sqrt(E / kappa)), and the series coefficients a_j of
     psi(x0 + h t) obey the five-term recurrence
     (j+1)(j+2) a_{j+2} = sum_{i<=4} q_i a_{j-i}. Terms are formed until
-    the last two lie within ``ABS_TOL`` max(s, |psi|), and the step
-    is the whole h; if ``ORDER_MAX`` terms come first, t shrinks until the
-    last two do. No step is ever rejected. psi's scale s is 1 for even
-    parity and, as psi'(0) = 1, H for odd. As V >= 0, zeros of psi lie at
-    least 2H apart (Sturm comparison with the free wave at energy E), so a
-    step of at most H holds at most one of them and a sign change counts
-    it exactly. Where psi oscillates a step is the whole H, so an
-    integration takes about x_t / H steps up to the turning point x_t,
+    the last two lie within ``abs_tol`` max(s, |psi|), ``ABS_TOL`` by
+    default, and the step is the whole h; if ``ORDER_MAX`` terms come
+    first, t shrinks until the last two do. No step is ever rejected.
+    psi's scale s is 1 for even parity and, as psi'(0) = 1, H for odd. A
+    looser ``abs_tol`` moves a level by at most about 22 ``abs_tol``
+    relative. As V >= 0, zeros of psi lie at least 2H apart (Sturm
+    comparison with the free wave at energy E), so a step of at most H
+    holds at most one of them and a sign change counts it exactly. Where
+    psi oscillates a step is the whole H, so an integration takes about
+    x_t / H steps up to the turning point x_t,
     (4 / pi)(n + 1/2) at b = 0 and likewise growing like n at b > 0, and a
-    few dozen past it; at n = 20 to 1000 a step averages 22-26 terms.
+    few dozen past it; at n = 20 to 1000 a step averages 22-26 terms at
+    ``ABS_TOL``.
     """
     inv_kappa = 1.0 / spec.kappa
     c2 = spec.stiffness_k * inv_kappa
     c4 = spec.quartic_b * inv_kappa
     ce = energy * inv_kappa
     big_h = 0.5 * math.pi / math.sqrt(ce)
+    abs_tol = abs_tol or ABS_TOL
 
     y0, y1, scale = (1.0, 0.0, 1.0) if parity == 0 else (0.0, 1.0, big_h)
     x = 0.0
@@ -92,7 +97,7 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
         a_j, a_next = y0, y1 * h
         a_1 = a_2 = a_3 = a_4 = 0.0
         a = [a_j]
-        tol = ABS_TOL * max(scale, abs(y0))
+        tol = abs_tol * max(scale, abs(y0))
         t = 1.0
         for inv in _RECURRENCE:
             if abs(a_next) <= tol and abs(a_j) <= tol:
@@ -122,12 +127,15 @@ def _integrate(spec: AnharmonicSpec, energy: float, parity: int,
     return y0, nodes
 
 
-def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
-    """Box half-width: the wall clears E by ``BOX_DECAY`` decay lengths.
+def _default_x_max(spec: AnharmonicSpec, energy: float,
+                   depth: float | None = None) -> float:
+    """Box half-width: the wall clears E by ``depth`` decay lengths.
 
-    A wall that far out shifts a level by about e^(-2 BOX_DECAY) relative,
-    eps / 50 at 20: below the 8-ulp floor of the search's final bracket.
+    That wall shifts a level by at most 0.6 e^(-2 depth) relative (2.0e-11
+    at 12 for harmonic n = 0, the worst case); the default ``BOX_DECAY``,
+    20, gives eps / 50, under the 8-ulp floor of the search's bracket.
     """
+    depth = depth or BOX_DECAY
     k = spec.stiffness_k
     b = spec.quartic_b
     kappa = spec.kappa
@@ -135,13 +143,13 @@ def _default_x_max(spec: AnharmonicSpec, energy: float) -> float:
     # needs no b = 0 branch and cannot overflow at huge b
     root = math.hypot(k, 2.0 * math.sqrt(b) * math.sqrt(energy))
     x = math.sqrt(2.0 * energy / (k + root))
-    # march the decay integral int f dx, f = sqrt((V-E)/kappa), to BOX_DECAY
-    # by the trapezoid rule; the step, sized by the turning point whatever
+    # march the decay integral int f dx, f = sqrt((V-E)/kappa), to depth by
+    # the trapezoid rule; the step, sized by the turning point whatever
     # its scale, doubles but never exceeds the local decay length 1 / f
     dx = 0.01 * x
     s = 0.0
     f_here = 0.0
-    while s < BOX_DECAY:
+    while s < depth:
         x_next = x + dx
         v_next = (k + b * x_next * x_next) * x_next * x_next - energy
         f_next = math.sqrt(max(v_next, 0.0) / kappa)
@@ -172,6 +180,12 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     diagonalization for k from 1e-4 to 1e3, the electron kappa, b = 0 or
     1e-6 to 1e8 and n up to 20. ``MAX_ITER`` trials bound growth and search.
 
+    The box is min(``BOX_DECAY``, ln(1e3 / w) / 2) decay lengths deep and
+    each step meets max(``ABS_TOL``, 1e-4 w), w = max(min(``energy_tol`` /
+    E, ``REL_WIDTH``), 8 eps) the relative width the search stops at, E
+    the first trial: together they move a level by under 1e-2 w (2.6e-3 w
+    measured), and at the floor they are the two constants.
+
     The level is shot in the length unit 2^j Angstrom, 4^j within a factor
     4 of kappa / s, s the larger of hbar omega (n + 3/2) and kappa^(2/3)
     b^(1/3) (n + 1)^(4/3): (k, b, kappa) becomes (k 4^j, b 16^j,
@@ -196,15 +210,18 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
         raise ValueError(f"level n={n} lies too near the top of the float "
                          f"range: its scale reads {scale!r} eV")
     guess = energy_present(spec, n).e_total
+    w = max(min(energy_tol / guess, REL_WIDTH), 8.0 * sys.float_info.epsilon)
+    depth = min(BOX_DECAY, 0.5 * math.log(1e3 / w))
+    abs_tol = max(ABS_TOL, 1e-4 * w)
     j = (math.frexp(spec.kappa)[1] - math.frexp(scale)[1]) // 2
     spec = AnharmonicSpec(max(math.ldexp(spec.stiffness_k, 2 * j), 5e-324),
                           math.ldexp(spec.quartic_b, 4 * j),
                           math.ldexp(spec.kappa, -2 * j))
     e_hi = guess * (1.0 + GUESS_WIDTH)
-    x_max = _default_x_max(spec, e_hi)
+    x_max = _default_x_max(spec, e_hi, depth)
 
     def shoot(e: float) -> tuple[float, int]:
-        return _integrate(spec, e, parity, x_max)
+        return _integrate(spec, e, parity, x_max, abs_tol)
 
     e_lo, psi_lo, nodes_lo = 0.0, 0.0, -1  # E = 0 is not integrated
     psi, nodes = shoot(guess)
@@ -227,11 +244,11 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
                 n=n, e_hi=e_hi, nodes=nodes_hi, target=target)
         e_lo, nodes_lo = e_hi, -1  # integrated below, on the final x_max
         e_hi *= 1.4
-        x_max = _default_x_max(spec, e_hi)
+        x_max = _default_x_max(spec, e_hi, depth)
         psi_hi, nodes_hi = shoot(e_hi)
     if nodes_lo < 0 < e_lo:
         # the grown bracket's lower end; its first box already cleared its
-        # own energy by BOX_DECAY decay lengths, so the wider one adds a node
+        # own energy by depth decay lengths, so the wider one adds a node
         # only where E rests on a level to within rounding
         psi_lo, nodes_lo = shoot(e_lo)
 

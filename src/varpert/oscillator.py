@@ -61,11 +61,15 @@ def _hprime(coefficients: tuple[float, float], d: int, m, sqrt=math.sqrt):
     """<m + d| H' |m> for d in ``_LADDER`` from basis u's ``_coefficients``,
     with m an int or, with ``numpy.sqrt``, an integer array; x^2 does not
     couple m + 4 to m, whatever c2 reads. nan where an int ladder factor
-    has no float, from m about 1.2e77 on for d = 4 and 5.5e153 for d = 0."""
+    has no float, from m about 5.5e153 on for d = 0 and 1e154 for d = 4,
+    whose product of four factors is rooted in two halves from 1.2e77."""
     try:
         x2, x4 = _LADDER[d](m, sqrt)
         return (coefficients[0] if d < 4 else 0.0) * x2 + coefficients[1] * x4
     except OverflowError:
+        if d == 4 and m < 10 ** 154:  # each half still has a float
+            return coefficients[1] * (sqrt((m + 1) * (m + 2))
+                                      * sqrt((m + 3) * (m + 4)))
         return math.nan
 
 

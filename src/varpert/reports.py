@@ -161,7 +161,7 @@ def _check_oscillator(cfg: RunConfig, spec: AnharmonicSpec, n: int,
         diag = diag_eigenvalues(spec, dim=cfg.exact_dim, n_levels=n + 1)[n]
         tol = max(ref.TOL_CROSS_ORACLE_EV,
                   ref.TOL_CROSS_ORACLE_REL * abs(shoot))
-        if abs(shoot - diag) > tol:
+        if not abs(shoot - diag) <= tol:  # a refused shot (nan) fails too
             violations.append(
                 f"n={n} b={b}: shooting {_fmt(shoot)} vs diagonalization "
                 f"{_fmt(diag)} beyond {tol:g} eV")

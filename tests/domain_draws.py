@@ -9,10 +9,13 @@ or timed out, and the worst relative gap to a diagonalization of the same
 problem rescaled to kappa = 1 and k = 1 or b = 1, the other coupling at
 most 1. It also tallies the present-scheme energy against that reference,
 and the mean number of integrations (``exact._integrate`` calls) shooting
-took per answered level.
+took per answered level. ``--energy-tol`` sets every search's
+``energy_tol``, 1e-9 eV by default as in ``shoot_eigenvalue``; 1e-300 shoots
+at the 8-ulp floor, with the deepest box and tightest steps.
 Run it from the repository root:
 
     PYTHONPATH=src python tests/domain_draws.py SEED [--count N] [--list]
+        [--energy-tol TOL]
 
 ``--list`` also prints one line per draw, the shooting result as its
 ``repr``, so that two checkouts can be compared draw by draw.
@@ -84,6 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("seed", type=int)
     parser.add_argument("--count", type=int, default=1500)
     parser.add_argument("--list", action="store_true")
+    parser.add_argument("--energy-tol", type=float, default=1e-9)
     args = parser.parse_args(argv)
 
     outcomes = collections.Counter()
@@ -111,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         integrations = 0
         signal.setitimer(signal.ITIMER_REAL, ALARM_S)
         try:
-            level = shoot_eigenvalue(spec, n)
+            level = shoot_eigenvalue(spec, n, energy_tol=args.energy_tol)
             result = repr(level)
         except Timeout:
             level, result = None, "timeout"
@@ -142,7 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         present_outside += not gap <= PRESENT_BOUND
         present_worst = max(present_worst, (gap, point))
 
-    print(f"seed {args.seed}: {args.count} draws")
+    print(f"seed {args.seed}: {args.count} draws, energy_tol "
+          f"{args.energy_tol:g} eV")
     for name in ("spec refused", "answered", "refused", "timed out",
                  "present refused"):
         print(f"  {name}: {outcomes[name]}")

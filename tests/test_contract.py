@@ -11,6 +11,7 @@ Past n = 100 the entry points are held to that at four huge levels, where
 the ladder factors and then n itself leave the float range.
 """
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -201,3 +202,18 @@ def test_conventional_order_1_answers_where_its_order_2_sum_has_no_float():
         expected, rel=1e-15)
     assert math.isnan(energy_conventional_pt(spec, n, 2).e_second_corr)
     assert pt_divergent(spec, n) is True
+
+
+def test_conventional_order_2_answers_where_its_ladder_product_has_no_float():
+    # from n = 1.2e77 the d = 4 ladder product has no float, and the sum
+    # read nan and flagged the level; its root taken in two halves answers,
+    # with the four terms cancelling to rounding of the largest
+    spec = make_anharmonic_spec(0.5, 1e-300)
+    n = 2 * 10**77
+    hw = hbar_omega(spec)
+    beta = spec.quartic_b * spec.kappa ** 2 / hw ** 2
+    largest = (beta * (4 * n + 6) * math.sqrt((n + 1) * (n + 2))) ** 2 / (
+        2.0 * hw)
+    e2 = energy_conventional_pt(spec, n, 2).e_second_corr
+    assert abs(e2) <= 8.0 * sys.float_info.epsilon * largest
+    assert pt_divergent(spec, n) is False

@@ -498,7 +498,7 @@ def test_shooting_explicit_box_matches_default(monkeypatch):
     # one fixed box for every trial energy, wider than the 8.5 A one
     # sized per energy here, in the length unit the level is shot in: the
     # given kappa over its kappa is the square of that unit in Angstrom
-    monkeypatch.setattr(exact, "_default_x_max", lambda scaled, energy:
+    monkeypatch.setattr(exact, "_default_x_max", lambda scaled, energy, depth:
                         9.0 * math.sqrt(scaled.kappa / spec.kappa))
     e_wide = shoot_eigenvalue(spec, 0)
     assert e_auto == pytest.approx(e_wide, abs=1e-8)
@@ -559,9 +559,9 @@ def test_search_bisects_where_psi_near_the_level_is_noise(n, monkeypatch):
     integrate = exact._integrate
     calls = []
 
-    def noisy(spec, energy, parity, x_max):
+    def noisy(spec, energy, parity, x_max, abs_tol):
         calls.append(energy)
-        psi, nodes = integrate(spec, energy, parity, x_max)
+        psi, nodes = integrate(spec, energy, parity, x_max, abs_tol)
         if nodes == n // 2 and abs(energy / level - 1.0) < 0.05:
             psi *= 1e6
         return psi, nodes
@@ -573,19 +573,29 @@ def test_search_bisects_where_psi_near_the_level_is_noise(n, monkeypatch):
 
 def test_shooting_cost_per_level(monkeypatch):
     calls = []
+    boxes = []
     integrate = exact._integrate
+    box = exact._default_x_max
 
     def counting(*args):
         calls.append(args)
         return integrate(*args)
 
+    def sized(spec, energy, depth):
+        x_max = box(spec, energy, depth)
+        boxes.append((x_max, box(spec, energy)))
+        return x_max
+
     monkeypatch.setattr(exact, "_integrate", counting)
+    monkeypatch.setattr(exact, "_default_x_max", sized)
     for n, b in TABLE_POINTS:
         shoot_eigenvalue(spec_at(b), n)
     # node-count bisection to 1e-9 eV alone takes about 33 per level, and
     # from the level's scale the inverse quadratic search took 9.25; a
     # first trial at the present energy, 2 % from the second, measures 5.5
     assert len(calls) / len(TABLE_POINTS) <= 6
+    # the default tolerance's box is shorter than the floor bracket's
+    assert boxes and all(x_max < floor for x_max, floor in boxes)
 
 
 def _first_trial_at(monkeypatch, trial):
@@ -832,6 +842,117 @@ def test_box_wall_is_invisible_at_the_floor_bracket(n, b, monkeypatch):
     monkeypatch.setattr(exact, "BOX_DECAY", 25.0)
     wider = shoot_eigenvalue(spec, n, energy_tol=1e-300)
     assert abs(level - wider) <= 8.0 * sys.float_info.epsilon * wider
+
+
+def _relative_width(spec, n, energy_tol=1e-9):
+    """The relative width w the search stops at, from its first trial."""
+    guess = energy_present(spec, n).e_total
+    return max(min(energy_tol / guess, REL_WIDTH),
+               8.0 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("depth", [12.0, 14.0, 16.0, 25.0])
+def test_box_wall_shifts_a_level_by_at_most_its_law(depth, monkeypatch):
+    # a wall depth decay lengths out moves a level by at most
+    # 0.6 e^(-2 depth) relative; the harmonic ground state, the worst case,
+    # reads 0.53 of that at 12 and 0.46 at 16. Past the floor's 20 (a
+    # patched BOX_DECAY of 25 is capped at 20.4 by the sizing) the levels
+    # stay within the 8-ulp floor bracket
+    points = TABLE_POINTS + [(0, b) for b in (0.0, 1e4, 1e20, 1e100, 2e269)]
+    floor = [shoot_eigenvalue(spec_at(b), n, energy_tol=1e-300)
+             for n, b in points]
+    box = exact._default_x_max
+    monkeypatch.setattr(exact, "_default_x_max",
+                        lambda spec, energy, _: box(spec, energy, depth))
+    for (n, b), level in zip(points, floor):
+        walled = shoot_eigenvalue(spec_at(b), n, energy_tol=1e-300)
+        assert abs(walled / level - 1.0) <= (0.6 * math.exp(-2.0 * depth)
+                                             + 8.0 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-13, 1e-12])
+def test_looser_steps_shift_a_level_by_at_most_22_times_their_bound(
+        abs_tol, monkeypatch):
+    # 1e-13 is the loosest bound a search uses, at w = REL_WIDTH; these
+    # points measure at most 8.4 times the bound
+    points = ([(0.5, b, n) for n, b in TABLE_POINTS]
+              + _random_points(30, seed=20261021))
+    floor = [shoot_eigenvalue(make_anharmonic_spec(k, b), n,
+                              energy_tol=1e-300) for k, b, n in points]
+    integrate = exact._integrate
+    monkeypatch.setattr(
+        exact, "_integrate", lambda spec, energy, parity, x_max, _:
+        integrate(spec, energy, parity, x_max, abs_tol))
+    for (k, b, n), level in zip(points, floor):
+        loose = shoot_eigenvalue(make_anharmonic_spec(k, b), n,
+                                 energy_tol=1e-300)
+        assert abs(loose / level - 1.0) <= (22.0 * abs_tol
+                                            + 8.0 * sys.float_info.epsilon)
+
+
+def test_search_sizes_its_box_and_steps_to_its_bracket(monkeypatch):
+    depths, tols = [], []
+    box, integrate = exact._default_x_max, exact._integrate
+
+    def spy_box(spec, energy, depth):
+        depths.append(depth)
+        return box(spec, energy, depth)
+
+    def spy_integrate(spec, energy, parity, x_max, abs_tol):
+        tols.append(abs_tol)
+        return integrate(spec, energy, parity, x_max, abs_tol)
+
+    monkeypatch.setattr(exact, "_default_x_max", spy_box)
+    monkeypatch.setattr(exact, "_integrate", spy_integrate)
+    spec = spec_at(0.05)
+    # at the floor both stay the constants, bit for bit
+    shoot_eigenvalue(spec, 1, energy_tol=1e-300)
+    assert set(depths) == {exact.BOX_DECAY}
+    assert set(tols) == {exact.ABS_TOL}
+    depths.clear()
+    tols.clear()
+    shoot_eigenvalue(spec, 1)
+    w = _relative_width(spec, 1)
+    assert set(depths) == {0.5 * math.log(1e3 / w)}
+    assert set(tols) == {1e-4 * w}
+    assert depths[0] < exact.BOX_DECAY and tols[0] > exact.ABS_TOL
+
+
+def test_sized_box_and_steps_move_levels_by_under_a_hundredth_of_w(
+        monkeypatch):
+    # shot at the floor bracket, the box and steps that the default
+    # tolerance sizes move a level by at most 2.6e-3 w here; the budget is
+    # 1e-2 w, so the returned midpoint stays within 0.51 w of the level.
+    # Below w = 1e3 eps the bracket's own 8 ulps pass 1e-2 w
+    seen, forced = {}, {}
+    box, integrate = exact._default_x_max, exact._integrate
+
+    def sized_box(spec, energy, depth):
+        seen["depth"] = depth
+        return box(spec, energy, forced.get("depth", depth))
+
+    def sized_integrate(spec, energy, parity, x_max, abs_tol):
+        seen["abs_tol"] = abs_tol
+        return integrate(spec, energy, parity, x_max,
+                         forced.get("abs_tol", abs_tol))
+
+    monkeypatch.setattr(exact, "_default_x_max", sized_box)
+    monkeypatch.setattr(exact, "_integrate", sized_integrate)
+    checked = 0
+    for k, b, n in _random_points(150, seed=7):
+        spec = make_anharmonic_spec(k, b)
+        w = _relative_width(spec, n)
+        if w < 1e3 * sys.float_info.epsilon:
+            continue
+        forced.clear()
+        shoot_eigenvalue(spec, n)
+        sizing = dict(seen)
+        floor = shoot_eigenvalue(spec, n, energy_tol=1e-300)
+        forced.update(sizing)
+        level = shoot_eigenvalue(spec, n, energy_tol=1e-300)
+        assert abs(level / floor - 1.0) <= 1e-2 * w, (k, b, n)
+        checked += 1
+    assert checked >= 110
 
 
 def test_energy_tol_below_float_resolution_stops_at_the_floor():

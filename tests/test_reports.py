@@ -14,7 +14,7 @@ import varpert.reports as reports
 from varpert.anharmonic import (energy_conventional_pt, energy_present,
                                 energy_variational)
 from varpert.cli import build_parser, main
-from varpert.exact import ConvergenceError
+from varpert.exact import ConvergenceError, diag_eigenvalues
 from varpert.model import make_anharmonic_spec
 from varpert.reports import RunConfig, run_helium, run_table
 
@@ -556,6 +556,21 @@ def test_a_refused_cell_makes_main_exit_3(monkeypatch, capsys):
     # shooting reads the present energy through its own module, and answers
     assert cells["exact"]["value"] == pytest.approx(1.5922191, abs=1e-7)
     assert cells["variational"]["percent"] == "100.293"
+
+
+def test_check_reports_a_refused_exact_cell_against_diagonalization(
+        monkeypatch, capsys):
+    # abs(nan - diag) > tol is False, so a refused shot read as agreement
+    def refuse(spec, n, energy_tol):
+        raise ValueError(f"forced refusal at n={n}")
+
+    monkeypatch.setattr(reports, "shoot_eigenvalue", refuse)
+    assert main(["table1", "--b", "1e4", "--check"]) == 3
+    err = capsys.readouterr().err
+    diag = diag_eigenvalues(make_anharmonic_spec(0.5, 1e4),
+                            dim=RunConfig("table1").exact_dim, n_levels=1)[0]
+    assert (f"check failed: n=0 b=10000.0: shooting nan vs diagonalization "
+            f"{diag:.7g} beyond ") in err
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
