@@ -14,7 +14,8 @@ The first-order energy in a general basis u is
 and the second-order Rayleigh-Schrodinger correction is an exact four-term
 sum over the states coupled by x^2 and x^4. On shell (u solving the cubic)
 the sum collapses to a closed-form quintic polynomial in n. Freezing u at
-hbar omega instead reproduces conventional perturbation theory.
+hbar omega instead reproduces conventional perturbation theory, where the
+sum collapses to a cubic in n.
 """
 from __future__ import annotations
 
@@ -175,9 +176,10 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     The perturbation couples |n> only to |n +- 2> and |n +- 4>, so the
     Rayleigh-Schrodinger sum is exact with four terms:
     sum_k |<k|H'|n>|^2 / (u (n - k)), each term as in ``hprime_element``.
-    A u whose x^2 coefficient squares past the float range, as where u^2
-    does, raises ``ValueError``; at u = hbar omega that coefficient is 0.
-    An amplitude whose square overflows, as from b = 8.3e152 in the hbar
+    The tests hold both closed forms, which the energies read, to it. A u
+    whose x^2 coefficient squares past the float range, as where u^2 does,
+    raises ``ValueError``; at u = hbar omega that coefficient is 0. An
+    amplitude whose square overflows, as from b = 8.3e152 in the hbar
     omega basis at k = 0.5, or a ladder factor with no float, from n about
     1e154 on, makes the sum -inf or nan. From n about 1.2e77 on the four
     terms cancel to rounding, so the sum is good only in absolute terms,
@@ -189,11 +191,6 @@ def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
     coefficients = _coefficients(spec, u)
     if coefficients[0] * coefficients[0] == math.inf:
         raise ValueError(f"u={u!r} overflows the x^2 coefficient squared")
-    return _sum(coefficients, n, u)
-
-
-def _sum(coefficients: tuple[float, float], n: int, u: float) -> float:
-    """``second_order_sum`` from basis u's ``_coefficients``, unchecked."""
     total = 0.0
     # k = n - 4, n - 2, n + 2, n + 4 in turn: m = min(k, n), d = n - k
     for m, d in ((n - 4, 4), (n - 2, 2), (n, -2), (n, -4)):
@@ -228,10 +225,13 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
     """Conventional perturbation theory with the basis frozen at hbar omega.
 
     Order 1 is hbar omega (n + 1/2) + b <n|x^4|n>, and a b or n that takes
-    it past the float range raises ``ValueError``; order 2 adds the exact
-    second-order sum. Large-b divergence of the series is a property the
-    caller may flag (see ``pt_divergent``), not an error; at huge b the
-    second-order sum overflows to -inf or nan, which that flag counts too.
+    it past the float range raises ``ValueError``. Order 2 adds
+    ``second_order_sum`` at u = hbar omega in closed form, the cubic
+    -2 beta^2 / (hbar omega) (34n^3 + 51n^2 + 59n + 21) of Bender and Wu
+    (Phys. Rev. 184, 1231 (1969)), formed without intermediate under- or
+    overflow, within a few ulps, and -inf past the float range. Large-b
+    divergence of the series is a property the caller may flag (see
+    ``pt_divergent``), not an error.
     """
     e1, _, e2 = _frozen(spec, n)
     if order not in (1, 2):
@@ -243,15 +243,25 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
 
 def _frozen(spec: AnharmonicSpec, n: int) -> tuple[float, float, float]:
     """Level n's hbar omega basis record, (order-1 energy, shift b <n|x^4|n>,
-    second-order sum), formed on first touch and kept by spec."""
+    second-order cubic), formed on first touch and kept by spec; the cubic
+    from the mantissas of b kappa^2, hbar omega and its polynomial, so that
+    nothing under- or overflows before the one ``ldexp`` that scales it."""
     if (record := spec._frozen.get(n)) is None:
         if not 0 <= n <= _HUGE:
             raise _level_error(n)
         hw = hbar_omega(spec)
-        coefficients = _coefficients(spec, hw)
-        shift = _hprime(coefficients, 0, n)
-        record = spec._frozen[n] = (hw * (n + 0.5) + shift, shift,
-                                    _sum(coefficients, n, hw))
+        shift = _hprime(_coefficients(spec, hw), 0, n)
+        m, e_bk = spec._b_kappa2
+        v, e = math.frexp(hw)
+        q = m / (v * v)  # beta = q 2^(e_bk - 2e)
+        p = ((34 * n + 51) * n + 59) * n + 21
+        e_p = p.bit_length()
+        m_p = p / (1 << e_p)  # correctly rounded, past the float range too
+        try:  # 0.0, not -0.0, at b = 0
+            e2 = 0.0 - math.ldexp(2.0 * q * q / v * m_p, 2 * e_bk - 5 * e + e_p)
+        except OverflowError:
+            e2 = -math.inf
+        record = spec._frozen[n] = hw * (n + 0.5) + shift, shift, e2
     return record
 
 
@@ -261,7 +271,8 @@ def pt_divergent(spec: AnharmonicSpec, n: int) -> bool:
     Flags the level when the magnitude of the second-order correction
     exceeds the first-order quartic shift b <n|x^4|n>, the scale at which
     successive terms of the frozen-basis series stop shrinking, or either
-    is not finite. At b = 0 both are exactly 0 and the level is not flagged.
+    is not finite, as where the correction reads -inf. At b = 0 both are
+    exactly 0 and the level is not flagged.
     """
     _, shift, e2 = _frozen(spec, n)
     return not abs(e2) <= shift < math.inf

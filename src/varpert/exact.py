@@ -9,13 +9,14 @@ loads only when the diagonalization runs.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import Sequence
 
 from .anharmonic import _optimized, energy_present
 from .model import (_HUGE, _TINY, AnharmonicSpec, _level_error,
                     _require_positive, hbar_omega)
-from .oscillator import build_hamiltonian
+from .oscillator import _parity_blocks
 
 
 ORDER_MAX = 44  # most Taylor terms a shooting step forms
@@ -308,25 +309,27 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
     ``basis_u`` selects the basis quantum, hbar Omega_n of the middle level
     n = n_levels // 2 by default; results are basis independent once ``dim``
     is converged. Level n is index n // 2 of parity block n % 2, each block
-    diagonalized by ``numpy.linalg.eigvalsh``. ``dim``, 100 by default,
-    must be at least n_levels + 20. Every basis, default or explicit, is
-    checked: the top requested level of each block, which keeps the
-    block's largest weight on its top 10 states, must keep at most
-    ``TAIL_WEIGHT`` there, or ``ConvergenceError`` is raised. A basis that
-    gives a non-finite Hamiltonian raises ``ValueError``.
+    built on its own and diagonalized by ``numpy.linalg.eigvalsh``.
+    ``dim``, 100 by default, must be an integer (else ``TypeError``) and at
+    least n_levels + 20. Every basis, default or explicit, is checked: the
+    top requested level of each block, which keeps the block's largest
+    weight on its top 10 states, must keep at most ``TAIL_WEIGHT`` there,
+    or ``ConvergenceError`` is raised. A basis that gives a non-finite
+    block raises ``ValueError``.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    if dim < n_levels + 20:
+    if operator.index(dim) < n_levels + 20:
         raise ValueError(f"dim must be >= n_levels + 20, got {dim}")
     import numpy as np  # only this oracle needs numpy
 
     u = _optimized(spec, n_levels // 2)[0] if basis_u is None else basis_u
     # an infinite or extreme basis_u (or b) overflows the x^2 and x^4 terms
-    if not (math.isfinite(u)
-            and np.isfinite(h := build_hamiltonian(spec, u, dim)).all()):
+    if math.isfinite(u):
+        _require_positive("u", u)
+    blocks = math.isfinite(u) and _parity_blocks(spec, u, dim)
+    if not (blocks and all(np.isfinite(block).all() for block in blocks)):
         raise ValueError(f"basis_u={u!r} gives a non-finite Hamiltonian")
-    blocks = [h[p::2, p::2] for p in (0, 1)]
     try:
         levels = [np.linalg.eigvalsh(block) for block in blocks]
         # the top requested level of each block keeps the block's largest
@@ -335,7 +338,8 @@ def diag_eigenvalues(spec: AnharmonicSpec, dim: int = 100,
         # right side lam; in lam's unit 2^e, exact, LAPACK cannot overflow
         for n in range(max(n_levels - 2, 0), n_levels):
             lam = levels[n % 2][n // 2] * (1.0 + 64.0 * sys.float_info.epsilon)
-            a = blocks[n % 2] - lam * np.eye(len(blocks[n % 2]))
+            a = blocks[n % 2].copy()
+            a.reshape(-1)[::len(a) + 1] -= lam  # on the diagonal of a copy
             unit = math.ldexp(1.0, -math.frexp(lam)[1])
             x = np.linalg.solve(a * unit, np.full(len(a), lam * unit))
             if not (tail := float(x[-10:] @ x[-10:] / (x @ x))) <= TAIL_WEIGHT:

@@ -47,7 +47,7 @@ class AnharmonicSpec:
     pair from the mantissas of b and kappa, and keeps per level n two
     records, each formed in one pass on first touch: the optimized basis's
     root, residual and E1(hbar Omega_n), and the hbar omega basis's order-1
-    energy, shift b <n|x^4|n> and second-order sum (see ``anharmonic``).
+    energy, shift b <n|x^4|n> and second-order cubic (see ``anharmonic``).
     They live in the instance ``__dict__``; a failed Newton solve keeps
     nothing, and equality, hash, repr and pickling read only the fields.
     """

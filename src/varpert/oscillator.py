@@ -6,35 +6,18 @@ quantum u = hbar Omega, of the perturbation operator
     H' = (k - m Omega^2 / 2) x^2 + b x^4,
 
 whose x^2 coefficient is exactly 0 in the basis u = hbar omega, and
-assembly of the full Hamiltonian as a dense symmetric matrix. With
-s^2 = hbar/(2 m Omega) = kappa / u, the ladder expansion
+assembly of the Hamiltonian's two parity blocks as dense symmetric
+matrices. With s^2 = hbar/(2 m Omega) = kappa / u, the ladder expansion
 x = s (a + a^dagger) gives every element in closed form; the only nonzero
 off-diagonals are |k - n| in {2} for x^2 and {2, 4} for x^4.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from .model import AnharmonicSpec, _require_positive, hbar_omega
-
-
-# <m + d| x^2 |m> and <m + d| x^4 |m> in units of s^2 and s^4, for d = 0, 2
-# and 4, each written once for an int m with math.sqrt and for an integer
-# array of m with numpy.sqrt
-def _ladder0(m, sqrt=None):
-    return 2 * m + 1, 6 * m * m + 6 * m + 3
-
-
-def _ladder2(m, sqrt=math.sqrt):
-    root = sqrt((m + 1) * (m + 2))
-    return root, (4 * m + 6) * root
-
-
-def _ladder4(m, sqrt=math.sqrt):
-    return 0.0, sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
-
-
-_LADDER = {0: _ladder0, 2: _ladder2, 4: _ladder4}
 
 
 def _beta(spec: AnharmonicSpec, u: float, e: int = 0) -> float:
@@ -58,18 +41,23 @@ def _coefficients(spec: AnharmonicSpec, u: float) -> tuple[float, float]:
 
 
 def _hprime(coefficients: tuple[float, float], d: int, m, sqrt=math.sqrt):
-    """<m + d| H' |m> for d in ``_LADDER`` from basis u's ``_coefficients``,
-    with m an int or, with ``numpy.sqrt``, an integer array; x^2 does not
-    couple m + 4 to m, whatever c2 reads. nan where an int ladder factor
-    has no float, from m about 5.5e153 on for d = 0 and 1e154 for d = 4,
-    whose product of four factors is rooted in two halves from 1.2e77."""
+    """<m + d| H' |m> for d in 0, 2 and 4 from basis u's ``_coefficients``,
+    each ladder factor written once, with m an int or, with ``numpy.sqrt``,
+    an integer array; x^2 does not couple m + 4 to m, whatever c2 reads.
+    nan where an int ladder factor has no float, from m about 5.5e153 on
+    for d = 0 and 1e154 for d = 4, whose product of four factors is rooted
+    in two halves from 1.2e77."""
+    c2, beta = coefficients
     try:
-        x2, x4 = _LADDER[d](m, sqrt)
-        return (coefficients[0] if d < 4 else 0.0) * x2 + coefficients[1] * x4
+        if d == 0:
+            return c2 * (2 * m + 1) + beta * (6 * m * m + 6 * m + 3)
+        if d == 2:
+            root = sqrt((m + 1) * (m + 2))
+            return c2 * root + beta * ((4 * m + 6) * root)
+        return beta * sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
     except OverflowError:
         if d == 4 and m < 10 ** 154:  # each half still has a float
-            return coefficients[1] * (sqrt((m + 1) * (m + 2))
-                                      * sqrt((m + 3) * (m + 4)))
+            return beta * (sqrt((m + 1) * (m + 2)) * sqrt((m + 3) * (m + 4)))
         return math.nan
 
 
@@ -86,11 +74,47 @@ def hprime_element(spec: AnharmonicSpec, u: float, k: int, n: int) -> float:
     if k < 0 or n < 0:
         raise ValueError("quantum numbers must be non-negative")
     d = abs(k - n)
-    element = (_hprime(_coefficients(spec, u), d, min(k, n)) if d in _LADDER
+    element = (_hprime(_coefficients(spec, u), d, min(k, n)) if d in (0, 2, 4)
                else 0.0)
     if not math.isfinite(element):
         raise ValueError(f"u={u!r} overflows <{k}| H' |{n}>")
     return element
+
+
+@functools.lru_cache(maxsize=4)
+def _ladder_table(dim: int) -> tuple:
+    """Per parity p, block p's ladder factors as float arrays over its
+    states m = p, p + 2, ... below ``dim``: x^2 and x^4 on the diagonal,
+    m + 1/2, x^2 and x^4 two states apart and x^4 four apart, each
+    ``_hprime`` at unit coefficients. Kept for a few dims, 5 KB at 100."""
+    import numpy as np
+
+    x2, x4 = (1.0, 0.0), (0.0, 1.0)
+    return tuple((_hprime(x2, 0, m, np.sqrt), _hprime(x4, 0, m, np.sqrt),
+                  m + 0.5, _hprime(x2, 2, m[:-1], np.sqrt),
+                  _hprime(x4, 2, m[:-1], np.sqrt), _hprime(x4, 4, m[:-2], np.sqrt))
+                 for m in (np.arange(0, dim, 2), np.arange(1, dim, 2)))
+
+
+def _parity_blocks(spec: AnharmonicSpec, u: float, dim: int) -> list:
+    """The even and odd blocks of ``build_hamiltonian(spec, u, dim)``, each
+    built on its own, for a u finite and > 0; an element past the float
+    range reads inf or nan."""
+    import numpy as np
+
+    c2, beta = _coefficients(spec, u)
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x2, x4, half, y2, y4, z4 in _ladder_table(dim):
+            size = len(x2)
+            block = np.zeros((size, size))
+            flat = block.reshape(-1)  # a view, entry (i, j) at i size + j
+            for j, band in ((0, c2 * x2 + beta * x4 + u * half),
+                            (1, c2 * y2 + beta * y4), (2, beta * z4)):
+                flat[j:(size - j) * size:size + 1] = band  # (i, i + j)
+                flat[j * size::size + 1] = band  # (i + j, i)
+            blocks.append(block)
+    return blocks
 
 
 def build_hamiltonian(spec: AnharmonicSpec, u: float,
@@ -98,20 +122,17 @@ def build_hamiltonian(spec: AnharmonicSpec, u: float,
     """Assemble H = u (N + 1/2) + H' in the first ``dim`` states of basis u.
 
     Returns the dense symmetric (dim, dim) matrix, whose only nonzero
-    entries lie on the main diagonal and 2 and 4 steps off it; requires
-    dim >= 8 so that at least one complete set of x^4 couplings is present.
+    entries lie on the main diagonal and 2 and 4 steps off it: the parity
+    blocks ``exact.diag_eigenvalues`` diagonalizes, interleaved. ``dim``
+    must be an integer (else ``TypeError``), at least 8 so that at least
+    one complete set of x^4 couplings is present, and u finite and > 0.
     """
     import numpy as np  # imported here so shooting-only runs never load it
 
     _require_positive("u", u)
-    if dim < 8:
+    if operator.index(dim) < 8:
         raise ValueError(f"dim must be >= 8, got {dim}")
-    m, coefficients = np.arange(dim), _coefficients(spec, u)
-    # an element past the float range reads inf or nan, for the caller to see
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = np.diag(_hprime(coefficients, 0, m, np.sqrt) + u * (m + 0.5))
-        for d in (2, 4):
-            band = _hprime(coefficients, d, m[:-d], np.sqrt)
-            np.fill_diagonal(h[d:], band)  # entries (j + d, j), then (j, j + d)
-            np.fill_diagonal(h[:, d:], band)
+    h = np.zeros((dim, dim))
+    for p, block in enumerate(_parity_blocks(spec, u, dim)):
+        h[p::2, p::2] = block
     return h

@@ -191,8 +191,9 @@ def test_huge_levels_return_or_refuse_naming_the_level(name, n, time_limit):
 
 
 def test_conventional_order_1_answers_where_its_order_2_sum_has_no_float():
-    # the frozen record forms the order-2 sum for order 1 too; from
-    # n = 1.2e77 on that sum's d = 4 ladder factor has no float
+    # the frozen record forms order 2 for order 1 too; from n = 1.2e77 on
+    # the four-term sum's d = 2 amplitude squares past the float range and
+    # read nan, while the closed-form cubic answers; the level stays flagged
     spec = make_anharmonic_spec(0.5, 0.05)
     n = 2 * 10**77
     hw = hbar_omega(spec)
@@ -200,7 +201,9 @@ def test_conventional_order_1_answers_where_its_order_2_sum_has_no_float():
     expected = hw * (n + 0.5) + beta * (6 * n * n + 6 * n + 3)
     assert energy_conventional_pt(spec, n, 1).e_total == pytest.approx(
         expected, rel=1e-15)
-    assert math.isnan(energy_conventional_pt(spec, n, 2).e_second_corr)
+    cubic = -2.0 * beta * beta / hw * (34 * n**3 + 51 * n * n + 59 * n + 21)
+    assert energy_conventional_pt(spec, n, 2).e_second_corr == pytest.approx(
+        cubic, rel=1e-14)
     assert pt_divergent(spec, n) is True
 
 

@@ -241,13 +241,70 @@ def test_diag_dimension_guard():
         diag_eigenvalues(spec_at(0.05), n_levels=81)
 
 
-@pytest.mark.parametrize("n_levels", [0, -1])
-def test_diag_rejects_fewer_than_one_level(n_levels, monkeypatch):
-    # refused before the Hamiltonian is built, not inside the eigensolver
+def _sliced_diag(spec, dim, u, n_levels):
+    """``diag_eigenvalues``'s levels, or the (n, tail weight) it refuses,
+    from parity blocks sliced out of ``build_hamiltonian`` and a tail check
+    whose matrix is formed with ``numpy.eye``."""
+    import numpy as np
+
+    h = build_hamiltonian(spec, u, dim)
+    blocks = [h[p::2, p::2] for p in (0, 1)]
+    levels = [np.linalg.eigvalsh(block) for block in blocks]
+    for n in range(max(n_levels - 2, 0), n_levels):
+        lam = levels[n % 2][n // 2] * (1.0 + 64.0 * sys.float_info.epsilon)
+        a = blocks[n % 2] - lam * np.eye(len(blocks[n % 2]))
+        unit = math.ldexp(1.0, -math.frexp(lam)[1])
+        x = np.linalg.solve(a * unit, np.full(len(a), lam * unit))
+        if not (tail := float(x[-10:] @ x[-10:] / (x @ x))) <= exact.TAIL_WEIGHT:
+            return n, tail
+    return [float(levels[n % 2][n // 2]) for n in range(n_levels)]
+
+
+@pytest.mark.parametrize("dim", [24, 61, 100, 120])
+def test_diag_is_eigvalsh_of_the_hamiltonians_parity_blocks(dim):
+    # each block built on its own gives, to the bit, the levels and the
+    # refusals of the same block sliced from the full Hamiltonian, in the
+    # default basis and in explicit ones; at dim 24 every basis is refused
+    import numpy as np
+
+    rng = random.Random(dim)
+    answered = 0
+    for _ in range(6):
+        k = 10.0 ** rng.uniform(-3.0, 3.0)
+        spec = make_anharmonic_spec(k, k ** 1.5 * 10.0 ** rng.uniform(-6.0, 0.0))
+        for basis_u in (None, hbar_omega(spec), solve_omega(spec, 1).hbar_Omega_n,
+                        1e300, 1e-300):
+            u = solve_omega(spec, 2).hbar_Omega_n if basis_u is None else basis_u
+            try:
+                got = diag_eigenvalues(spec, dim, basis_u)
+                answered += 1
+            except ConvergenceError as exc:
+                got = exc.diagnostics["n"], exc.diagnostics["tail_weight"]
+            except ValueError:  # a non-finite Hamiltonian
+                assert not np.isfinite(build_hamiltonian(spec, u, dim)).all()
+                continue
+            assert repr(got) == repr(_sliced_diag(spec, dim, u, 4))
+    assert answered >= (0 if dim == 24 else 12)
+
+
+@pytest.mark.parametrize("dim", [100.5, 100.0, "100"])
+def test_diag_requires_an_integer_dim(dim, monkeypatch):
+    # 100.5 answered from 101 states
     def unbuilt(*args):
         raise AssertionError("Hamiltonian built")
 
-    monkeypatch.setattr(exact, "build_hamiltonian", unbuilt)
+    monkeypatch.setattr(exact, "_parity_blocks", unbuilt)
+    with pytest.raises(TypeError, match="integer"):
+        diag_eigenvalues(spec_at(0.05), dim=dim)
+
+
+@pytest.mark.parametrize("n_levels", [0, -1])
+def test_diag_rejects_fewer_than_one_level(n_levels, monkeypatch):
+    # refused before the parity blocks are built, not inside the eigensolver
+    def unbuilt(*args):
+        raise AssertionError("Hamiltonian built")
+
+    monkeypatch.setattr(exact, "_parity_blocks", unbuilt)
     with pytest.raises(ValueError, match=r"^n_levels must be >= 1$"):
         diag_eigenvalues(spec_at(0.05), n_levels=n_levels)
 

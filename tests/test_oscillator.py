@@ -198,6 +198,47 @@ def test_each_call_forms_its_basis_coefficients_once(monkeypatch):
     assert bases == [1.5, 2.0]
 
 
+def _scalar_hamiltonian(spec, u, dim):
+    """H entry by entry from the scalar ``_hprime``, the reference for the
+    assembled bands; inf and nan where an entry leaves the float range."""
+    coefficients = oscillator._coefficients(spec, u)
+    h = np.zeros((dim, dim))
+    for m in range(dim):
+        h[m, m] = oscillator._hprime(coefficients, 0, m) + u * (m + 0.5)
+        for d in (2, 4):
+            if m + d < dim:
+                h[m, m + d] = h[m + d, m] = oscillator._hprime(coefficients,
+                                                               d, m)
+    return h
+
+
+@pytest.mark.parametrize("dim", [8, 9, 24, 61])
+def test_hamiltonian_interleaves_the_parity_blocks(dim):
+    # the two blocks, each built on its own, interleaved, to the bit and to
+    # the place of each inf and nan: at b = 1e308 x^4 overflows, and at
+    # u = 1e308 so do x^2 and u (m + 1/2), whose sum reads nan
+    seen = set()
+    for b, u in ((0.05, 3.2), (0.05, 1e-3), (1e308, hbar_omega(SPEC)),
+                 (1e308, 1e308), (1e308, 1e-300)):
+        spec = make_anharmonic_spec(0.5, b)
+        h = build_hamiltonian(spec, u, dim)
+        np.testing.assert_array_equal(h, _scalar_hamiltonian(spec, u, dim))
+        for p, block in enumerate(oscillator._parity_blocks(spec, u, dim)):
+            np.testing.assert_array_equal(h[p::2, p::2], block)
+            assert not h[p::2, 1 - p::2].any()
+        seen |= {"inf" for x in h.flat if math.isinf(x)}
+        seen |= {"nan" for x in h.flat if math.isnan(x)}
+    assert seen == {"inf", "nan"}
+
+
+@pytest.mark.parametrize("dim", [10.5, 40.0, "40", None])
+def test_hamiltonian_requires_an_integer_dim(dim):
+    # 10.5 was rounded up to an 11 x 11 matrix
+    with pytest.raises(TypeError, match="integer"):
+        build_hamiltonian(SPEC, 2.0, dim)
+    assert build_hamiltonian(SPEC, 2.0, np.int64(10)).shape == (10, 10)
+
+
 def test_hamiltonian_minimum_dim():
     with pytest.raises(ValueError, match="dim"):
         build_hamiltonian(SPEC, 3.2, 7)
