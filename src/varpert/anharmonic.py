@@ -145,29 +145,41 @@ def second_order_closed_form(spec: AnharmonicSpec, n: int, u: float) -> float:
     P(n) = 64n^5 + 160n^4 - 336n^3 - 664n^2 - 280n - 24. The derivation
     eliminates u^2 - (hbar omega)^2 through the cubic, so u must solve the
     cubic for this n; the precondition is enforced at relative 1e-8 on the
-    cubic divided by u^3, 1 - (hbar omega / u)^2 - 24 g(n) beta / u. Like
-    the correction, beta is formed in the energy unit 2^e, u = v 2^e with
-    v in [0.5, 1), and a correction past the float range raises
-    ``ValueError``.
+    cubic divided by u^3, 1 - (hbar omega / u)^2 - 24 g(n) beta / u, beta
+    over 2^e of u = v 2^e; the correction, ``_beta_squared_over_u``, is
+    within a few ulps where normal and raises ``ValueError`` past the range.
     """
     if not 0 <= n <= _HUGE:
         raise _level_error(n)
     _require_positive("u", u)
     w = hbar_omega(spec) / u
     v, e = math.frexp(u)
-    beta = _beta(spec, u, e)  # inf far off shell
     g = (2 * n * n + 2 * n + 1) / (2 * n + 1)
-    residual = 1.0 - w * w - 24.0 * g * beta / v
+    residual = 1.0 - w * w - 24.0 * g * _beta(spec, u, e) / v  # inf off shell
     if not abs(residual) <= 1e-8:
         raise ValueError(
             f"u={u!r} is off shell for n={n} (residual {residual:.3e} u^3); "
             "the closed form is invalid away from the cubic's root")
     c5, c4, c3, c2, c1, c0 = P_COEFFS
     p = ((((c5 * n + c4) * n + c3) * n + c2) * n + c1) * n + c0
+    if math.isinf(e2 := _beta_squared_over_u(spec, u, p, 4 * (2 * n + 1) ** 2)):
+        raise ValueError(f"u={u!r} overflows E2 for n={n}")
+    return e2
+
+
+def _beta_squared_over_u(spec: AnharmonicSpec, u: float, p: int, d: int) -> float:
+    """beta^2 / u * p / d in eV, beta = b kappa^2 / u^2, for ints p and d > 0:
+    from the mantissas of the spec's b kappa^2, of u = v 2^e and of p and d
+    (correctly rounded int divisions by 2^bitlen), scaled by one ``ldexp``,
+    so nothing under- or overflows before the result; +-inf past the range."""
+    (m, e_bk), (v, e) = spec._b_kappa2, math.frexp(u)
+    q = m / (v * v)  # beta = q 2^(e_bk - 2e)
+    e_p, e_d = p.bit_length(), d.bit_length()
     try:
-        return math.ldexp(beta * beta / (4.0 * v) * p / (2 * n + 1) ** 2, e)
+        return math.ldexp(q * q / v * (p / (1 << e_p)) / (d / (1 << e_d)),
+                          2 * e_bk - 5 * e + e_p - e_d)
     except OverflowError:
-        raise ValueError(f"u={u!r} overflows E2 for n={n}") from None
+        return math.inf if p > 0 else -math.inf
 
 
 def second_order_sum(spec: AnharmonicSpec, n: int, u: float) -> float:
@@ -228,10 +240,9 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
     it past the float range raises ``ValueError``. Order 2 adds
     ``second_order_sum`` at u = hbar omega in closed form, the cubic
     -2 beta^2 / (hbar omega) (34n^3 + 51n^2 + 59n + 21) of Bender and Wu
-    (Phys. Rev. 184, 1231 (1969)), formed without intermediate under- or
-    overflow, within a few ulps, and -inf past the float range. Large-b
-    divergence of the series is a property the caller may flag (see
-    ``pt_divergent``), not an error.
+    (Phys. Rev. 184, 1231 (1969)), formed as the present quintic is, within
+    a few ulps, and -inf past the float range. Divergence at large b is not
+    an error; ``pt_divergent`` flags it.
     """
     e1, _, e2 = _frozen(spec, n)
     if order not in (1, 2):
@@ -243,24 +254,14 @@ def energy_conventional_pt(spec: AnharmonicSpec, n: int, order: int) -> LevelRes
 
 def _frozen(spec: AnharmonicSpec, n: int) -> tuple[float, float, float]:
     """Level n's hbar omega basis record, (order-1 energy, shift b <n|x^4|n>,
-    second-order cubic), formed on first touch and kept by spec; the cubic
-    from the mantissas of b kappa^2, hbar omega and its polynomial, so that
-    nothing under- or overflows before the one ``ldexp`` that scales it."""
+    second-order cubic), formed on first touch and kept by spec."""
     if (record := spec._frozen.get(n)) is None:
         if not 0 <= n <= _HUGE:
             raise _level_error(n)
         hw = hbar_omega(spec)
         shift = _hprime(_coefficients(spec, hw), 0, n)
-        m, e_bk = spec._b_kappa2
-        v, e = math.frexp(hw)
-        q = m / (v * v)  # beta = q 2^(e_bk - 2e)
         p = ((34 * n + 51) * n + 59) * n + 21
-        e_p = p.bit_length()
-        m_p = p / (1 << e_p)  # correctly rounded, past the float range too
-        try:  # 0.0, not -0.0, at b = 0
-            e2 = 0.0 - math.ldexp(2.0 * q * q / v * m_p, 2 * e_bk - 5 * e + e_p)
-        except OverflowError:
-            e2 = -math.inf
+        e2 = 0.0 - _beta_squared_over_u(spec, hw, 2 * p, 1)  # not -0.0 at b = 0
         record = spec._frozen[n] = hw * (n + 0.5) + shift, shift, e2
     return record
 

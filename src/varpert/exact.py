@@ -14,8 +14,8 @@ import sys
 from typing import Sequence
 
 from .anharmonic import _optimized, energy_present
-from .model import (_HUGE, _TINY, AnharmonicSpec, _level_error,
-                    _require_positive, hbar_omega)
+from .model import (_TINY, AnharmonicSpec, _level_error, _require_positive,
+                    hbar_omega)
 from .oscillator import _parity_blocks
 
 
@@ -36,6 +36,9 @@ TAIL_WEIGHT = 1e-20
 # shooting refuses a level whose scale reaches this: the box's potential in
 # eV reaches 365 times the energy the box is sized for, and must not overflow
 _TOP = 2.0 ** 1014
+# shooting refuses a level from 2^18 on: a first integration takes about n
+# Taylor steps, and psi(x_max) overflowed in it at every (k, b) measured
+_LEVEL_TOP = 2 ** 18
 
 
 class ConvergenceError(RuntimeError):
@@ -194,11 +197,12 @@ def shoot_eigenvalue(spec: AnharmonicSpec, n: int,
     moves by an exact power of two, so the level keeps its bits. A k this
     takes below the float range moves the level by under 1e-150 relative,
     and is held at the smallest float. A level whose s reaches 2^1014 eV,
-    where the box's potential would overflow, raises ``ValueError``, as
-    does a psi(x_max) that is not finite.
+    where the box's potential would overflow, raises ``ValueError``, as do
+    a psi(x_max) that is not finite and, before any integration, n >= 2^18.
     """
-    if not 0 <= n <= _HUGE:
-        raise _level_error(n)
+    if not 0 <= n < _LEVEL_TOP:
+        raise _level_error(
+            n, f"shooting's reach, n < 2^{_LEVEL_TOP.bit_length() - 1}")
     _require_positive("energy_tol", energy_tol)
     parity = n % 2
     target = n // 2

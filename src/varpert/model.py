@@ -25,11 +25,11 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def _level_error(n: int) -> ValueError:
-    """The error for a level outside 0 <= n <= ``_HUGE``, where n + 1/2 has
-    a float; callers test the range inline, on hot paths."""
+def _level_error(n: int, limit: str = "the float range") -> ValueError:
+    """The error for a level n < 0 or past ``limit``, by default ``_HUGE``,
+    where n + 1/2 has a float; callers test the range inline, on hot paths."""
     return ValueError("n must be >= 0" if n < 0
-                      else f"level n={n} lies past the float range")
+                      else f"level n={n} lies past {limit}")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from .model import AnharmonicSpec, _require_positive, hbar_omega
 def _beta(spec: AnharmonicSpec, u: float, e: int = 0) -> float:
     """beta = b kappa^2 / u^2 over 2^e from the spec's mantissa and exponent
     of b kappa^2, every digit kept where it is normal; inf past the range."""
-    m, e_bk2 = spec._b_kappa2
-    v, e_u = math.frexp(u)
+    (m, e_bk2), (v, e_u) = spec._b_kappa2, math.frexp(u)
     try:
         return math.ldexp(m / (v * v), e_bk2 - 2 * e_u - e)
     except OverflowError:

@@ -313,36 +313,100 @@ def cubic_reference(spec, n):
                                       + 51 * mpmath.mpf(n) ** 2 + 59 * n + 21)
 
 
-@pytest.mark.parametrize("b", [1e-300, 0.05, 1e8, 1e300])
-def test_conventional_cubic_is_within_a_few_ulps(b):
+def quintic_reference(spec, n, u):
+    """beta^2 / (4u) P(n) / (2n + 1)^2 to 50 digits from the spec's b and
+    kappa and the basis quantum u."""
+    with mpmath.workdps(50):
+        beta = mpmath.mpf(spec.quartic_b) * mpmath.mpf(spec.kappa) ** 2 / mpmath.mpf(u) ** 2
+        p = sum(c * mpmath.mpf(n) ** (5 - i) for i, c in enumerate(P_COEFFS))
+        return beta ** 2 / (4 * mpmath.mpf(u)) * p / (2 * mpmath.mpf(n) + 1) ** 2
+
+
+def second_order_and_reference(form, spec, n):
+    """(got, want) for the conventional cubic or the present quintic at level
+    n: the closed form, or the reference's infinite sign where the quintic
+    refuses with "overflows E2", and its 50-digit value in the same basis."""
+    if form == "cubic":
+        return anharmonic._frozen(spec, n)[2], cubic_reference(spec, n)
+    u = _optimized(spec, n)[0]
+    want = quintic_reference(spec, n, u)
+    try:
+        return second_order_closed_form(spec, n, u), want
+    except ValueError as exc:
+        assert f"overflows E2 for n={n}" in str(exc)
+        return math.copysign(math.inf, want), want
+
+
+ULP_GRID = (1e-300, 1e-200, 0.05, 1e8, 1e300)
+
+
+@pytest.mark.parametrize("form, b", [
+    *(pytest.param("cubic", b, id=repr(b)) for b in ULP_GRID),
+    *(pytest.param("quintic", b, id=f"quintic-{b!r}") for b in ULP_GRID)])
+def test_conventional_cubic_is_within_a_few_ulps(form, b):
     # within 4 ulps of 50 digits wherever the reference is a normal float,
-    # -inf where it overflows. At b = 1e-300, n = 1e150 beta^2 alone
-    # underflows; the sum read nan or lost every digit from n = 1.2e77 on
+    # infinite (the quintic refuses) where it overflows. At b = 1e-300,
+    # n = 1e150 beta^2 alone underflows; the sum read nan or lost every
+    # digit from n = 1.2e77 on. The quintic refused from n = 1.2e61, where
+    # P(n) has no float, and read 0.0 where (beta / 2^e)^2 underflowed
     spec = spec_at(b)
-    for n in (0, 20, 10**6, 2 * 10**77, 10**150):
-        want = cubic_reference(spec, n)
-        got = anharmonic._frozen(spec, n)[2]  # order 1 may overflow
-        if -want > sys.float_info.max:
-            assert got == -math.inf
-        elif -want >= sys.float_info.min:
+    for n in (0, 20, 10**6, 10**40, 10**60, 10**62, 2 * 10**77, 10**100,
+              10**150):
+        got, want = second_order_and_reference(form, spec, n)
+        if abs(want) > sys.float_info.max:
+            assert got == math.copysign(math.inf, want)
+        elif abs(want) >= sys.float_info.min:
             assert abs(got - want) <= 4 * math.ulp(float(want))
 
 
-def test_conventional_cubic_error_bound_over_random_draws():
-    # eight roundings before the exact ldexp (two in b kappa^2's mantissa,
-    # v^2, m / v^2, q^2, / v, the polynomial's mantissa and its product)
-    # bound the error by 8 ulps wherever the value is a normal float;
-    # 20,000 such draws measured at most 5.6
+@pytest.mark.parametrize("form", ["cubic", "quintic"])
+def test_conventional_cubic_error_bound_over_random_draws(form):
+    # both are beta^2 / u p / d with beta = q 2^(e_bk - 2e): q = m / v^2
+    # takes four roundings (two in b kappa^2's mantissa m, v^2 and the
+    # division) and enters squared, and q^2, / v, the mantissa of p and its
+    # product add four, the quintic's mantissa of d and its division two
+    # more, before the exact ldexp: at worst 12 and 14 ulps wherever the
+    # value is a normal float. Measured at most 5.6 over 20,000 such draws
+    # of the cubic and 6.5 over 60,000 whole-domain draws of the quintic;
+    # both are held to 8. Draws whose value overflows must read infinite
     rng = random.Random(39)
     for _ in range(300):
         spec = make_anharmonic_spec(10 ** rng.uniform(-4, 3),
                                     10 ** rng.uniform(-300, 300))
         n = rng.choice([rng.randrange(30), rng.randrange(10**6),
                         10 ** rng.randrange(200)])
-        want = cubic_reference(spec, n)
-        if sys.float_info.min <= -want <= sys.float_info.max:
-            got = anharmonic._frozen(spec, n)[2]
+        got, want = second_order_and_reference(form, spec, n)
+        if sys.float_info.min <= abs(want) <= sys.float_info.max:
             assert abs(got - want) <= 8 * math.ulp(float(want))
+        elif abs(want) > sys.float_info.max:
+            assert got == math.copysign(math.inf, want)
+
+
+@pytest.mark.parametrize("k, b, kappa, n, value", [
+    (0.5, 0.05, KAPPA_EV_A2, 10**62, 8.3556431e80),
+    (0.5, 1e-200, KAPPA_EV_A2, 10**60, 5.2585911e-220),
+    (66812937.76333522, 2.267546778926077e-149, KAPPA_EV_A2, 67455,
+     4.0207549e-303),
+    (1.2086667249311239e275, 5.513992770131202e251, KAPPA_EV_A2, 2,
+     -1.8364298e-184),
+    (5e-154, 1.1e-299, 1e-170, 3 * 10**153, 1.9891253e-11)],
+    ids=["P(n)-past-the-range", "square-underflows", "square-subnormal",
+         "square-subnormal-n2", "beta-subnormal"])
+def test_present_correction_answers_where_its_parts_leave_the_float_range(
+        k, b, kappa, n, value):
+    # the quintic refused the first with "overflows E2", as P(n) has no
+    # float from n = 1.2e61; it read 0.0 for the second, where
+    # (beta / 2^e)^2 underflowed, and rounded that square through a
+    # subnormal for the next two: 3.9754e-303 (1.1 % off) and -3.8979e-184
+    # (2.1 times the value). In the last, beta = 3.3e-317 eV is subnormal:
+    # formed in eV rather than over 2^e of u, it moved the on-shell
+    # residual by 2.4e-8 and refused the root as off shell
+    spec = make_anharmonic_spec(k, b, kappa)
+    level = energy_present(spec, n)
+    assert level.e_second_corr == pytest.approx(value, rel=1e-7)
+    got, want = second_order_and_reference("quintic", spec, n)
+    assert got == level.e_second_corr
+    assert abs(got - want) <= 8 * math.ulp(float(want))
 
 
 def test_quintic_polynomial_coefficients():

@@ -176,12 +176,15 @@ LEVEL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("n", [2 * 10**77, 6 * 10**153, 10**200, 10**400],
-                         ids=["2e77", "6e153", "1e200", "1e400"])
+@pytest.mark.parametrize("n", [10**10, 2 * 10**77, 6 * 10**153, 10**200,
+                               10**400],
+                         ids=["1e10", "2e77", "6e153", "1e200", "1e400"])
 @pytest.mark.parametrize("name", list(LEVEL_CALLS))
 def test_huge_levels_return_or_refuse_naming_the_level(name, n, time_limit):
     # each raised a bare OverflowError from one of these levels on: the
-    # ladder factors' ints, then n + 1/2 itself, have no float
+    # ladder factors' ints, then n + 1/2 itself, have no float. Shooting
+    # refuses from n = 2^18 before it integrates; at 1e10 its one
+    # integration would have taken hours to refuse
     spec = make_anharmonic_spec(0.5, 0.05)
     with time_limit(5.0):
         try:

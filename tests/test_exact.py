@@ -580,6 +580,28 @@ def test_shooting_rejects_negative_level():
         shoot_eigenvalue(spec_at(0.05), -1)
 
 
+@pytest.mark.parametrize("b", [0.0, 0.05])
+def test_shooting_refuses_levels_from_2_to_the_18_before_integrating(
+        monkeypatch, b):
+    # an integration takes about n Taylor steps; from 2^18 the first one
+    # overflowed psi(x_max) at every (k, b) measured, after seconds (hours
+    # at 1e10), and at 1e62, where the present energy now answers, it would
+    # not end. Level 2^18 - 1 still reaches the integration
+    class Integrated(Exception):
+        pass
+
+    def integrate(*args):
+        raise Integrated
+
+    monkeypatch.setattr(exact, "_integrate", integrate)
+    for n in (2**18, 2**18 + 1, 10**10, 10**62):
+        with pytest.raises(ValueError, match=rf"^level n={n} lies past "
+                           r"shooting's reach, n < 2\^18$"):
+            shoot_eigenvalue(spec_at(b), n)
+    with pytest.raises(Integrated):
+        shoot_eigenvalue(spec_at(b), 2**18 - 1)
+
+
 def test_shooting_budget_exhaustion_raises(monkeypatch):
     # from the present energy this search takes 5 of the budget
     spec = spec_at(0.05)
